@@ -37,6 +37,7 @@ from .construction import (
     Exit,
     ExitComplex,
     ExitPath,
+    IotaNotMono,
     LinkedSpan,
     Low,
     SpanIntegrityError,

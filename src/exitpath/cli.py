@@ -24,7 +24,13 @@ import json
 import os
 import sys
 
-from .construction import LinkedSpan, build_exit, exit_simplices
+from .construction import (
+    IotaNotMono,
+    LinkedSpan,
+    SpanIntegrityError,
+    build_exit,
+    exit_simplices,
+)
 from .documents import ParseError, parse_span_file, print_sset, write_span_documents
 from .gallery import GALLERY, load_span
 from .shuffles import (
@@ -302,7 +308,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ParseError, ValueError, KeyError, OSError) as e:
+    except (ParseError, ValueError, KeyError, OSError, IotaNotMono, SpanIntegrityError) as e:
         print(f"error: {e}", file=sys.stderr)
         return INPUT_ERROR
 

@@ -45,6 +45,11 @@ class SpanIntegrityError(RuntimeError):
     inconsistent with exit-path membership already established."""
 
 
+class IotaNotMono(RuntimeError):
+    """iota is not levelwise injective through a degree an operation
+    needs; the message carries two simplices with one image."""
+
+
 @dataclass(frozen=True)
 class ExitPath:
     """A k-simplex gamma of N together with its exit index j.
@@ -111,9 +116,10 @@ class LinkedSpan:
     """M <-pi- L -iota-> N with pi, iota natural on generators.
 
     Naturality of both maps is audited at construction.  Injectivity of
-    iota and the right-fibration property of pi are verified on demand
-    and the outcomes recorded; exit-path membership queries require the
-    iota check to have passed through the relevant degree.
+    iota is verified on demand and the outcome recorded; exit-path
+    membership queries require that check to have passed through the
+    relevant degree.  Whether pi is a right fibration is a separate
+    check, verify.check_fibration.
     """
 
     def __init__(self, name: str, M: SimplicialSet, L: SimplicialSet, N: SimplicialSet,
@@ -126,7 +132,6 @@ class LinkedSpan:
         self.M, self.L, self.N = M, L, N
         self.pi, self.iota = pi, iota
         self.iota_mono: tuple[str, int | None] = ("unchecked", None)
-        self.pi_right_fib: tuple[str, int | None] = ("unchecked", None)
 
     def verify_iota(self, depth: int) -> bool:
         """Check iota is levelwise injective through degree depth."""
@@ -143,7 +148,7 @@ class LinkedSpan:
         if state == "verified" and bound is not None and bound >= depth:
             return
         if not self.verify_iota(depth):
-            raise RuntimeError(f"{self.name}: iota is not mono: {self._iota_witness}")
+            raise IotaNotMono(f"{self.name}: iota is not mono: {self._iota_witness}")
 
     def __repr__(self):
         return (f"LinkedSpan({self.name!r}: {self.M.name} <- {self.L.name} "

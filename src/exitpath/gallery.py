@@ -45,16 +45,17 @@ def trivial_inclusion_span(X: SimplicialSet) -> LinkedSpan:
     return LinkedSpan("trivial", M, L, N=X, pi=pi, iota=iota)
 
 
-def cone_span(X: SimplicialSet) -> LinkedSpan:
+def cone_span(X: SimplicialSet, name: str | None = None) -> LinkedSpan:
     """point <- X = X: every simplex exits at every index.
 
     At X = point the exit complex is the 1-simplex: one low vertex, one
     upper vertex, and in degree k the k exit paths keyed by their index.
+    The span is named cone-<name of X> unless name is given.
     """
     M = point("conetip", "c")
     pi = SimplicialMap("pi", X, M, _constant_assignment(X, "c"))
     iota = SimplicialMap("iota", X, X, {g: nondeg(g, d) for g, d in X.gen_dims.items()})
-    return LinkedSpan("point-cone", M, L=X, N=X, pi=pi, iota=iota)
+    return LinkedSpan(name or f"cone-{X.name}", M, L=X, N=X, pi=pi, iota=iota)
 
 
 def _constant_assignment(X: SimplicialSet, vertex: str):
@@ -129,7 +130,7 @@ GALLERY: dict[str, GalleryEntry] = {
         lambda: nerve_of_poset(["a", "b", "c"],
                                [("a", "b"), ("b", "c"), ("a", "c")], "chain3")),
     "point-cone": GalleryEntry(
-        "point-cone", lambda: cone_span(point("apexlink", "x")),
+        "point-cone", lambda: cone_span(point("apexlink", "x"), "point-cone"),
         "point <- point = point; Ex is the 1-simplex", True,
         lambda: standard_simplex(1, "interval")),
     "s0-defect": GalleryEntry(

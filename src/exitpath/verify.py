@@ -10,12 +10,19 @@ A budget is a node allowance; one node is one candidate simplex
 inspected (filler and lift searches) or one partial assignment extended
 (horn enumeration).  Exhaustion marks the surrounding check
 "inconclusive" rather than guessing.
+
+Filler and lift searches find their answer by lookup in a face index
+built once per horn shape, but a node is still one candidate in
+canonical order: a hit at position p costs p + 1 nodes and a miss costs
+every candidate, exactly what a scan in that order would inspect, so
+verdicts under any budget are those of the scan.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from typing import Callable
 
 from .simplicial import FormalSimplex, SimplicialMap, SimplicialSet
 
@@ -225,6 +232,44 @@ def horn_is_compatible(X: SimplicialSet, h: HornProblem) -> bool:
     return True
 
 
+FaceRow = tuple[FormalSimplex, tuple[FormalSimplex, ...]]
+
+
+def _face_rows(X: SimplicialSet, n: int) -> list[FaceRow]:
+    """The n-simplices of X in canonical order, each with its faces
+    (d_0 x, ..., d_n x); vertices get an empty tuple."""
+    return [(x, tuple(X.face(x, a) for a in range(n + 1)) if n else ())
+            for x in X.simplices_at(n)]
+
+
+class FaceIndex:
+    """The n-simplices of X keyed by an optional base key and their faces
+    at every slot but `missing`, for the searches over one horn shape.
+
+    find() answers what a scan in canonical order would, at the same
+    node cost: a hit at position p spends p + 1 nodes, a miss spends one
+    per simplex.
+    """
+
+    def __init__(self, X: SimplicialSet, n: int, missing: int,
+                 key: Callable[[FormalSimplex], FormalSimplex] | None = None):
+        rows = _face_rows(X, n)
+        self.size = len(rows)
+        self._first: dict[tuple, tuple[int, FormalSimplex]] = {}
+        for pos, (x, faces) in enumerate(rows):
+            k = (None if key is None else key(x), faces[:missing] + faces[missing + 1:])
+            self._first.setdefault(k, (pos, x))
+
+    def find(self, h: HornProblem, budget: Budget,
+             base: FormalSimplex | None = None) -> FormalSimplex | None:
+        hit = self._first.get((base, tuple(f for _, f in h.present())))
+        if hit is None:
+            budget.spend(self.size)
+            return None
+        budget.spend(hit[0] + 1)
+        return hit[1]
+
+
 def enumerate_horns(X: SimplicialSet, n: int, missing: int,
                     budget: Budget | None = None) -> list[HornProblem]:
     """All horns of shape (n, missing) in X, by backtracking over the
@@ -235,25 +280,21 @@ def enumerate_horns(X: SimplicialSet, n: int, missing: int,
         raise ValueError(f"horn index {missing} outside 0..{n}")
     budget = budget or Budget(None)
     slots = [a for a in range(n + 1) if a != missing]
-    candidates = X.simplices_at(n - 1)
+    candidates = _face_rows(X, n - 1)
     out: list[HornProblem] = []
 
-    def extend(chosen: dict[int, FormalSimplex], depth: int):
+    def extend(chosen: dict[int, FaceRow], depth: int):
         if depth == len(slots):
-            faces = tuple(chosen.get(a) for a in range(n + 1))
+            faces = tuple(chosen[a][0] if a in chosen else None for a in range(n + 1))
             out.append(HornProblem(n, missing, faces))
             return
         b = slots[depth]
-        for f in candidates:
+        # a < b always: slots ascend
+        wanted = [(a, g_faces[b - 1]) for a, (_, g_faces) in chosen.items()]
+        for row in candidates:
             budget.spend()
-            ok = True
-            for a, g in chosen.items():
-                # a < b always: slots ascend
-                if X.face(f, a) != X.face(g, b - 1):
-                    ok = False
-                    break
-            if ok:
-                chosen[b] = f
+            if all(row[1][a] == g for a, g in wanted):
+                chosen[b] = row
                 extend(chosen, depth + 1)
                 del chosen[b]
 
@@ -261,15 +302,16 @@ def enumerate_horns(X: SimplicialSet, n: int, missing: int,
     return out
 
 
-def find_filler(X: SimplicialSet, h: HornProblem,
-                budget: Budget | None = None) -> FormalSimplex | None:
-    """First n-simplex whose faces extend the horn, in canonical order."""
+def find_filler(X: SimplicialSet, h: HornProblem, budget: Budget | None = None,
+                index: FaceIndex | None = None) -> FormalSimplex | None:
+    """First n-simplex whose faces extend the horn, in canonical order.
+
+    index is a FaceIndex of X_n for the horn's shape; callers filling
+    many horns of one shape build it once and pass it in."""
     budget = budget or Budget(None)
-    for x in X.simplices_at(h.n):
-        budget.spend()
-        if all(X.face(x, a) == f for a, f in h.present()):
-            return x
-    return None
+    if index is None:
+        index = FaceIndex(X, h.n, h.missing)
+    return index.find(h, budget)
 
 
 def verify_quasicategory(X: SimplicialSet, depth: int, budget: int | None = None,
@@ -296,11 +338,12 @@ def _horn_block(X: SimplicialSet, n: int, i: int, budget: int | None) -> CheckEn
         horns = enumerate_horns(X, n, i, Budget(budget))
     except BudgetExhausted:
         return CheckEntry(name, "inconclusive", detail="enumeration budget exhausted")
+    index = FaceIndex(X, n, i)
     unfilled = None
     exhausted = 0
     for h in horns:
         try:
-            if find_filler(X, h, Budget(budget)) is None:
+            if find_filler(X, h, Budget(budget), index) is None:
                 unfilled = h
                 break
         except BudgetExhausted:
@@ -364,17 +407,18 @@ def _lift_block(f: SimplicialMap, n: int, i: int, budget: int | None) -> CheckEn
         horns = enumerate_horns(X, n, i, Budget(budget))
     except BudgetExhausted:
         return CheckEntry(name, "inconclusive", detail="enumeration budget exhausted")
-    bases = Y.simplices_at(n)
+    bases = _face_rows(Y, n)
+    lifts = FaceIndex(X, n, i, key=f)
     squares = 0
     exhausted = 0
     for h in horns:
         images = [(a, f(g)) for a, g in h.present()]
-        for base in bases:
-            if any(Y.face(base, a) != img for a, img in images):
+        for base, base_faces in bases:
+            if any(base_faces[a] != img for a, img in images):
                 continue
             squares += 1
             try:
-                if _find_lift(f, h, base, Budget(budget)) is None:
+                if lifts.find(h, Budget(budget), base) is None:
                     return CheckEntry(
                         name, "fail", detail=f"{squares} squares",
                         witness=f"no lift of {base!r} along {h.describe()}")
@@ -384,18 +428,6 @@ def _lift_block(f: SimplicialMap, n: int, i: int, budget: int | None) -> CheckEn
         return CheckEntry(name, "inconclusive",
                           detail=f"{exhausted}/{squares} searches hit the budget")
     return CheckEntry(name, "pass", detail=f"{squares} squares lifted")
-
-
-def _find_lift(f: SimplicialMap, h: HornProblem, base: FormalSimplex,
-               budget: Budget) -> FormalSimplex | None:
-    X = f.domain
-    for x in X.simplices_at(h.n):
-        budget.spend()
-        if f(x) != base:
-            continue
-        if all(X.face(x, a) == g for a, g in h.present()):
-            return x
-    return None
 
 
 # -- isomorphism ------------------------------------------------------------------

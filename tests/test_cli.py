@@ -110,11 +110,8 @@ def test_check_fibration(capsys):
     assert code == PASS
 
 
-def test_check_mono(capsys, tmp_path):
-    code, out, _ = run(capsys, "check-mono", "--span", "trivial", "--max-dim", "4")
-    assert code == PASS and out.startswith("PASS")
-
-    # a span document whose iota merges the link onto one point
+def merged_span(tmp_path) -> str:
+    """A span document whose iota merges the two link vertices onto one."""
     (tmp_path / "L.sset").write_text("sset L\nmaxdim 0\ndim 0\ngen l1\ngen l2\n")
     (tmp_path / "P.sset").write_text("sset P\nmaxdim 0\ndim 0\ngen p\n")
     (tmp_path / "pi.smap").write_text(
@@ -124,8 +121,35 @@ def test_check_mono(capsys, tmp_path):
     span_file = tmp_path / "merged.span"
     span_file.write_text("span merged\nM = P.sset\nL = L.sset\nN = P.sset\n"
                          "pi = pi.smap\niota = iota.smap\n")
-    code, out, _ = run(capsys, "check-mono", "--span", str(span_file))
+    return str(span_file)
+
+
+def test_check_mono(capsys, tmp_path):
+    code, out, _ = run(capsys, "check-mono", "--span", "trivial", "--max-dim", "4")
+    assert code == PASS and out.startswith("PASS")
+
+    code, out, _ = run(capsys, "check-mono", "--span", merged_span(tmp_path))
     assert code == FAIL and out.startswith("FAIL") and "degree 0" in out
+
+
+@pytest.mark.parametrize("command", ["build-exit", "stats", "verify-identities",
+                                     "verify-qcat"])
+def test_non_mono_iota_is_an_input_error(capsys, tmp_path, command):
+    code, out, err = run(capsys, command, "--span", merged_span(tmp_path))
+    assert code == INPUT_ERROR and out == ""
+    assert err.startswith("error: merged: iota is not mono: degree 0")
+
+
+def test_span_integrity_error_is_an_input_error(capsys, monkeypatch):
+    from exitpath import cli
+    from exitpath.construction import SpanIntegrityError
+
+    def corrupt(span, depth):
+        raise SpanIntegrityError("low face has no lift")
+
+    monkeypatch.setattr(cli, "build_exit", corrupt)
+    code, _, err = run(capsys, "verify-qcat", "--span", "broken")
+    assert code == INPUT_ERROR and err == "error: low face has no lift\n"
 
 
 def test_examples_list_and_emit(capsys, tmp_path):

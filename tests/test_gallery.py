@@ -3,7 +3,8 @@
 import pytest
 
 from exitpath.construction import build_exit, exit_simplices
-from exitpath.gallery import GALLERY, load_span
+from exitpath.gallery import GALLERY, cone_span, load_span
+from exitpath.simplicial import standard_simplex
 from exitpath.verify import check_fibration, isomorphism_report, verify_simplicial_identities
 
 
@@ -56,6 +57,13 @@ def test_point_cone_counts():
     assert ex.generators(1) == ["P.x+s0@1"]
     for k in range(2, 7):
         assert ex.generators(k) == []
+
+
+def test_cone_names_follow_the_base():
+    assert cone_span(standard_simplex(2)).name == "cone-simplex2"
+    assert cone_span(standard_simplex(3, "tetra")).name == "cone-tetra"
+    assert load_span("point-cone").name == "point-cone"
+    assert build_exit(load_span("point-cone", verify_depth=1), 1).name == "Ex(point-cone)<=1"
 
 
 def test_s0_defect_counts():

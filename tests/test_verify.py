@@ -6,7 +6,7 @@ import json
 import pytest
 
 from exitpath.construction import build_exit
-from exitpath.gallery import discrete, load_span, point
+from exitpath.gallery import GALLERY, cone_span, discrete, load_span, point
 from exitpath.operators import Operator
 from exitpath.simplicial import (
     FormalSimplex,
@@ -19,6 +19,7 @@ from exitpath.simplicial import (
 from exitpath.verify import (
     Budget,
     BudgetExhausted,
+    FaceIndex,
     HornProblem,
     VerificationReport,
     check_fibration,
@@ -158,6 +159,106 @@ def test_unfillable_horn_is_witnessed():
     report = verify_quasicategory(ex, 2)
     assert report.failed
     assert "no filler for Lambda^2_1" in report.failed[0].witness
+
+
+# -- indexed search against the linear scans ---------------------------------------------
+
+
+def linear_filler(X, h, budget):
+    """The filler scan the face index replaced, kept as the oracle."""
+    for x in X.simplices_at(h.n):
+        budget.spend()
+        if all(X.face(x, a) == f for a, f in h.present()):
+            return x
+    return None
+
+
+def linear_lift(f, h, base, budget):
+    """The lift scan the face index replaced, kept as the oracle."""
+    X = f.domain
+    for x in X.simplices_at(h.n):
+        budget.spend()
+        if f(x) != base:
+            continue
+        if all(X.face(x, a) == g for a, g in h.present()):
+            return x
+    return None
+
+
+def search_spans():
+    spans = [load_span(name, verify_depth=3) for name in sorted(GALLERY)]
+    cone = cone_span(standard_simplex(2))
+    cone.verify_iota(3)
+    return spans + [cone]
+
+
+def all_horns(X, depth):
+    for n in range(1, depth + 1):
+        for i in range(n + 1):
+            yield n, i, enumerate_horns(X, n, i)
+
+
+def assert_same_search(indexed, oracle):
+    """indexed(budget) and oracle(budget) find the same simplex at the
+    same node cost, and that cost is exactly the budget they need."""
+    want = Budget(None)
+    expected = oracle(want)
+    got = Budget(None)
+    assert indexed(got) == expected
+    assert got.spent == want.spent
+    assert indexed(Budget(want.spent)) == expected
+    with pytest.raises(BudgetExhausted):
+        indexed(Budget(want.spent - 1))
+    return expected
+
+
+def test_indexed_filler_matches_linear_scan():
+    hits = misses = 0
+    for span in search_spans():
+        X = build_exit(span, 3)
+        for n, i, horns in all_horns(X, 3):
+            index = FaceIndex(X, n, i)
+            for k, h in enumerate(horns):
+                filler = assert_same_search(lambda b: find_filler(X, h, b, index),
+                                            lambda b: linear_filler(X, h, b))
+                if k % 16 == 0:  # a standalone call builds its own index
+                    assert find_filler(X, h) == filler
+                hits += filler is not None
+                misses += filler is None
+    assert hits and misses
+
+
+def test_indexed_lift_matches_linear_scan():
+    hits = misses = 0
+    for span in search_spans():
+        for f in (span.pi, span.iota):
+            for n, i, horns in all_horns(f.domain, 3):
+                index = FaceIndex(f.domain, n, i, key=f)
+                for h in horns:
+                    for base in f.codomain.simplices_at(n):
+                        lift = assert_same_search(lambda b: index.find(h, b, base),
+                                                  lambda b: linear_lift(f, h, base, b))
+                        hits += lift is not None
+                        misses += lift is None
+    assert hits and misses
+
+
+def test_cone_search_verdicts():
+    span = cone_span(standard_simplex(2))
+    span.verify_iota(4)
+    report = verify_quasicategory(build_exit(span, 4), 4)
+    assert [(e.name, e.status) for e in report.entries] == [
+        ("inner horns Lambda^2_1", "pass"), ("inner horns Lambda^3_1", "fail"),
+        ("inner horns Lambda^3_2", "fail"), ("inner horns Lambda^4_1", "pass"),
+        ("inner horns Lambda^4_2", "pass"), ("inner horns Lambda^4_3", "pass")]
+
+    # pi: simplex^3 -> point has no lift of the degenerate triangle along
+    # the outer 2-horns, and every other square lifts
+    report = check_fibration(cone_span(standard_simplex(3)).pi, 4, kind="kan")
+    failing = {(2, 0), (2, 2)}
+    assert [(e.name, e.status) for e in report.entries] == [
+        (f"lifts Lambda^{n}_{i}", "fail" if (n, i) in failing else "pass")
+        for n in range(1, 5) for i in range(n + 1)]
 
 
 # -- fibration checks ------------------------------------------------------------------
