@@ -10,6 +10,7 @@ from exitpath.construction import build_exit
 from exitpath.gallery import load_span
 from exitpath.simplicial import nondeg
 from exitpath.verify import (
+    FaceIndex,
     HornProblem,
     enumerate_horns,
     find_filler,
@@ -38,9 +39,7 @@ print(f"  horn: {h.describe()}")
 print(f"  filler: {find_filler(ex, h)}")
 print()
 
-fillable = 0
-for horn in enumerate_horns(ex, 2, 1):
-    if find_filler(ex, horn) is not None:
-        fillable += 1
-total = len(enumerate_horns(ex, 2, 1))
-print(f"for scale: {fillable} of {total} inner 2-horns of Ex(broken) do fill")
+horns = enumerate_horns(ex, 2, 1)
+index = FaceIndex(ex, 2, 1)
+fillable = sum(find_filler(ex, horn, index=index) is not None for horn in horns)
+print(f"for scale: {fillable} of {len(horns)} inner 2-horns of Ex(broken) do fill")

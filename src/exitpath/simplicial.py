@@ -11,22 +11,41 @@ finitely many nondegenerate simplices per degree is presented by
 All simplices are FormalSimplex values (generator label, surjection);
 the contravariant action of an arbitrary operator is computed by
 peeling cofaces off the epi-mono factorization against the stored face
-tables.  Equality of simplices is equality of normal forms.
+tables.  The peeling runs on plain value tuples; only its result is
+built, and validated, as an Operator and a FormalSimplex.  Equality of
+simplices is equality of normal forms.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cache
+from math import comb
 
 from .operators import (
     Operator,
-    compose,
+    degeneracy_op,
     degeneracy_word,
-    epi_mono_factor,
     face_op,
     identity,
     surjections,
 )
+
+# The elementary operators, one per (n, i): bounded by the square of
+# the largest degree acted on.
+_face_op = cache(face_op)
+_degeneracy_op = cache(degeneracy_op)
+
+
+def _factor(values: list[int]) -> tuple[list[int], list[int]]:
+    """Epi-mono factorization of a monotone value list: (the surjection
+    onto the image's positions, the image in ascending order)."""
+    epi, image = [], []
+    for v in values:
+        if not image or image[-1] != v:
+            image.append(v)
+        epi.append(len(image) - 1)
+    return epi, image
 
 
 @dataclass(frozen=True)
@@ -129,32 +148,35 @@ class SimplicialSet:
         """The simplex s . op, i.e. the contravariant action of op.
 
         op is any operator [m] -> [s.dim].  The composite of op with
-        the degeneracy part is refactored, and the injective part is
-        resolved one top coface at a time against the face table.
+        the degeneracy part is refactored as (epi, image), and the
+        image is resolved one top coface at a time against the face
+        table.  All of this runs on value lists; only the result is
+        built as a validated Operator and FormalSimplex.
         """
         if op.dst_dim != s.dim:
             raise ValueError(f"operator {op!r} does not match simplex of dimension {s.dim}")
-        epi, mono = epi_mono_factor(compose(s.degeneracy, op))
-        gen = s.gen
-        while not mono.is_identity():
-            j = max(set(range(mono.dst_dim + 1)) - set(mono.values))
+        gen, dim = s.gen, s.gen_dim
+        sigma = s.degeneracy.values
+        epi, image = _factor([sigma[v] for v in op.values])
+        while len(image) <= dim:
+            # the highest value the image misses: it factors through
+            # that coface, so drop it from the codomain
+            j, k = dim, len(image) - 1
+            while k >= 0 and image[k] == j:
+                j -= 1
+                k -= 1
             entry = self.face_table[(gen, j)]
-            # drop j from the codomain: mono missed it, so it factors
-            # through the j-th coface
-            lowered = Operator(mono.src_dim, mono.dst_dim - 1,
-                               tuple(v if v < j else v - 1 for v in mono.values))
-            epi2, mono = epi_mono_factor(compose(entry.degeneracy, lowered))
-            epi = compose(epi2, epi)
-            gen = entry.gen
-        return FormalSimplex(gen, epi)
+            tau = entry.degeneracy.values
+            epi2, image = _factor([tau[v if v < j else v - 1] for v in image])
+            epi = [epi2[v] for v in epi]
+            gen, dim = entry.gen, entry.gen_dim
+        return FormalSimplex(gen, Operator(op.src_dim, dim, tuple(epi)))
 
     def face(self, s: FormalSimplex, i: int) -> FormalSimplex:
-        return self.act(s, face_op(s.dim, i))
+        return self.act(s, _face_op(s.dim, i))
 
     def degeneracy(self, s: FormalSimplex, i: int) -> FormalSimplex:
-        from .operators import degeneracy_op
-
-        return self.act(s, degeneracy_op(s.dim, i))
+        return self.act(s, _degeneracy_op(s.dim, i))
 
     # -- enumeration ---------------------------------------------------
 
@@ -172,7 +194,9 @@ class SimplicialSet:
         return out
 
     def count_at(self, n: int) -> int:
-        return len(self.simplices_at(n))
+        """|X_n| = sum over d <= n of |gens_d| * C(n, d): each
+        d-dimensional generator under every surjection [n] ->> [d]."""
+        return sum(len(labels) * comb(n, d) for d, labels in self.gens.items() if d <= n)
 
     def has_simplex(self, s: FormalSimplex) -> bool:
         return self.gen_dims.get(s.gen) == s.gen_dim
@@ -263,7 +287,7 @@ class SimplicialMap:
     # -- injectivity ------------------------------------------------------
 
     def image_table(self, n: int) -> dict[FormalSimplex, FormalSimplex]:
-        """image simplex -> unique preimage at degree n; built lazily.
+        """image simplex -> first preimage at degree n; built lazily.
         Only trustworthy once is_mono succeeded through degree n."""
         if n not in self._image_tables:
             table = {}
@@ -273,19 +297,20 @@ class SimplicialMap:
         return self._image_tables[n]
 
     def is_mono(self, depth: int) -> tuple[bool, str | None]:
-        """Degree-wise injectivity through degree depth.
+        """Degree-wise injectivity through degree depth: each degree's
+        image table has one entry per domain simplex.
 
-        Returns (ok, witness); on success the verified bound is
-        recorded so preimage() becomes available through that degree.
+        Returns (ok, witness); the witness names the first simplex, in
+        canonical order, whose image an earlier one already took.  On
+        success the verified bound is recorded so preimage() becomes
+        available through that degree.
         """
         for n in range(depth + 1):
-            seen: dict[FormalSimplex, FormalSimplex] = {}
-            for s in self.domain.simplices_at(n):
+            table = self.image_table(n)
+            if len(table) < self.domain.count_at(n):
+                s = next(s for s in self.domain.simplices_at(n) if table[self(s)] != s)
                 t = self(s)
-                if t in seen and seen[t] != s:
-                    return False, f"degree {n}: {seen[t]!r} and {s!r} both map to {t!r}"
-                seen[t] = s
-            self._image_tables[n] = seen
+                return False, f"degree {n}: {table[t]!r} and {s!r} both map to {t!r}"
         self._mono_bound = max(self._mono_bound, depth)
         return True, None
 

@@ -102,30 +102,80 @@ class VerificationReport:
 # -- simplicial identities -----------------------------------------------------
 
 
+class _Rows:
+    """The faces and degeneracies of the faces and degeneracies of one
+    simplex s, each computed once (equal simplices share their rows):
+    ff[j][i] = d_i d_j s, fg[j][i] = s_i d_j s, gf[j][i] = d_i s_j s,
+    gg[j][i] = s_i s_j s."""
+
+    def __init__(self, X: SimplicialSet, s: FormalSimplex):
+        n = s.dim
+        self.s = s
+        faces = [X.face(s, i) for i in range(n + 1)] if n else []
+        degeneracies = [X.degeneracy(s, j) for j in range(n + 1)]
+        rows: dict[FormalSimplex, tuple[list, list]] = {}
+        for t in faces + degeneracies:
+            if t not in rows:
+                k = t.dim
+                rows[t] = ([X.face(t, i) for i in range(k + 1)] if k else [],
+                           [X.degeneracy(t, i) for i in range(k + 1)])
+        self.ff = [rows[t][0] for t in faces]
+        self.fg = [rows[t][1] for t in faces]
+        self.gf = [rows[t][0] for t in degeneracies]
+        self.gg = [rows[t][1] for t in degeneracies]
+
+
+# One row per family: its name; its index pairs (i, j) on an n-simplex,
+# in checking order; the two sides as lookups in _Rows; and the two
+# sides as words, for the witness (None: the simplex itself).
+_IDENTITIES = [
+    ("d_i d_j = d_{j-1} d_i (i<j)",
+     lambda n: [(i, j) for j in range(1, n + 1) for i in range(j)] if n >= 2 else [],
+     lambda r, i, j: (r.ff[j][i], r.ff[i][j - 1]),
+     lambda i, j: (f"d_{i} d_{j}", f"d_{j-1} d_{i}")),
+    ("d_i s_j = s_{j-1} d_i (i<j)",
+     lambda n: [(i, j) for j in range(n + 1) for i in range(j)],
+     lambda r, i, j: (r.gf[j][i], r.fg[i][j - 1]),
+     lambda i, j: (f"d_{i} s_{j}", f"s_{j-1} d_{i}")),
+    ("d_i s_j = id (i=j, j+1)",
+     lambda n: [(i, j) for j in range(n + 1) for i in (j, j + 1)],
+     lambda r, i, j: (r.gf[j][i], r.s),
+     lambda i, j: (f"d_{i} s_{j}", None)),
+    ("d_i s_j = s_j d_{i-1} (i>j+1)",
+     lambda n: [(i, j) for j in range(n + 1) for i in range(j + 2, n + 2)],
+     lambda r, i, j: (r.gf[j][i], r.fg[i - 1][j]),
+     lambda i, j: (f"d_{i} s_{j}", f"s_{j} d_{i-1}")),
+    ("s_i s_j = s_{j+1} s_i (i<=j)",
+     lambda n: [(i, j) for j in range(n + 1) for i in range(j + 1)],
+     lambda r, i, j: (r.gg[j][i], r.gg[i][j + 1]),
+     lambda i, j: (f"s_{i} s_{j}", f"s_{j+1} s_{i}")),
+]
+
+
 def verify_simplicial_identities(X: SimplicialSet, depth: int) -> VerificationReport:
     """Check the five simplicial identity families on every simplex of
-    degree <= depth, computing both sides stepwise through the face
-    tables.  Each family gets one report entry; a fail entry carries
-    the first counterexample."""
+    degree <= depth.
+
+    Simplices are visited degree by degree in canonical order; each
+    one's faces and degeneracies, and theirs, are computed once into
+    rows (_Rows) that every family then reads, and are dropped before
+    the next simplex.  Each family gets one report entry; a fail entry
+    carries its first counterexample in (degree, simplex, pair) order
+    and the family is not checked further."""
+    witnesses: list[str | None] = [None] * len(_IDENTITIES)
+    counts = [0] * len(_IDENTITIES)
+    for n in range(depth + 1):
+        if all(witnesses):
+            break
+        pairs = [family[1](n) for family in _IDENTITIES]
+        for s in X.simplices_at(n):
+            rows = _Rows(X, s)
+            for k, (_, _, sides, words) in enumerate(_IDENTITIES):
+                if witnesses[k] is None:
+                    witnesses[k] = _first_failure(rows, pairs[k], sides, words)
+                    counts[k] += len(pairs[k])
     report = VerificationReport(X.name, depth)
-    families = [
-        ("d_i d_j = d_{j-1} d_i (i<j)", _check_dd),
-        ("d_i s_j = s_{j-1} d_i (i<j)", _check_ds_low),
-        ("d_i s_j = id (i=j, j+1)", _check_ds_id),
-        ("d_i s_j = s_j d_{i-1} (i>j+1)", _check_ds_high),
-        ("s_i s_j = s_{j+1} s_i (i<=j)", _check_ss),
-    ]
-    for name, checker in families:
-        witness = None
-        checked = 0
-        for n in range(depth + 1):
-            for s in X.simplices_at(n):
-                hit, count = checker(X, s)
-                checked += count
-                if hit and witness is None:
-                    witness = hit
-            if witness:
-                break
+    for (name, *_), witness, checked in zip(_IDENTITIES, witnesses, counts):
         if witness:
             report.add(name, "fail", witness=witness)
         else:
@@ -133,70 +183,15 @@ def verify_simplicial_identities(X: SimplicialSet, depth: int) -> VerificationRe
     return report
 
 
-def _check_dd(X, s):
-    n = s.dim
-    if n < 2:
-        return None, 0
-    count = 0
-    for j in range(1, n + 1):
-        for i in range(j):
-            count += 1
-            lhs = X.face(X.face(s, j), i)
-            rhs = X.face(X.face(s, i), j - 1)
-            if lhs != rhs:
-                return (f"{s!r}: d_{i} d_{j} = {lhs!r} != {rhs!r} = d_{j-1} d_{i}", count)
-    return None, count
-
-
-def _check_ds_low(X, s):
-    n = s.dim
-    count = 0
-    for j in range(n + 1):
-        for i in range(j):
-            count += 1
-            lhs = X.face(X.degeneracy(s, j), i)
-            rhs = X.degeneracy(X.face(s, i), j - 1)
-            if lhs != rhs:
-                return (f"{s!r}: d_{i} s_{j} = {lhs!r} != {rhs!r} = s_{j-1} d_{i}", count)
-    return None, count
-
-
-def _check_ds_id(X, s):
-    n = s.dim
-    count = 0
-    for j in range(n + 1):
-        for i in (j, j + 1):
-            count += 1
-            lhs = X.face(X.degeneracy(s, j), i)
-            if lhs != s:
-                return (f"{s!r}: d_{i} s_{j} = {lhs!r} != the simplex itself", count)
-    return None, count
-
-
-def _check_ds_high(X, s):
-    n = s.dim
-    count = 0
-    for j in range(n + 1):
-        for i in range(j + 2, n + 2):
-            count += 1
-            lhs = X.face(X.degeneracy(s, j), i)
-            rhs = X.degeneracy(X.face(s, i - 1), j)
-            if lhs != rhs:
-                return (f"{s!r}: d_{i} s_{j} = {lhs!r} != {rhs!r} = s_{j} d_{i-1}", count)
-    return None, count
-
-
-def _check_ss(X, s):
-    n = s.dim
-    count = 0
-    for j in range(n + 1):
-        for i in range(j + 1):
-            count += 1
-            lhs = X.degeneracy(X.degeneracy(s, j), i)
-            rhs = X.degeneracy(X.degeneracy(s, i), j + 1)
-            if lhs != rhs:
-                return (f"{s!r}: s_{i} s_{j} = {lhs!r} != {rhs!r} = s_{j+1} s_{i}", count)
-    return None, count
+def _first_failure(rows: _Rows, pairs, sides, words) -> str | None:
+    for i, j in pairs:
+        lhs, rhs = sides(rows, i, j)
+        if lhs != rhs:
+            lw, rw = words(i, j)
+            if rw is None:
+                return f"{rows.s!r}: {lw} = {lhs!r} != the simplex itself"
+            return f"{rows.s!r}: {lw} = {lhs!r} != {rhs!r} = {rw}"
+    return None
 
 
 # -- horns ---------------------------------------------------------------------

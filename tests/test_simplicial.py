@@ -4,9 +4,12 @@ from math import comb
 
 import pytest
 
+from exitpath.construction import build_exit
+from exitpath.gallery import GALLERY, cone_span, load_span
 from exitpath.operators import (
     Operator,
     compose,
+    epi_mono_factor,
     face_op,
     identity,
     monotone_maps,
@@ -58,6 +61,43 @@ def test_act_dimension_mismatch():
     X = standard_simplex(1)
     with pytest.raises(ValueError):
         X.act(nondeg("0,1", 1), face_op(3, 0))
+    with pytest.raises(ValueError):
+        X.act(X.degeneracy(nondeg("0,1", 1), 0), face_op(1, 0))
+
+
+def operator_act(X, s, op):
+    """s . op by Operator algebra: refactor the composite with the
+    degeneracy part, then peel the top missing coface off the injective
+    part against the face table, one Operator at a time."""
+    if op.dst_dim != s.dim:
+        raise ValueError(f"operator {op!r} does not match simplex of dimension {s.dim}")
+    epi, mono = epi_mono_factor(compose(s.degeneracy, op))
+    gen = s.gen
+    while not mono.is_identity():
+        j = max(set(range(mono.dst_dim + 1)) - set(mono.values))
+        entry = X.face_table[(gen, j)]
+        lowered = Operator(mono.src_dim, mono.dst_dim - 1,
+                           tuple(v if v < j else v - 1 for v in mono.values))
+        epi2, mono = epi_mono_factor(compose(entry.degeneracy, lowered))
+        epi = compose(epi2, epi)
+        gen = entry.gen
+    return FormalSimplex(gen, epi)
+
+
+def exit_complex(name, depth):
+    span = (cone_span(standard_simplex(2)) if name == "cone-simplex2"
+            else load_span(name, verify_depth=depth))
+    return build_exit(span, depth)
+
+
+@pytest.mark.parametrize("name", sorted(GALLERY) + ["cone-simplex2"])
+def test_act_agrees_with_operator_algebra(name):
+    ex = exit_complex(name, 3)
+    ops = {n: [op for m in range(4) for op in monotone_maps(m, n)] for n in range(4)}
+    for n in range(4):
+        for s in ex.simplices_at(n):
+            for op in ops[n]:
+                assert ex.act(s, op) == operator_act(ex, s, op), (s, op)
 
 
 def test_face_degeneracy_section():
@@ -138,6 +178,14 @@ def test_audit_reports_broken_face_table():
     assert chain3().audit() == []
 
 
+@pytest.mark.parametrize("name", sorted(GALLERY))
+def test_count_at_closed_form(name):
+    span = load_span(name, verify_depth=5)
+    for X in (span.M, span.L, span.N, build_exit(span, 5)):
+        for n in range(6):
+            assert X.count_at(n) == len(X.simplices_at(n)), (X.name, n)
+
+
 def test_empty_and_point():
     assert empty_sset().count_at(0) == 0
     assert empty_sset().simplices_at(3) == []
@@ -187,6 +235,23 @@ def test_is_mono_and_preimage():
                            "0,1": FormalSimplex("0", Operator(1, 0, (0, 0)))})
     ok, witness = crush.is_mono(2)
     assert not ok and "degree 0" in witness
+
+
+def test_is_mono_witness_is_first_clash_in_canonical_order():
+    # three edges a -> b; e and f land on the same edge, g on a degenerate one
+    X = SimplicialSet("parallel")
+    X.add_generator(0, "a")
+    X.add_generator(0, "b")
+    for label in "efg":
+        X.add_generator(1, label, [nondeg("b", 0), nondeg("a", 0)])
+    Y = standard_simplex(1)
+    m = SimplicialMap("m", X, Y, {"a": nondeg("0", 0), "b": nondeg("1", 0),
+                                  "e": nondeg("0,1", 1), "f": nondeg("0,1", 1),
+                                  "g": nondeg("0,1", 1)})
+    assert m.is_mono(3) == (False, "degree 1: e and f both map to 0,1")
+    assert m.mono_bound == -1
+    firsts = [X.degeneracy(nondeg("a", 0), 0), X.degeneracy(nondeg("b", 0), 0), nondeg("e", 1)]
+    assert m.image_table(1) == {m(x): x for x in firsts}
 
 
 def test_preimage_requires_verification():

@@ -87,6 +87,40 @@ def test_identities_fail_on_corrupted_table():
     assert report.failed
 
 
+IDENTITY_FAMILIES = [
+    "d_i d_j = d_{j-1} d_i (i<j)",
+    "d_i s_j = s_{j-1} d_i (i<j)",
+    "d_i s_j = id (i=j, j+1)",
+    "d_i s_j = s_j d_{i-1} (i>j+1)",
+    "s_i s_j = s_{j+1} s_i (i<=j)",
+]
+
+
+def identity_report_json(subject, bound, outcomes):
+    """The to_json() of an identity report; outcomes[k] is an instance
+    count (pass) or a witness (fail) for family k."""
+    entries = [{"name": name, "status": "pass", "detail": f"{o} instances", "witness": None}
+               if isinstance(o, int) else
+               {"name": name, "status": "fail", "detail": "", "witness": o}
+               for name, o in zip(IDENTITY_FAMILIES, outcomes)]
+    ok = all(isinstance(o, int) for o in outcomes)
+    return json.dumps({"subject": subject, "bound": bound, "ok": ok, "entries": entries},
+                      sort_keys=True, indent=2)
+
+
+def test_identity_report_pinned_on_corrupted_table():
+    report = verify_simplicial_identities(corrupted_triangle(), 2)
+    assert report.to_json() == identity_report_json(
+        "corrupt", 2, ["T: d_0 d_2 = b != a = d_1 d_0", 18, 46, 18, 41])
+
+
+def test_identity_report_pinned_on_gallery_exit_complex():
+    ex = build_exit(load_span("broken", verify_depth=4), 4)
+    report = verify_simplicial_identities(ex, 4)
+    assert report.to_json() == identity_report_json(
+        "Ex(broken)<=4", 4, [413, 421, 530, 421, 686])
+
+
 # -- horns ---------------------------------------------------------------------------
 
 
@@ -95,9 +129,10 @@ def test_horn_enumeration_count():
     X = standard_simplex(1)
     horns = enumerate_horns(X, 2, 1)
     assert len(horns) == 4
+    index = FaceIndex(X, 2, 1)
     for h in horns:
         assert horn_is_compatible(X, h)
-        assert find_filler(X, h) is not None
+        assert find_filler(X, h, index=index) is not None
 
 
 def test_horn_compatibility_negative():
