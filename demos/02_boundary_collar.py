@@ -20,7 +20,7 @@ from exitpath.simplicial import nondeg
 
 span = load_span("boundary-collar", verify_depth=3)
 print(f"span: {span.M.name} <- {span.L.name} -> {span.N.name}")
-print(f"iota levelwise injective: {span.iota_mono}")
+print(f"iota levelwise injective through degree {span.iota.mono_bound}")
 print()
 
 edge = nondeg("0,1", 1)

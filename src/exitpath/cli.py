@@ -20,16 +20,17 @@ sorted keys.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
 
 from .construction import (
+    ExitComplex,
     IotaNotMono,
     LinkedSpan,
     SpanIntegrityError,
     build_exit,
-    exit_simplices,
 )
 from .documents import ParseError, parse_span_file, print_sset, write_span_documents
 from .gallery import GALLERY, load_span
@@ -53,6 +54,13 @@ def _resolve_span(ref: str) -> LinkedSpan:
         return parse_span_file(ref)
     raise ValueError(f"--span {ref!r} is neither a gallery name nor a file; "
                      f"gallery: {', '.join(sorted(GALLERY))}")
+
+
+def _exit_complex(args) -> tuple[LinkedSpan, ExitComplex]:
+    """The span named by --span and its exit complex through --max-dim;
+    build_exit checks iota mono first."""
+    span = _resolve_span(args.span)
+    return span, build_exit(span, args.max_dim)
 
 
 def _report_status(report) -> int:
@@ -125,14 +133,8 @@ def cmd_flat_sharp_table(args) -> int:
     return PASS
 
 
-def _budget(args):
-    return args.budget if args.budget is not None else DEFAULT_BUDGET
-
-
 def cmd_build_exit(args) -> int:
-    span = _resolve_span(args.span)
-    span.require_iota(args.max_dim)
-    ex = build_exit(span, args.max_dim)
+    span, ex = _exit_complex(args)
     doc = print_sset(ex)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -149,14 +151,16 @@ def cmd_build_exit(args) -> int:
 
 
 def _print_stats(span, ex, args) -> int:
+    # Ex_k is M_k, the exit paths of degree k, and N_k, disjointly
     rows = []
     for k in range(args.max_dim + 1):
+        low, upper, total = span.M.count_at(k), span.N.count_at(k), ex.count_at(k)
         rows.append({
             "degree": k,
-            "low": span.M.count_at(k),
-            "exit": len(exit_simplices(span, k)) if k >= 1 else 0,
-            "upper": span.N.count_at(k),
-            "total": ex.count_at(k),
+            "low": low,
+            "exit": total - low - upper,
+            "upper": upper,
+            "total": total,
             "generators": len(ex.gens.get(k, [])),
         })
     if args.format == "machine":
@@ -172,32 +176,23 @@ def _print_stats(span, ex, args) -> int:
 
 
 def cmd_stats(args) -> int:
-    span = _resolve_span(args.span)
-    span.require_iota(args.max_dim)
-    ex = build_exit(span, args.max_dim)
+    span, ex = _exit_complex(args)
     return _print_stats(span, ex, args)
 
 
 def cmd_verify_identities(args) -> int:
-    span = _resolve_span(args.span)
-    span.require_iota(args.max_dim)
-    ex = build_exit(span, args.max_dim)
+    _, ex = _exit_complex(args)
     return _emit_report(verify_simplicial_identities(ex, args.max_dim), args.format)
 
 
 def cmd_verify_qcat(args) -> int:
-    span = _resolve_span(args.span)
-    span.require_iota(args.max_dim)
-    ex = build_exit(span, args.max_dim)
-    report = verify_quasicategory(ex, args.max_dim, budget=_budget(args),
-                                  workers=args.workers)
-    return _emit_report(report, args.format)
+    _, ex = _exit_complex(args)
+    return _emit_report(verify_quasicategory(ex, args.max_dim, args.budget), args.format)
 
 
 def cmd_check_fibration(args) -> int:
     span = _resolve_span(args.span)
-    report = check_fibration(span.pi, args.max_dim, kind=args.kind,
-                             budget=_budget(args), workers=args.workers)
+    report = check_fibration(span.pi, args.max_dim, kind=args.kind, budget=args.budget)
     return _emit_report(report, args.format)
 
 
@@ -233,13 +228,16 @@ def cmd_examples(args) -> int:
     return PASS
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser; built once per process, since parse_args
+    leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="exitpath",
         description="exit-path simplicial sets of linked spans: build and verify")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, span=True, budget=False, workers=False):
+    def common(p, span=True, budget=False):
         p.add_argument("--format", choices=["text", "machine"], default="text",
                        help="output style; machine is json with sorted keys")
         if span:
@@ -248,12 +246,9 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--max-dim", type=int, default=3,
                            help="degree bound for the check (default 3)")
         if budget:
-            p.add_argument("--budget", type=int, default=None,
+            p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
                            help=f"search nodes allowed per horn subproblem "
                                 f"(default {DEFAULT_BUDGET})")
-        if workers:
-            p.add_argument("--workers", type=int, default=1,
-                           help="thread count; results are identical for any value")
 
     p = sub.add_parser("shuffle-table", help="print exit shuffles and collapses")
     p.add_argument("--k", type=int, required=True)
@@ -277,11 +272,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_verify_identities)
 
     p = sub.add_parser("verify-qcat", help="inner-horn filling on the exit complex")
-    common(p, budget=True, workers=True)
+    common(p, budget=True)
     p.set_defaults(fn=cmd_verify_qcat)
 
     p = sub.add_parser("check-fibration", help="horn-lifting checks for pi")
-    common(p, budget=True, workers=True)
+    common(p, budget=True)
     p.add_argument("--kind", choices=["right", "inner", "kan"], default="right")
     p.set_defaults(fn=cmd_check_fibration)
 
@@ -304,8 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
     except (ParseError, ValueError, KeyError, OSError, IotaNotMono, SpanIntegrityError) as e:

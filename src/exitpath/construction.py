@@ -116,10 +116,11 @@ class LinkedSpan:
     """M <-pi- L -iota-> N with pi, iota natural on generators.
 
     Naturality of both maps is audited at construction.  Injectivity of
-    iota is verified on demand and the outcome recorded; exit-path
-    membership queries require that check to have passed through the
-    relevant degree.  Whether pi is a right fibration is a separate
-    check, verify.check_fibration.
+    iota is verified on demand and iota records the degree it holds
+    through (SimplicialMap.mono_bound); exit-path membership queries
+    require that check to have passed through the relevant degree.
+    Whether pi is a right fibration is a separate check,
+    verify.check_fibration.
     """
 
     def __init__(self, name: str, M: SimplicialSet, L: SimplicialSet, N: SimplicialSet,
@@ -131,24 +132,17 @@ class LinkedSpan:
         self.name = name
         self.M, self.L, self.N = M, L, N
         self.pi, self.iota = pi, iota
-        self.iota_mono: tuple[str, int | None] = ("unchecked", None)
 
     def verify_iota(self, depth: int) -> bool:
         """Check iota is levelwise injective through degree depth."""
-        ok, witness = self.iota.is_mono(depth)
-        if ok:
-            self.iota_mono = ("verified", depth)
-        else:
-            self.iota_mono = ("failed", depth)
-            self._iota_witness = witness
-        return ok
+        return self.iota.is_mono(depth)[0]
 
     def require_iota(self, depth: int):
-        state, bound = self.iota_mono
-        if state == "verified" and bound is not None and bound >= depth:
+        if self.iota.mono_bound >= depth:
             return
-        if not self.verify_iota(depth):
-            raise IotaNotMono(f"{self.name}: iota is not mono: {self._iota_witness}")
+        ok, witness = self.iota.is_mono(depth)
+        if not ok:
+            raise IotaNotMono(f"{self.name}: iota is not mono: {witness}")
 
     def __repr__(self):
         return (f"LinkedSpan({self.name!r}: {self.M.name} <- {self.L.name} "

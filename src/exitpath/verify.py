@@ -3,8 +3,8 @@
 Everything here consumes plain SimplicialSet values, reports through a
 serializable VerificationReport, and is deterministic: enumeration
 follows the canonical simplex order, searches return the first hit in
-that order, and search budgets are applied per subproblem so results do
-not depend on scheduling.
+that order, and search budgets are applied per subproblem so a verdict
+does not depend on which other subproblems ran.
 
 A budget is a node allowance; one node is one candidate simplex
 inspected (filler and lift searches) or one partial assignment extended
@@ -309,21 +309,17 @@ def find_filler(X: SimplicialSet, h: HornProblem, budget: Budget | None = None,
     return index.find(h, budget)
 
 
-def verify_quasicategory(X: SimplicialSet, depth: int, budget: int | None = None,
-                         workers: int = 1) -> VerificationReport:
+def verify_quasicategory(X: SimplicialSet, depth: int,
+                         budget: int | None = None) -> VerificationReport:
     """Inner-horn filling for all shapes 0 < i < n <= depth.
 
     The budget is a per-subproblem node limit: each (n, i) enumeration
     gets one allowance and each horn's filler search gets a fresh one,
-    so verdicts are independent of worker count.
+    so a verdict does not depend on which other subproblems ran.
     """
     report = VerificationReport(X.name, depth)
-    shapes = [(n, i) for n in range(2, depth + 1) for i in range(1, n)]
-    results = _run_blocks(
-        [(f"inner horns Lambda^{n}_{i}", _horn_block, (X, n, i, budget)) for n, i in shapes],
-        workers)
-    for entry in results:
-        report.entries.append(entry)
+    report.entries = [_horn_block(X, n, i, budget)
+                      for n in range(2, depth + 1) for i in range(1, n)]
     return report
 
 
@@ -352,18 +348,6 @@ def _horn_block(X: SimplicialSet, n: int, i: int, budget: int | None) -> CheckEn
     return CheckEntry(name, "pass", detail=f"{len(horns)} horns filled")
 
 
-def _run_blocks(blocks, workers: int):
-    """Run (name, fn, args) blocks, preserving order; workers > 1 uses a
-    thread pool purely for wall-clock overlap."""
-    if workers <= 1:
-        return [fn(*args) for _, fn, args in blocks]
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(fn, *args) for _, fn, args in blocks]
-        return [f.result() for f in futures]
-
-
 # -- fibrations ------------------------------------------------------------------
 
 
@@ -375,7 +359,7 @@ _KIND_RANGES = {
 
 
 def check_fibration(f: SimplicialMap, depth: int, kind: str = "right",
-                    budget: int | None = None, workers: int = 1) -> VerificationReport:
+                    budget: int | None = None) -> VerificationReport:
     """Horn-lifting checks for f through degree depth.
 
     kind picks the horn indices per dimension n: "right" 0 < i <= n,
@@ -386,12 +370,8 @@ def check_fibration(f: SimplicialMap, depth: int, kind: str = "right",
     if kind not in _KIND_RANGES:
         raise ValueError(f"unknown fibration kind {kind!r}")
     report = VerificationReport(f"{f.name}: {f.domain.name} -> {f.codomain.name}", depth)
-    shapes = [(n, i) for n in range(1, depth + 1) for i in _KIND_RANGES[kind](n)]
-    results = _run_blocks(
-        [(f"lifts Lambda^{n}_{i}", _lift_block, (f, n, i, budget)) for n, i in shapes],
-        workers)
-    for entry in results:
-        report.entries.append(entry)
+    report.entries = [_lift_block(f, n, i, budget)
+                      for n in range(1, depth + 1) for i in _KIND_RANGES[kind](n)]
     return report
 
 

@@ -5,6 +5,8 @@ import json
 import pytest
 
 from exitpath.cli import EXHAUSTED, FAIL, INPUT_ERROR, PASS, main
+from exitpath.construction import exit_simplices
+from exitpath.gallery import GALLERY, load_span
 
 
 def run(capsys, *argv):
@@ -90,12 +92,26 @@ def test_verify_qcat_budget_exhaustion(capsys):
     assert "INCONCLUSIVE" in out
 
 
-def test_verify_qcat_workers_deterministic(capsys):
-    base = ("verify-qcat", "--span", "boundary-collar", "--max-dim", "3",
-            "--format", "machine")
-    _, out1, _ = run(capsys, *base)
-    _, out2, _ = run(capsys, *base, "--workers", "4")
-    assert out1 == out2
+def test_search_commands_deterministic(capsys):
+    for command in ("verify-qcat", "check-fibration"):
+        argv = (command, "--span", "boundary-collar", "--max-dim", "3",
+                "--format", "machine")
+        first, second = run(capsys, *argv), run(capsys, *argv)
+        assert first == second and first[0] == PASS
+    # the thread-count option is gone: argparse rejects it
+    with pytest.raises(SystemExit) as exc:
+        main(["verify-qcat", "--span", "trivial", "--workers", "4"])
+    assert exc.value.code == 2
+
+
+def test_defaults_do_not_leak_between_calls(capsys):
+    # main() reuses one parser per process; a --budget given to one call
+    # must not become the default of the next
+    argv = ("verify-qcat", "--span", "trivial", "--max-dim", "2")
+    code, _, _ = run(capsys, *argv, "--budget", "1")
+    assert code == EXHAUSTED
+    code, _, _ = run(capsys, *argv)
+    assert code == PASS
 
 
 def test_check_fibration(capsys):
@@ -168,6 +184,16 @@ def test_examples_list_and_emit(capsys, tmp_path):
     assert code == PASS
     totals = [int(line.split()[4]) for line in out.splitlines()[2:]]
     assert totals == [3, 6, 10]
+
+
+@pytest.mark.parametrize("name", sorted(GALLERY))
+def test_stats_exit_column_counts_exit_paths(capsys, name):
+    code, out, _ = run(capsys, "stats", "--span", name, "--max-dim", "4",
+                       "--format", "machine")
+    assert code == PASS
+    span = load_span(name)
+    exits = [row["exit"] for row in json.loads(out)["degrees"]]
+    assert exits == [0] + [len(exit_simplices(span, k)) for k in range(1, 5)]
 
 
 def test_stats_matches_build_exit_stats(capsys):

@@ -88,7 +88,7 @@ def test_membership_requires_verified_iota():
 
     span = LinkedSpan("collapsed", M, L, N, pi, iota)
     assert not span.verify_iota(0)
-    assert span.iota_mono[0] == "failed"
+    assert span.iota.mono_bound == -1
     with pytest.raises(RuntimeError):
         is_exit_path(span, degenerate_edge("n"), 1)
     with pytest.raises(RuntimeError):

@@ -180,14 +180,6 @@ def test_quasicategory_budget_exhaustion_is_inconclusive():
     assert report.inconclusive and not report.failed
 
 
-def test_quasicategory_workers_agree():
-    span = load_span("s0-defect", verify_depth=3)
-    ex = build_exit(span, 3)
-    serial = verify_quasicategory(ex, 3, workers=1)
-    threaded = verify_quasicategory(ex, 3, workers=4)
-    assert serial.to_json() == threaded.to_json()
-
-
 def test_unfillable_horn_is_witnessed():
     span = load_span("broken", verify_depth=3)
     ex = build_exit(span, 2)
