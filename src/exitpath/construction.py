@@ -9,8 +9,17 @@ injective).  Its exit complex Ex has
 where P_{k-1} consists of the exit paths: pairs (gamma, j) of a
 k-simplex gamma of N and an exit index 1 <= j <= k such that the
 restriction of gamma . C_j to level 0 of the prism factors through
-iota.  Since iota is mono the factorization is unique and membership is
-a preimage lookup along the level-0 part of the collapse.
+iota.  Since iota is mono the factorization is unique.
+
+Membership is decided once per generator of N and front face.  Write
+gamma = sigma^* g with sigma: [k] ->> [d] and g nondegenerate.  The
+level-0 restriction sends m to min(m, j - 1), so gamma . C_j restricted
+is a degeneracy of the front face F_r(g) = g . (0 < ... < r) at
+r = sigma(j - 1).  The image of iota is a simplicial subset, and by
+Eilenberg-Zilber a degeneracy of x lies in it exactly when x does
+(faces of the degeneracy give x back).  Hence (gamma, j) is an exit
+path iff F_r(g) has a preimage under iota, a lookup at degree
+r <= k - 1, which LinkedSpan.front_lifts answers and caches.
 
 Faces and degeneracies of exit paths are driven by the face
 classification: vertical faces stay exit paths with the flat index,
@@ -36,7 +45,7 @@ from .operators import (
     face_op,
     identity,
 )
-from .shuffles import FaceClass, classify_face, flat, restriction_operator, sharp
+from .shuffles import FaceClass, classify_face, flat, sharp
 from .simplicial import FormalSimplex, SimplicialMap, SimplicialSet, nondeg
 
 
@@ -132,6 +141,9 @@ class LinkedSpan:
         self.name = name
         self.M, self.L, self.N = M, L, N
         self.pi, self.iota = pi, iota
+        # (generator of N, r) -> whether its front r-face lifts through
+        # iota; at most sum over generators of (dim + 1) entries
+        self._front_lifts: dict[tuple[str, int], bool] = {}
 
     def verify_iota(self, depth: int) -> bool:
         """Check iota is levelwise injective through degree depth."""
@@ -144,6 +156,18 @@ class LinkedSpan:
         if not ok:
             raise IotaNotMono(f"{self.name}: iota is not mono: {witness}")
 
+    def front_lifts(self, gen: str, r: int) -> bool:
+        """Whether the front face g . (0 < ... < r) of the generator gen
+        of N lies in the image of iota.  Requires iota verified mono
+        through degree r; the answer is cached per (gen, r)."""
+        key = (gen, r)
+        hit = self._front_lifts.get(key)
+        if hit is None:
+            d = self.N.gen_dims[gen]
+            front = self.N.act(nondeg(gen, d), Operator(r, d, tuple(range(r + 1))))
+            hit = self._front_lifts[key] = self.iota.preimage(front) is not None
+        return hit
+
     def __repr__(self):
         return (f"LinkedSpan({self.name!r}: {self.M.name} <- {self.L.name} "
                 f"-> {self.N.name})")
@@ -154,25 +178,33 @@ class LinkedSpan:
 
 def is_exit_path(span: LinkedSpan, gamma: FormalSimplex, j: int) -> bool:
     """Whether (gamma, j) is an exit path: the level-0 restriction of
-    gamma . C_j lifts (necessarily uniquely) through iota."""
+    gamma . C_j lifts (necessarily uniquely) through iota.
+
+    That restriction is gamma . restriction_operator(k, j), a degeneracy
+    of the front face F_r(g) of gamma's generator at r = sigma(j - 1),
+    and a degeneracy lies in the simplicial subset im(iota) exactly
+    when its nondegenerate core does; so the answer is
+    span.front_lifts(g, r), with r <= k - 1 inside the verified bound.
+    """
     k = gamma.dim
     if k < 1:
         raise ValueError("exit paths start in dimension 1")
     if not 1 <= j <= k:
         raise ValueError(f"exit index {j} outside 1..{k}")
     span.require_iota(k - 1)
-    source = span.N.act(gamma, restriction_operator(k, j))
-    return span.iota.preimage(source) is not None
+    return span.front_lifts(gamma.gen, gamma.degeneracy.values[j - 1])
 
 
 def exit_simplices(span: LinkedSpan, k: int) -> list[ExitPath]:
     """All exit paths of dimension k, in (N-simplex order, index) order."""
-    out = []
-    for gamma in span.N.simplices_at(k):
-        for j in range(1, k + 1):
-            if is_exit_path(span, gamma, j):
-                out.append(ExitPath(gamma, j))
-    return out
+    if k < 1:
+        return []
+    span.require_iota(k - 1)
+    lifts = span.front_lifts
+    return [ExitPath(gamma, j)
+            for gamma in span.N.simplices_at(k)
+            for j in range(1, k + 1)
+            if lifts(gamma.gen, gamma.degeneracy.values[j - 1])]
 
 
 def all_exit_simplices(span: LinkedSpan, k: int) -> list[ExitSimplex]:

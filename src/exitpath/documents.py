@@ -131,6 +131,19 @@ def parse_sset(text: str, path: str = "<sset>") -> SimplicialSet:
     cur_dim: int | None = None
     pending: tuple[str, int, list[FormalSimplex | None], str | None, int] | None = None
 
+    def integer(lineno: int, key: str, rest: str) -> int:
+        try:
+            return int(rest)
+        except ValueError:
+            raise ParseError(path, lineno, f"{key} needs an integer, got {rest!r}") from None
+
+    def add(lineno: int, d: int, label: str, faces, note):
+        # the gen line answers for a duplicate label or a bad face entry
+        try:
+            X.add_generator(d, label, faces, note=note)
+        except ValueError as e:
+            raise ParseError(path, lineno, str(e)) from None
+
     def flush():
         nonlocal pending
         if pending is None:
@@ -139,8 +152,7 @@ def parse_sset(text: str, path: str = "<sset>") -> SimplicialSet:
         missing = [i for i, f in enumerate(faces) if f is None]
         if missing:
             raise ParseError(path, at, f"generator {label!r} missing faces {missing}")
-        X.add_generator(d, label, [f for f in faces if f is not None] if d >= 1 else None,
-                        note=note)
+        add(at, d, label, faces, note)
         pending = None
 
     for lineno, line in _logical_lines(text, path):
@@ -153,10 +165,10 @@ def parse_sset(text: str, path: str = "<sset>") -> SimplicialSet:
         elif X is None:
             raise ParseError(path, lineno, "document must start with 'sset <name>'")
         elif key == "maxdim":
-            maxdim = int(rest)
+            maxdim = integer(lineno, key, rest)
         elif key == "dim":
             flush()
-            cur_dim = int(rest)
+            cur_dim = integer(lineno, key, rest)
             if cur_dim < 0:
                 raise ParseError(path, lineno, "negative dimension")
         elif key == "gen":
@@ -168,7 +180,7 @@ def parse_sset(text: str, path: str = "<sset>") -> SimplicialSet:
             else:
                 label, note = rest.strip(), None
             if cur_dim == 0:
-                X.add_generator(0, label, note=note)
+                add(lineno, 0, label, None, note)
             else:
                 pending = (label, cur_dim, [None] * (cur_dim + 1), note, lineno)
         elif key == "face":
@@ -197,7 +209,10 @@ def parse_sset(text: str, path: str = "<sset>") -> SimplicialSet:
     if maxdim != X.max_gen_dim:
         raise ParseError(path, 1,
                          f"maxdim says {maxdim} but generators reach {X.max_gen_dim}")
-    X.assert_coherent()
+    try:
+        X.assert_coherent()
+    except ValueError as e:
+        raise ParseError(path, 1, str(e)) from None
     return X
 
 

@@ -173,6 +173,11 @@ class SimplicialSet:
         return FormalSimplex(gen, Operator(op.src_dim, dim, tuple(epi)))
 
     def face(self, s: FormalSimplex, i: int) -> FormalSimplex:
+        """d_i s.  A face of a generator is its stored entry, the value
+        act would peel out; everything else goes through act."""
+        n = s.degeneracy.src_dim
+        if n == s.degeneracy.dst_dim and n >= 1 and 0 <= i <= n:
+            return self.face_table[(s.gen, i)]
         return self.act(s, _face_op(s.dim, i))
 
     def degeneracy(self, s: FormalSimplex, i: int) -> FormalSimplex:
@@ -205,17 +210,28 @@ class SimplicialSet:
 
     def audit(self) -> list[str]:
         """Simplicial-identity violations d_i d_j != d_{j-1} d_i on
-        generators, as human-readable strings; empty means coherent."""
+        generators, as human-readable strings; empty means coherent.
+
+        The faces d_j g of a generator are its stored face-table
+        entries; the faces of each distinct entry are computed once,
+        in rows that live only for this call."""
         problems = []
+        rows: dict[FormalSimplex, list[FormalSimplex]] = {}
         for d in sorted(self.gens):
             if d < 2:
                 continue
             for label in self.gens[d]:
-                g = nondeg(label, d)
+                faces = []
+                for j in range(d + 1):
+                    entry = self.face_table[(label, j)]
+                    row = rows.get(entry)
+                    if row is None:
+                        row = rows[entry] = [self.face(entry, i) for i in range(d)]
+                    faces.append(row)
                 for j in range(1, d + 1):
                     for i in range(j):
-                        lhs = self.face(self.face(g, j), i)
-                        rhs = self.face(self.face(g, i), j - 1)
+                        lhs = faces[j][i]
+                        rhs = faces[i][j - 1]
                         if lhs != rhs:
                             problems.append(
                                 f"{self.name}: d_{i} d_{j} {label} = {lhs!r} "

@@ -6,6 +6,7 @@ import pytest
 from exitpath.construction import (
     Exit,
     ExitPath,
+    LinkedSpan,
     Low,
     SpanIntegrityError,
     Upper,
@@ -23,12 +24,20 @@ from exitpath.gallery import (
     GALLERY,
     boundary_collar_span,
     broken_span,
+    cone_span,
     discrete,
     load_span,
     point,
 )
 from exitpath.operators import Operator
-from exitpath.simplicial import FormalSimplex, SimplicialMap, nondeg
+from exitpath.shuffles import restriction_operator
+from exitpath.simplicial import (
+    FormalSimplex,
+    SimplicialMap,
+    nerve_of_poset,
+    nondeg,
+    standard_simplex,
+)
 
 SPAN_NAMES = sorted(GALLERY)
 
@@ -84,8 +93,6 @@ def test_membership_requires_verified_iota():
     M = point("onebase", "m")
     pi = SimplicialMap("pi", L, M, {"l1": nondeg("m", 0), "l2": nondeg("m", 0)})
     iota = SimplicialMap("iota", L, N, {"l1": nondeg("n", 0), "l2": nondeg("n", 0)})
-    from exitpath.construction import LinkedSpan
-
     span = LinkedSpan("collapsed", M, L, N, pi, iota)
     assert not span.verify_iota(0)
     assert span.iota.mono_bound == -1
@@ -93,6 +100,55 @@ def test_membership_requires_verified_iota():
         is_exit_path(span, degenerate_edge("n"), 1)
     with pytest.raises(RuntimeError):
         build_exit(span, 1)
+
+
+def restriction_lookup(span, gamma, j):
+    """Membership as first defined: act with the level-0 restriction
+    of C_j, then look the result up in iota's image."""
+    source = span.N.act(gamma, restriction_operator(gamma.dim, j))
+    return span.iota.preimage(source) is not None
+
+
+def diamond_prefix_span():
+    """pt <- nerve(a < b) -> nerve(a < b < d, a < c < d): L is the
+    nerve of a proper down-closed subset, so whether a front face lifts
+    depends on how far along the chain it reaches."""
+    rel = [("a", "b"), ("a", "c"), ("b", "d"), ("c", "d")]
+    N = nerve_of_poset(["a", "b", "c", "d"], rel, "diamond")
+    L = nerve_of_poset(["a", "b"], [("a", "b")], "prefix")
+    M = point("base", "m")
+    pi = SimplicialMap("pi", L, M, {g: FormalSimplex("m", Operator(d, 0, (0,) * (d + 1)))
+                                    for g, d in L.gen_dims.items()})
+    iota = SimplicialMap("iota", L, N, {g: nondeg(g, d) for g, d in L.gen_dims.items()})
+    return LinkedSpan("diamond-prefix", M, L, N, pi, iota)
+
+
+MEMBERSHIP_SPANS = {
+    **{name: (lambda name=name: load_span(name)) for name in SPAN_NAMES},
+    "cone-simplex2": lambda: cone_span(standard_simplex(2)),
+    "cone-simplex3": lambda: cone_span(standard_simplex(3)),
+    "diamond-prefix": diamond_prefix_span,
+}
+
+
+@pytest.mark.parametrize("name", sorted(MEMBERSHIP_SPANS))
+def test_membership_agrees_with_restriction_lookup(name):
+    span = MEMBERSHIP_SPANS[name]()
+    assert exit_simplices(span, 0) == []
+    span.verify_iota(3)
+    outcomes = set()
+    for k in range(1, 5):
+        want = []
+        for gamma in span.N.simplices_at(k):
+            for j in range(1, k + 1):
+                member = restriction_lookup(span, gamma, j)
+                assert is_exit_path(span, gamma, j) == member, (gamma, j)
+                outcomes.add(member)
+                if member:
+                    want.append(ExitPath(gamma, j))
+        assert exit_simplices(span, k) == want, k
+    if name == "diamond-prefix":
+        assert outcomes == {False, True}
 
 
 def test_exit_simplices_order_and_counts():

@@ -170,3 +170,40 @@ def test_parse_span_file_errors(tmp_path):
     with pytest.raises(ParseError) as e:
         parse_span_file(str(q))
     assert "share the sset name" in str(e.value)
+
+
+def test_parse_error_integer_headers():
+    e = parse_err("sset x\nmaxdim x\ndim 0\ngen a\n")
+    assert e.lineno == 2 and "maxdim needs an integer, got 'x'" in str(e)
+    e = parse_err("sset x\nmaxdim 0\ndim one\ngen a\n")
+    assert e.lineno == 3 and "dim needs an integer, got 'one'" in str(e)
+
+
+def test_parse_error_generator_blocks():
+    base = "sset x\nmaxdim 1\ndim 0\ngen a\n"
+    e = parse_err(base + "dim 1\ngen e\nface 0 = () a\nface 1 = () zz\n")
+    assert e.lineno == 6 and "face 1 of 'e' uses unknown generator 'zz'" in str(e)
+    e = parse_err(base + "gen a\n")
+    assert e.lineno == 5 and "duplicate generator 'a'" in str(e)
+    edge = "gen e\nface 0 = () a\nface 1 = () a\n"
+    e = parse_err(base + "dim 1\n" + edge + edge)
+    assert e.lineno == 9 and "duplicate generator 'e'" in str(e)
+
+
+def test_parse_error_incoherent_face_table():
+    X = chain3()
+    X.face_table[("a,b,c", 0)] = X.face_table[("a,b,c", 2)]
+    problems = X.audit()
+    assert problems
+    e = parse_err(print_sset(X))
+    assert e.lineno == 1 and str(e) == "doc:1: " + "; ".join(problems)
+
+
+def test_cli_names_the_document_line(tmp_path, capsys):
+    from exitpath.cli import INPUT_ERROR, main
+
+    span_path = write_span_documents(load_span("trivial"), str(tmp_path))
+    doc = tmp_path / "trivial.N.sset"
+    doc.write_text(doc.read_text().replace("maxdim 2", "maxdim x"))
+    assert main(["check-mono", "--span", span_path]) == INPUT_ERROR
+    assert "trivial.N.sset:2: maxdim needs an integer" in capsys.readouterr().err

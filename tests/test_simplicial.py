@@ -178,6 +178,67 @@ def test_audit_reports_broken_face_table():
     assert chain3().audit() == []
 
 
+def four_face_audit(X):
+    """The audit as first written: four face calls per pair (i, j)."""
+    problems = []
+    for d in sorted(X.gens):
+        if d < 2:
+            continue
+        for label in X.gens[d]:
+            g = nondeg(label, d)
+            for j in range(1, d + 1):
+                for i in range(j):
+                    lhs = X.face(X.face(g, j), i)
+                    rhs = X.face(X.face(g, i), j - 1)
+                    if lhs != rhs:
+                        problems.append(
+                            f"{X.name}: d_{i} d_{j} {label} = {lhs!r} "
+                            f"but d_{j-1} d_{i} {label} = {rhs!r}"
+                        )
+    return problems
+
+
+def act_face(X, s, i):
+    return X.act(s, face_op(s.dim, i))
+
+
+def corrupted_tetrahedron():
+    # Q's last face is a degenerate triangle, so one of Q's two broken
+    # identities reads a face of a degenerate entry
+    X = standard_simplex(2, "corrupt3")
+    e01 = nondeg("0,1", 1)
+    X.add_generator(3, "Q", [nondeg("0,1,2", 2)] * 3 + [X.degeneracy(e01, 0)])
+    return X
+
+
+def gallery_complexes():
+    for name in sorted(GALLERY):
+        span = load_span(name, verify_depth=4)
+        yield from (span.M, span.L, span.N, build_exit(span, 4))
+
+
+def test_audit_agrees_with_four_face_audit():
+    for X in [corrupted_triangle(), corrupted_tetrahedron(), *gallery_complexes()]:
+        assert X.audit() == four_face_audit(X), X.name
+    assert corrupted_tetrahedron().audit()[1] == "corrupt3: d_2 d_3 Q = 0+s0 but d_2 d_2 Q = 0,1"
+
+
+def test_face_agrees_with_act():
+    for X in [corrupted_triangle(), corrupted_tetrahedron(), *gallery_complexes()]:
+        for n in range(1, 4):
+            for s in X.simplices_at(n):
+                for i in range(n + 1):
+                    assert X.face(s, i) == act_face(X, s, i), (X.name, s, i)
+
+
+def test_face_input_checks():
+    X = chain3()
+    top = nondeg("a,b,c", 2)
+    for s, i in ((top, 3), (top, -1), (X.degeneracy(top, 0), 4), (nondeg("a", 0), 0)):
+        with pytest.raises(ValueError):
+            X.face(s, i)
+
+
 @pytest.mark.parametrize("name", sorted(GALLERY))
 def test_count_at_closed_form(name):
     span = load_span(name, verify_depth=5)
