@@ -228,6 +228,19 @@ def cmd_examples(args) -> int:
     return PASS
 
 
+def _at_least(minimum: int):
+    """An argparse type: an integer no smaller than minimum."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
+        return value
+    return parse
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser; built once per process, since parse_args
@@ -243,20 +256,20 @@ def build_parser() -> argparse.ArgumentParser:
         if span:
             p.add_argument("--span", required=True,
                            help="gallery name or path to a .span document")
-            p.add_argument("--max-dim", type=int, default=3,
+            p.add_argument("--max-dim", type=_at_least(0), default=3,
                            help="degree bound for the check (default 3)")
         if budget:
-            p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
+            p.add_argument("--budget", type=_at_least(0), default=DEFAULT_BUDGET,
                            help=f"search nodes allowed per horn subproblem "
                                 f"(default {DEFAULT_BUDGET})")
 
     p = sub.add_parser("shuffle-table", help="print exit shuffles and collapses")
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--k", type=_at_least(1), required=True)
     common(p, span=False)
     p.set_defaults(fn=cmd_shuffle_table)
 
     p = sub.add_parser("flat-sharp-table", help="print the flat/sharp index tables")
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--k", type=_at_least(2), required=True)  # flat needs k >= 2
     common(p, span=False)
     p.set_defaults(fn=cmd_flat_sharp_table)
 

@@ -6,16 +6,19 @@ follows the canonical simplex order, searches return the first hit in
 that order, and search budgets are applied per subproblem so a verdict
 does not depend on which other subproblems ran.
 
-A budget is a node allowance; one node is one candidate simplex
-inspected (filler and lift searches) or one partial assignment extended
-(horn enumeration).  Exhaustion marks the surrounding check
-"inconclusive" rather than guessing.
+A budget is a node allowance; one node is one candidate simplex that a
+scan in canonical order would inspect.  Exhaustion marks the
+surrounding check "inconclusive" rather than guessing.
 
-Filler and lift searches find their answer by lookup in a face index
-built once per horn shape, but a node is still one candidate in
-canonical order: a hit at position p costs p + 1 nodes and a miss costs
-every candidate, exactly what a scan in that order would inspect, so
-verdicts under any budget are those of the scan.
+The searches find their answers by lookup, but charge the scan's
+nodes, so verdicts under any budget are those of the scan.  Horn
+enumeration looks each slot's candidates up through an index of
+X_{n-1} on (slot, face) and charges each partial horn |X_{n-1}| nodes
+before its lookup.  Filler and lift searches look up a face index
+built once per horn shape: a hit at position p costs p + 1 nodes and a
+miss costs every candidate.  One check call builds each degree's face
+rows and (slot, face) index once (FaceRows), shares them across its
+horn shapes and drops them when it returns.
 """
 
 from __future__ import annotations
@@ -230,11 +233,45 @@ def horn_is_compatible(X: SimplicialSet, h: HornProblem) -> bool:
 FaceRow = tuple[FormalSimplex, tuple[FormalSimplex, ...]]
 
 
-def _face_rows(X: SimplicialSet, n: int) -> list[FaceRow]:
-    """The n-simplices of X in canonical order, each with its faces
-    (d_0 x, ..., d_n x); vertices get an empty tuple."""
-    return [(x, tuple(X.face(x, a) for a in range(n + 1)) if n else ())
-            for x in X.simplices_at(n)]
+class FaceRows:
+    """The face rows of one simplicial set X, degree by degree, each
+    degree built once on first use.
+
+    at(n) lists X_n in canonical order, each simplex with its faces
+    (d_0 x, ..., d_n x); vertices get an empty tuple.  matching(n,
+    wanted) lists, in the same order, the rows whose face at slot a is
+    g for every (a, g) in wanted, found through an index of X_n on
+    (slot, face).  One check call holds one FaceRows per simplicial set
+    and shares it across its horn shapes; it is freed with the call,
+    so nothing is kept on X itself.
+    """
+
+    def __init__(self, X: SimplicialSet):
+        self.X = X
+        self._rows: dict[int, list[FaceRow]] = {}
+        self._by_face: dict[int, dict[tuple[int, FormalSimplex], list[FaceRow]]] = {}
+
+    def at(self, n: int) -> list[FaceRow]:
+        rows = self._rows.get(n)
+        if rows is None:
+            X = self.X
+            rows = self._rows[n] = [
+                (x, tuple(X.face(x, a) for a in range(n + 1)) if n else ())
+                for x in X.simplices_at(n)]
+        return rows
+
+    def matching(self, n: int, wanted: list[tuple[int, FormalSimplex]]) -> list[FaceRow]:
+        if not wanted:
+            return self.at(n)
+        index = self._by_face.get(n)
+        if index is None:
+            index = self._by_face[n] = {}
+            for row in self.at(n):
+                for key in enumerate(row[1]):
+                    index.setdefault(key, []).append(row)
+        hits = index.get(wanted[0], [])
+        rest = wanted[1:]
+        return [row for row in hits if all(row[1][a] == g for a, g in rest)] if rest else hits
 
 
 class FaceIndex:
@@ -243,16 +280,18 @@ class FaceIndex:
 
     find() answers what a scan in canonical order would, at the same
     node cost: a hit at position p spends p + 1 nodes, a miss spends one
-    per simplex.
+    per simplex.  faces is a FaceRows of X to read the rows from; by
+    default the index builds its own.
     """
 
     def __init__(self, X: SimplicialSet, n: int, missing: int,
-                 key: Callable[[FormalSimplex], FormalSimplex] | None = None):
-        rows = _face_rows(X, n)
+                 key: Callable[[FormalSimplex], FormalSimplex] | None = None,
+                 *, faces: FaceRows | None = None):
+        rows = (FaceRows(X) if faces is None else faces).at(n)
         self.size = len(rows)
         self._first: dict[tuple, tuple[int, FormalSimplex]] = {}
-        for pos, (x, faces) in enumerate(rows):
-            k = (None if key is None else key(x), faces[:missing] + faces[missing + 1:])
+        for pos, (x, x_faces) in enumerate(rows):
+            k = (None if key is None else key(x), x_faces[:missing] + x_faces[missing + 1:])
             self._first.setdefault(k, (pos, x))
 
     def find(self, h: HornProblem, budget: Budget,
@@ -266,32 +305,46 @@ class FaceIndex:
 
 
 def enumerate_horns(X: SimplicialSet, n: int, missing: int,
-                    budget: Budget | None = None) -> list[HornProblem]:
+                    budget: Budget | None = None,
+                    *, faces: FaceRows | None = None) -> list[HornProblem]:
     """All horns of shape (n, missing) in X, by backtracking over the
-    face slots in ascending index order with incremental matching."""
+    face slots in ascending index order.
+
+    Slot b of a partial horn takes the (n-1)-simplices whose face a
+    equals d_{b-1} of the simplex at every chosen slot a < b; they are
+    looked up through the (slot, face) index of X_{n-1} on the first
+    chosen slot and filtered on the others.
+
+    A node is one candidate a scan of X_{n-1} in canonical order would
+    try: each partial horn is charged |X_{n-1}| nodes before its lookup,
+    so the enumeration spends what the scan spends and runs out of
+    budget exactly when the scan would.  faces is a FaceRows of X to
+    share with other shapes; by default the call builds its own.
+    """
     if n < 1:
         raise ValueError("horns need n >= 1")
     if not 0 <= missing <= n:
         raise ValueError(f"horn index {missing} outside 0..{n}")
     budget = budget or Budget(None)
+    if faces is None:
+        faces = FaceRows(X)
     slots = [a for a in range(n + 1) if a != missing]
-    candidates = _face_rows(X, n - 1)
+    size = len(faces.at(n - 1))
     out: list[HornProblem] = []
 
     def extend(chosen: dict[int, FaceRow], depth: int):
         if depth == len(slots):
-            faces = tuple(chosen[a][0] if a in chosen else None for a in range(n + 1))
-            out.append(HornProblem(n, missing, faces))
+            out.append(HornProblem(n, missing, tuple(
+                chosen[a][0] if a in chosen else None for a in range(n + 1))))
             return
         b = slots[depth]
-        # a < b always: slots ascend
+        budget.spend(size)
+        # a < b always: slots ascend, and chosen keeps that order
         wanted = [(a, g_faces[b - 1]) for a, (_, g_faces) in chosen.items()]
-        for row in candidates:
-            budget.spend()
-            if all(row[1][a] == g for a, g in wanted):
-                chosen[b] = row
-                extend(chosen, depth + 1)
-                del chosen[b]
+        for row in faces.matching(n - 1, wanted):
+            chosen[b] = row
+            extend(chosen, depth + 1)
+            del chosen[b]
 
     extend({}, 0)
     return out
@@ -315,21 +368,25 @@ def verify_quasicategory(X: SimplicialSet, depth: int,
 
     The budget is a per-subproblem node limit: each (n, i) enumeration
     gets one allowance and each horn's filler search gets a fresh one,
-    so a verdict does not depend on which other subproblems ran.
+    so a verdict does not depend on which other subproblems ran.  The
+    shapes share one FaceRows of X, so each degree's face rows are
+    built once per call.
     """
+    faces = FaceRows(X)
     report = VerificationReport(X.name, depth)
-    report.entries = [_horn_block(X, n, i, budget)
+    report.entries = [_horn_block(X, n, i, budget, faces)
                       for n in range(2, depth + 1) for i in range(1, n)]
     return report
 
 
-def _horn_block(X: SimplicialSet, n: int, i: int, budget: int | None) -> CheckEntry:
+def _horn_block(X: SimplicialSet, n: int, i: int, budget: int | None,
+                faces: FaceRows) -> CheckEntry:
     name = f"inner horns Lambda^{n}_{i}"
     try:
-        horns = enumerate_horns(X, n, i, Budget(budget))
+        horns = enumerate_horns(X, n, i, Budget(budget), faces=faces)
     except BudgetExhausted:
         return CheckEntry(name, "inconclusive", detail="enumeration budget exhausted")
-    index = FaceIndex(X, n, i)
+    index = FaceIndex(X, n, i, faces=faces)
     unfilled = None
     exhausted = 0
     for h in horns:
@@ -365,32 +422,34 @@ def check_fibration(f: SimplicialMap, depth: int, kind: str = "right",
     kind picks the horn indices per dimension n: "right" 0 < i <= n,
     "inner" 0 < i < n, "kan" 0 <= i <= n.  Every commuting square of a
     horn in the domain against an n-simplex downstairs must admit a
-    lift; witnesses name the first square without one.
+    lift; witnesses name the first square without one.  The bases of a
+    horn are the n-simplices of the codomain whose faces are its
+    images, looked up in canonical order.  The shapes share one
+    FaceRows of each side, so each degree's face rows are built once
+    per call.
     """
     if kind not in _KIND_RANGES:
         raise ValueError(f"unknown fibration kind {kind!r}")
     report = VerificationReport(f"{f.name}: {f.domain.name} -> {f.codomain.name}", depth)
-    report.entries = [_lift_block(f, n, i, budget)
+    x_faces, y_faces = FaceRows(f.domain), FaceRows(f.codomain)
+    report.entries = [_lift_block(f, n, i, budget, x_faces, y_faces)
                       for n in range(1, depth + 1) for i in _KIND_RANGES[kind](n)]
     return report
 
 
-def _lift_block(f: SimplicialMap, n: int, i: int, budget: int | None) -> CheckEntry:
+def _lift_block(f: SimplicialMap, n: int, i: int, budget: int | None,
+                x_faces: FaceRows, y_faces: FaceRows) -> CheckEntry:
     name = f"lifts Lambda^{n}_{i}"
-    X, Y = f.domain, f.codomain
+    X = f.domain
     try:
-        horns = enumerate_horns(X, n, i, Budget(budget))
+        horns = enumerate_horns(X, n, i, Budget(budget), faces=x_faces)
     except BudgetExhausted:
         return CheckEntry(name, "inconclusive", detail="enumeration budget exhausted")
-    bases = _face_rows(Y, n)
-    lifts = FaceIndex(X, n, i, key=f)
+    lifts = FaceIndex(X, n, i, key=f, faces=x_faces)
     squares = 0
     exhausted = 0
     for h in horns:
-        images = [(a, f(g)) for a, g in h.present()]
-        for base, base_faces in bases:
-            if any(base_faces[a] != img for a, img in images):
-                continue
+        for base, _ in y_faces.matching(n, [(a, f(g)) for a, g in h.present()]):
             squares += 1
             try:
                 if lifts.find(h, Budget(budget), base) is None:

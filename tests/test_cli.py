@@ -104,6 +104,40 @@ def test_search_commands_deterministic(capsys):
     assert exc.value.code == 2
 
 
+SPAN_COMMANDS = ("build-exit", "stats", "verify-identities", "verify-qcat",
+                 "check-fibration", "check-mono")
+
+
+@pytest.mark.parametrize("argv, message", [
+    *[((command, "--span", "trivial", "--max-dim", "-1"), "--max-dim: must be at least 0")
+      for command in SPAN_COMMANDS],
+    (("check-fibration", "--span", "trivial", "--max-dim", "-2"), "--max-dim: must be at least 0"),
+    (("check-mono", "--span", "trivial", "--max-dim", "-3"), "--max-dim: must be at least 0"),
+    (("verify-qcat", "--span", "trivial", "--budget", "-5"), "--budget: must be at least 0"),
+    (("check-fibration", "--span", "trivial", "--budget", "-1"), "--budget: must be at least 0"),
+    (("shuffle-table", "--k", "-1"), "--k: must be at least 1"),
+    (("shuffle-table", "--k", "0"), "--k: must be at least 1"),
+    (("flat-sharp-table", "--k", "-1"), "--k: must be at least 2"),
+    (("flat-sharp-table", "--k", "1"), "--k: must be at least 2"),
+    (("verify-qcat", "--span", "trivial", "--max-dim", "two"), "invalid int value: 'two'"),
+])
+def test_bad_integer_arguments_are_usage_errors(argv, message, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: exitpath") and message in err
+
+
+def test_smallest_integer_arguments_are_accepted(capsys):
+    assert run(capsys, "shuffle-table", "--k", "1")[0] == PASS
+    assert run(capsys, "flat-sharp-table", "--k", "2")[0] == PASS
+    assert run(capsys, "check-mono", "--span", "trivial", "--max-dim", "0")[0] == PASS
+    code, out, _ = run(capsys, "verify-qcat", "--span", "trivial", "--max-dim", "2",
+                       "--budget", "0")
+    assert code == EXHAUSTED and "INCONCLUSIVE" in out
+
+
 def test_defaults_do_not_leak_between_calls(capsys):
     # main() reuses one parser per process; a --budget given to one call
     # must not become the default of the next

@@ -5,7 +5,12 @@ import pytest
 from exitpath.construction import build_exit, exit_simplices
 from exitpath.gallery import GALLERY, cone_span, load_span
 from exitpath.simplicial import standard_simplex
-from exitpath.verify import check_fibration, isomorphism_report, verify_simplicial_identities
+from exitpath.verify import (
+    check_fibration,
+    isomorphism_report,
+    verify_quasicategory,
+    verify_simplicial_identities,
+)
 
 
 def test_gallery_names():
@@ -27,9 +32,19 @@ def test_iota_is_mono_everywhere(name):
 
 @pytest.mark.parametrize("name", sorted(GALLERY))
 def test_hypothesis_flag_matches_fibration_check(name):
+    # the abstract's hypotheses at depth 4: M and N are quasicategories,
+    # pi is a right fibration and iota is mono; they imply that Ex is
+    # a quasicategory
     span = load_span(name)
-    report = check_fibration(span.pi, 2, kind="right")
-    assert report.ok == GALLERY[name].hypotheses_hold
+    hypotheses = {
+        "M inner horns": verify_quasicategory(span.M, 4).ok,
+        "N inner horns": verify_quasicategory(span.N, 4).ok,
+        "pi right fibration": check_fibration(span.pi, 4, kind="right").ok,
+        "iota mono": span.verify_iota(4),
+    }
+    assert all(hypotheses.values()) == GALLERY[name].hypotheses_hold, hypotheses
+    if GALLERY[name].hypotheses_hold:
+        assert verify_quasicategory(build_exit(span, 4), 4).ok
 
 
 @pytest.mark.parametrize("name", sorted(GALLERY))

@@ -20,6 +20,7 @@ from exitpath.verify import (
     Budget,
     BudgetExhausted,
     FaceIndex,
+    FaceRows,
     HornProblem,
     VerificationReport,
     check_fibration,
@@ -200,6 +201,33 @@ def linear_filler(X, h, budget):
     return None
 
 
+def linear_enumerate(X, n, missing, budget):
+    """The candidate scan the (slot, face) lookup replaced in
+    enumerate_horns, kept as the oracle: every simplex of X_{n-1} is
+    tried, at one node each, for every slot of every partial horn."""
+    slots = [a for a in range(n + 1) if a != missing]
+    candidates = [(x, tuple(X.face(x, a) for a in range(n)) if n > 1 else ())
+                  for x in X.simplices_at(n - 1)]
+    out = []
+
+    def extend(chosen, depth):
+        if depth == len(slots):
+            faces = tuple(chosen[a][0] if a in chosen else None for a in range(n + 1))
+            out.append(HornProblem(n, missing, faces))
+            return
+        b = slots[depth]
+        wanted = [(a, g_faces[b - 1]) for a, (_, g_faces) in chosen.items()]
+        for row in candidates:
+            budget.spend()
+            if all(row[1][a] == g for a, g in wanted):
+                chosen[b] = row
+                extend(chosen, depth + 1)
+                del chosen[b]
+
+    extend({}, 0)
+    return out
+
+
 def linear_lift(f, h, base, budget):
     """The lift scan the face index replaced, kept as the oracle."""
     X = f.domain
@@ -219,10 +247,13 @@ def search_spans():
     return spans + [cone]
 
 
+def shapes(depth):
+    return [(n, i) for n in range(1, depth + 1) for i in range(n + 1)]
+
+
 def all_horns(X, depth):
-    for n in range(1, depth + 1):
-        for i in range(n + 1):
-            yield n, i, enumerate_horns(X, n, i)
+    for n, i in shapes(depth):
+        yield n, i, enumerate_horns(X, n, i)
 
 
 def assert_same_search(indexed, oracle):
@@ -237,6 +268,24 @@ def assert_same_search(indexed, oracle):
     with pytest.raises(BudgetExhausted):
         indexed(Budget(want.spent - 1))
     return expected
+
+
+def test_indexed_enumeration_matches_linear_scan():
+    spans = search_spans()
+    cone3 = cone_span(standard_simplex(3))
+    complexes = [build_exit(span, 4) for span in spans] + [cone3.L]
+    accepted = tried = 0
+    for X in complexes:
+        faces = FaceRows(X)  # shared across shapes, as a check shares it
+        for n, i in shapes(4):
+            horns = assert_same_search(
+                lambda b: enumerate_horns(X, n, i, b, faces=faces),
+                lambda b: linear_enumerate(X, n, i, b))
+            spent = Budget(None)  # standalone, with rows of its own
+            assert enumerate_horns(X, n, i, spent) == horns
+            accepted += len(horns)
+            tried += spent.spent
+    assert 0 < accepted < tried
 
 
 def test_indexed_filler_matches_linear_scan():
