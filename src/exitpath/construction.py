@@ -28,23 +28,21 @@ lift, the single upper face (i = 0, j = 1) forgets down to N, and every
 degeneracy stays an exit path with the sharp index.  For k = 1 the same
 dispatch degenerates to d_1 low, d_0 upper.
 
-build_exit materializes Ex up to a degree bound as a SimplicialSet
-whose generators are the nondegenerate tagged simplices; degeneracy
-detection for exit paths inverts the sharp calculus.
+Nondegenerate exit paths are the nondegenerate simplices of the prisms
+Delta^1 x Delta^d over the generators of N.  (sigma^* g, j) is s_i of an
+exit path exactly when sigma repeats at some i other than the crossing
+j - 1; dropping that repeat keeps sigma(j - 1), hence membership.  So
+the nondegenerate exit paths of degree k are (g, j) for g in gens_k(N)
+and (s_{j-1}^* g, j) for g in gens_{k-1}(N), each where
+front_lifts(g, j - 1) holds; build_exit lists exactly these, and
+exit_normal_form drops every repeat but the crossing in one step.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .operators import (
-    Operator,
-    compose,
-    degeneracy_op,
-    degeneracy_word,
-    face_op,
-    identity,
-)
+from .operators import Operator, degeneracy_op, degeneracy_word, identity
 from .shuffles import FaceClass, classify_face, flat, sharp
 from .simplicial import FormalSimplex, SimplicialMap, SimplicialSet, nondeg
 
@@ -264,56 +262,42 @@ def exit_degeneracy(span: LinkedSpan, s: ExitSimplex, i: int) -> ExitSimplex:
 def detect_degenerate_exit(span: LinkedSpan, p: ExitPath) -> tuple[ExitPath, int] | None:
     """Invert exit_degeneracy: find (q, i) with s_i q = p, smallest i.
 
-    p = (gamma, j) can only be s_i of (d_i gamma, e) when gamma repeats
-    at i and sharp(k-1, e, i) = j; the sharp branches force e = j (when
-    i >= j) or e = j - 1 (when i < j - 1), and the candidate must itself
-    be an exit path.  Returns None for nondegenerate exit paths; paths
-    of dimension 1 are always nondegenerate in Ex.
+    p = (sigma^* g, j) is s_i of an exit path exactly when sigma repeats
+    at some i other than the crossing j - 1.  Take the smallest such i:
+    q is gamma with position i of sigma deleted, with index j if i >= j
+    and j - 1 otherwise, and is an exit path iff p is.  Returns None for
+    nondegenerate exit paths (every path of dimension 1) and for pairs
+    that are not exit paths.
     """
     gamma, j, k = p.gamma, p.index, p.dim
-    if k < 2:
+    sigma = gamma.degeneracy.values
+    i = next((i for i in range(k) if i != j - 1 and sigma[i] == sigma[i + 1]), None)
+    if i is None or not is_exit_path(span, gamma, j):
         return None
-    sigma = gamma.degeneracy
-    for i in range(k):
-        if sigma.values[i] != sigma.values[i + 1]:
-            continue
-        if i >= j:
-            e = j
-        elif i < j - 1:
-            e = j - 1
-        else:
-            continue
-        if not 1 <= e <= k - 1:
-            continue
-        q_gamma = span.N.face(gamma, i)
-        if is_exit_path(span, q_gamma, e):
-            return ExitPath(q_gamma, e), i
-    return None
+    face = FormalSimplex(gamma.gen, Operator(k - 1, gamma.gen_dim, sigma[:i] + sigma[i + 1:]))
+    return ExitPath(face, j if i >= j else j - 1), i
 
 
 def exit_normal_form(span: LinkedSpan, s: ExitSimplex) -> tuple[ExitSimplex, Operator]:
     """Write s as (nondegenerate core, surjection).
 
-    Low and Upper parts inherit normal forms from M and N; an exit path
-    is peeled by detect_degenerate_exit until nondegenerate.
+    Low and Upper parts inherit normal forms from M and N.  An exit path
+    (sigma^* g, j) keeps only its crossing repeat: with r = sigma(j - 1)
+    and c = [sigma(j - 1) = sigma(j)], the core is (s_r^* g, r + 1) if c
+    and (g, r + 1) otherwise, and the surjection is
+    m -> sigma(m) + (c if m >= j else 0).
     """
     if isinstance(s, Low):
         return Low(nondeg(s.simplex.gen, s.simplex.gen_dim)), s.simplex.degeneracy
     if isinstance(s, Upper):
         return Upper(nondeg(s.simplex.gen, s.simplex.gen_dim)), s.simplex.degeneracy
-    word: list[int] = []
-    cur = s.path
-    while True:
-        hit = detect_degenerate_exit(span, cur)
-        if hit is None:
-            break
-        cur, i = hit[0], hit[1]
-        word.append(i)
-    op = identity(cur.dim + len(word))
-    # s = (sigma_{i_r} . ... . sigma_{i_1})^* core with word = (i_1, ..., i_r)
-    for i in word:
-        op = compose(degeneracy_op(op.dst_dim - 1, i), op)
-    return Exit(cur), op
+    gamma, j = s.path.gamma, s.path.index
+    sigma, d = gamma.degeneracy.values, gamma.gen_dim
+    r = sigma[j - 1]
+    c = int(sigma[j] == r)
+    core = FormalSimplex(gamma.gen, degeneracy_op(d, r) if c else identity(d))
+    op = Operator(gamma.dim, d + c, tuple(v + c if m >= j else v for m, v in enumerate(sigma)))
+    return Exit(ExitPath(core, r + 1)), op
 
 
 # -- materialization ----------------------------------------------------------
@@ -359,41 +343,32 @@ def build_exit(span: LinkedSpan, depth: int) -> ExitComplex:
     """Materialize Ex(span) up to dimension depth.
 
     Requires iota verified mono through depth.  Generators per
-    dimension are the nondegenerate M generators, the nondegenerate
-    exit paths (detect_degenerate_exit returns None), then the
-    nondegenerate N generators; faces are computed by exit_face and
-    re-expressed in normal form.
+    dimension k are the generators of M, the nondegenerate exit paths
+    read off the prisms over N's generators (first (s_i^* g, i + 1) for
+    g in gens_{k-1}(N), then (g, j) for g in gens_k(N), where
+    front_lifts(g, j - 1) holds), then the generators of N; faces are
+    computed by exit_face and re-expressed in normal form.
     """
     if depth < 0:
         raise ValueError("depth must be >= 0")
     span.require_iota(depth)
     ex = ExitComplex(span, depth)
-
-    def low_label(g: str) -> str:
-        return f"M.{g}"
-
-    def upper_label(g: str) -> str:
-        return f"N.{g}"
+    lifts = span.front_lifts
 
     def formal(s: ExitSimplex) -> FormalSimplex:
         core, op = exit_normal_form(span, s)
         return FormalSimplex(exit_label(core), op)
 
     for k in range(depth + 1):
-        new: list[tuple[str, ExitSimplex, str]] = []
-        for g in span.M.generators(k):
-            new.append((low_label(g), Low(nondeg(g, k)), "low"))
-        if k >= 1:
-            for p in exit_simplices(span, k):
-                if detect_degenerate_exit(span, p) is None:
-                    new.append((exit_label(Exit(p)), Exit(p), f"exit@{p.index}"))
-        for g in span.N.generators(k):
-            new.append((upper_label(g), Upper(nondeg(g, k)), "upper"))
-        for label, tagged, note in new:
-            if k == 0:
-                ex.add_generator(0, label, note=note)
-            else:
-                faces = [formal(exit_face(span, tagged, i)) for i in range(k + 1)]
-                ex.add_generator(k, label, faces, note=note)
+        new = [(Low(nondeg(g, k)), "low") for g in span.M.generators(k)]
+        new += [(Exit(ExitPath(FormalSimplex(g, degeneracy_op(k - 1, i)), i + 1)), f"exit@{i + 1}")
+                for g in span.N.generators(k - 1) for i in range(k) if lifts(g, i)]
+        new += [(Exit(ExitPath(nondeg(g, k), j)), f"exit@{j}")
+                for g in span.N.generators(k) for j in range(1, k + 1) if lifts(g, j - 1)]
+        new += [(Upper(nondeg(g, k)), "upper") for g in span.N.generators(k)]
+        for tagged, note in new:
+            label = exit_label(tagged)
+            faces = [formal(exit_face(span, tagged, i)) for i in range(k + 1)] if k else None
+            ex.add_generator(k, label, faces, note=note)
             ex.payload[label] = tagged
     return ex

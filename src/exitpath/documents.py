@@ -53,6 +53,15 @@ def _check_name(name: str):
         raise ValueError(f"name {name!r} not representable in documents")
 
 
+def _representable(check, value: str, path: str, lineno: int) -> str:
+    """value, once check (_check_label or _check_name) accepts it."""
+    try:
+        check(value)
+    except ValueError as e:
+        raise ParseError(path, lineno, str(e)) from None
+    return value
+
+
 def _word_str(word: tuple[int, ...]) -> str:
     return "(" + " ".join(str(i) for i in word) + ")"
 
@@ -161,10 +170,12 @@ def parse_sset(text: str, path: str = "<sset>") -> SimplicialSet:
         if key == "sset":
             if X is not None:
                 raise ParseError(path, lineno, "second sset header")
-            X = SimplicialSet(rest.strip())
+            X = SimplicialSet(_representable(_check_name, rest, path, lineno))
         elif X is None:
             raise ParseError(path, lineno, "document must start with 'sset <name>'")
         elif key == "maxdim":
+            if maxdim is not None:
+                raise ParseError(path, lineno, "second maxdim header")
             maxdim = integer(lineno, key, rest)
         elif key == "dim":
             flush()
@@ -179,6 +190,7 @@ def parse_sset(text: str, path: str = "<sset>") -> SimplicialSet:
                 label, note = (p.strip() for p in rest.split("::", 1))
             else:
                 label, note = rest.strip(), None
+            _representable(_check_label, label, path, lineno)
             if cur_dim == 0:
                 add(lineno, 0, label, None, note)
             else:
@@ -218,19 +230,17 @@ def parse_sset(text: str, path: str = "<sset>") -> SimplicialSet:
 
 def parse_smap(text: str, ssets: dict[str, SimplicialSet],
                path: str = "<smap>") -> SimplicialMap:
-    name = domain = codomain = None
+    head: dict[str, str] = {}
     assignment: dict[str, FormalSimplex] = {}
-    order: list[str] = []
     for lineno, line in _logical_lines(text, path):
         parts = line.split(None, 1)
         key, rest = parts[0], (parts[1] if len(parts) > 1 else "")
-        if key == "smap":
-            name = rest.strip()
-        elif key == "domain":
-            domain = rest.strip()
-        elif key == "codomain":
-            codomain = rest.strip()
+        if key in ("smap", "domain", "codomain"):
+            if key in head:
+                raise ParseError(path, lineno, f"second {key} header")
+            head[key] = _representable(_check_name, rest, path, lineno)
         elif key == "map":
+            domain, codomain = head.get("domain"), head.get("codomain")
             if domain is None or codomain is None:
                 raise ParseError(path, lineno, "map line before domain/codomain")
             if domain not in ssets or codomain not in ssets:
@@ -243,14 +253,16 @@ def parse_smap(text: str, ssets: dict[str, SimplicialSet],
             dom = ssets[domain]
             if g not in dom.gen_dims:
                 raise ParseError(path, lineno, f"unknown domain generator {g!r}")
+            if g in assignment:
+                raise ParseError(path, lineno, f"second map line for {g!r}")
             assignment[g] = _parse_entry(eq[1], path, lineno, dom.gen_dims[g])
-            order.append(g)
         else:
             raise ParseError(path, lineno, f"unknown directive {key!r}")
-    if name is None or domain is None or codomain is None:
+    if len(head) < 3:
         raise ParseError(path, 1, "missing smap/domain/codomain header")
     try:
-        return SimplicialMap(name, ssets[domain], ssets[codomain], assignment)
+        return SimplicialMap(head["smap"], ssets[head["domain"]], ssets[head["codomain"]],
+                             assignment)
     except ValueError as e:
         raise ParseError(path, 1, str(e)) from None
 
@@ -265,8 +277,12 @@ def parse_span_file(path: str) -> LinkedSpan:
         parts = line.split(None, 1)
         key, rest = parts[0], (parts[1] if len(parts) > 1 else "")
         if key == "span":
-            name = rest.strip()
+            if name is not None:
+                raise ParseError(path, lineno, "second span header")
+            name = _representable(_check_name, rest, path, lineno)
         elif key in ("M", "L", "N", "pi", "iota"):
+            if key in refs:
+                raise ParseError(path, lineno, f"second {key} line")
             eq = rest.split("=", 1)
             if len(eq) != 2 or eq[0].strip():
                 raise ParseError(path, lineno, f"expected '{key} = <path>'")

@@ -29,7 +29,7 @@ from exitpath.gallery import (
     load_span,
     point,
 )
-from exitpath.operators import Operator
+from exitpath.operators import Operator, compose, degeneracy_op, identity
 from exitpath.shuffles import restriction_operator
 from exitpath.simplicial import (
     FormalSimplex,
@@ -109,18 +109,24 @@ def restriction_lookup(span, gamma, j):
     return span.iota.preimage(source) is not None
 
 
+def prefix_span(name, elements, relations, prefix):
+    """pt <- nerve(P') -> nerve(P) for a poset P and a down-closed
+    subset P' of it."""
+    N = nerve_of_poset(elements, relations, f"{name}-N")
+    L = nerve_of_poset(prefix, [(a, b) for a, b in relations if b in prefix], f"{name}-L")
+    M = point("base", "m")
+    pi = SimplicialMap("pi", L, M, {g: FormalSimplex("m", Operator(d, 0, (0,) * (d + 1)))
+                                    for g, d in L.gen_dims.items()})
+    iota = SimplicialMap("iota", L, N, {g: nondeg(g, d) for g, d in L.gen_dims.items()})
+    return LinkedSpan(name, M, L, N, pi, iota)
+
+
 def diamond_prefix_span():
     """pt <- nerve(a < b) -> nerve(a < b < d, a < c < d): L is the
     nerve of a proper down-closed subset, so whether a front face lifts
     depends on how far along the chain it reaches."""
     rel = [("a", "b"), ("a", "c"), ("b", "d"), ("c", "d")]
-    N = nerve_of_poset(["a", "b", "c", "d"], rel, "diamond")
-    L = nerve_of_poset(["a", "b"], [("a", "b")], "prefix")
-    M = point("base", "m")
-    pi = SimplicialMap("pi", L, M, {g: FormalSimplex("m", Operator(d, 0, (0,) * (d + 1)))
-                                    for g, d in L.gen_dims.items()})
-    iota = SimplicialMap("iota", L, N, {g: nondeg(g, d) for g, d in L.gen_dims.items()})
-    return LinkedSpan("diamond-prefix", M, L, N, pi, iota)
+    return prefix_span("diamond-prefix", ["a", "b", "c", "d"], rel, ["a", "b"])
 
 
 MEMBERSHIP_SPANS = {
@@ -292,6 +298,99 @@ def test_exit_labels():
     assert exit_label(Upper(nondeg("0,1", 1))) == "N.0,1"
     assert exit_label(Exit(ExitPath(nondeg("0,1", 1), 1))) == "P.0,1@1"
     assert exit_label(Exit(ExitPath(degenerate_edge("0"), 1))) == "P.0+s0@1"
+
+
+# -- the prism decomposition against the peeling oracles -------------------------------
+
+
+def peeling_detect(span, p):
+    """detect_degenerate_exit as first written: try each repeat of sigma
+    in turn, take the face there and ask whether it is an exit path."""
+    gamma, j, k = p.gamma, p.index, p.dim
+    if k < 2:
+        return None
+    sigma = gamma.degeneracy
+    for i in range(k):
+        if sigma.values[i] != sigma.values[i + 1]:
+            continue
+        if i >= j:
+            e = j
+        elif i < j - 1:
+            e = j - 1
+        else:
+            continue
+        if not 1 <= e <= k - 1:
+            continue
+        q_gamma = span.N.face(gamma, i)
+        if is_exit_path(span, q_gamma, e):
+            return ExitPath(q_gamma, e), i
+    return None
+
+
+def peeling_normal_form(span, p):
+    """The normal form of an exit path, peeled one repeat at a time."""
+    word = []
+    while (hit := peeling_detect(span, p)) is not None:
+        p, i = hit
+        word.append(i)
+    op = identity(p.dim + len(word))
+    for i in word:
+        op = compose(degeneracy_op(op.dst_dim - 1, i), op)
+    return Exit(p), op
+
+
+def assert_matches_peeling(span, depth=5):
+    """build_exit's exit generators, detect_degenerate_exit and
+    exit_normal_form agree with the oracles on every pair (gamma, j)."""
+    span.verify_iota(depth)
+    ex = build_exit(span, depth)
+    for k in range(1, depth + 1):
+        want = [Exit(p) for p in exit_simplices(span, k) if peeling_detect(span, p) is None]
+        got = [g for g in ex.generators(k) if g.startswith("P.")]
+        assert got == [exit_label(t) for t in want], (span.name, k)
+        assert [ex.payload[g] for g in got] == want, (span.name, k)
+        for gamma in span.N.simplices_at(k):
+            for j in range(1, k + 1):
+                p = ExitPath(gamma, j)
+                hit = detect_degenerate_exit(span, p)
+                assert hit == peeling_detect(span, p), (span.name, p)
+                if is_exit_path(span, gamma, j):
+                    assert exit_normal_form(span, Exit(p)) == peeling_normal_form(span, p), \
+                        (span.name, p)
+                else:
+                    assert hit is None, (span.name, p)
+
+
+@pytest.mark.parametrize("name", sorted(MEMBERSHIP_SPANS))
+def test_prism_decomposition_matches_peeling(name):
+    assert_matches_peeling(MEMBERSHIP_SPANS[name]())
+
+
+def small_prefix_spans():
+    """prefix_span for every poset P on at most three labelled elements
+    and every down-closed P' of P."""
+    for n in range(4):
+        elements = list("abc"[:n])
+        pairs = [(x, y) for x in elements for y in elements if x != y]
+        for mask in range(1 << len(pairs)):
+            rel = [pq for b, pq in enumerate(pairs) if mask >> b & 1]
+            if any((y, x) in rel for x, y in rel) or \
+                    any((x, z) not in rel for x, y in rel for w, z in rel if w == y):
+                continue
+            for down in range(1 << n):
+                prefix = [e for b, e in enumerate(elements) if down >> b & 1]
+                if all(x in prefix for x, y in rel if y in prefix):
+                    yield prefix_span(f"P{rel}>{prefix}", elements, rel, prefix)
+
+
+def test_prism_decomposition_on_small_posets():
+    spans = list(small_prefix_spans())
+    # down-sets summed over the 1 + 1 + 3 + 19 labelled posets: 1 + 2 +
+    # (4 + 3 + 3) + (8 + 6 * 6 + 6 * 4 + 3 * 5 + 3 * 5), where the 19 on
+    # three elements are the antichain, one relation, chains, V and wedge
+    assert len(spans) == 111
+    for span in spans:
+        assert_matches_peeling(span)
 
 
 # -- the simplicial identities on tagged simplices -----------------------------------

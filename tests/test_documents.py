@@ -207,3 +207,79 @@ def test_cli_names_the_document_line(tmp_path, capsys):
     doc.write_text(doc.read_text().replace("maxdim 2", "maxdim x"))
     assert main(["check-mono", "--span", span_path]) == INPUT_ERROR
     assert "trivial.N.sset:2: maxdim needs an integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text, lineno, message", [
+    ("sset x\nmaxdim 0\ndim 0\ngen\n", 4, "label '' not representable"),
+    ("sset x\nmaxdim 0\ndim 0\ngen :: a note\n", 4, "label '' not representable"),
+    ("sset x\nmaxdim 0\ndim 0\ngen a b\n", 4, "label 'a b' not representable"),
+    ("# heading\nsset\nmaxdim 0\ndim 0\ngen a\n", 2, "name '' not representable"),
+    ("sset x\nmaxdim 0\nmaxdim 0\ndim 0\ngen a\n", 3, "second maxdim header"),
+], ids=["gen-no-label", "gen-note-no-label", "gen-two-words", "sset-no-name", "maxdim-twice"])
+def test_parse_sset_rejects_what_it_cannot_print(text, lineno, message):
+    e = parse_err(text)
+    assert e.lineno == lineno and message in str(e)
+
+
+SMAP_HEAD = "smap f\ndomain simplex1\ncodomain simplex1\n"
+SMAP_BODY = "map 0 = () 0\nmap 1 = () 1\nmap 0,1 = () 0,1\n"
+
+
+@pytest.mark.parametrize("text, lineno, message", [
+    (SMAP_HEAD + SMAP_BODY + "map 1 = () 0\n", 7, "second map line for '1'"),
+    (SMAP_HEAD + "map 0 = () 0\nmap 0 = () 1\n", 5, "second map line for '0'"),
+    ("smap f\nsmap g\ndomain simplex1\ncodomain simplex1\n" + SMAP_BODY, 2,
+     "second smap header"),
+    (SMAP_HEAD + "domain simplex1\n" + SMAP_BODY, 4, "second domain header"),
+    (SMAP_HEAD + SMAP_BODY + "codomain simplex1\n", 7, "second codomain header"),
+    ("smap\ndomain simplex1\ncodomain simplex1\n" + SMAP_BODY, 1, "name '' not representable"),
+], ids=["map-twice-last", "map-twice-first", "smap-twice", "domain-twice", "codomain-twice",
+        "smap-no-name"])
+def test_parse_smap_rejects_repeated_lines(text, lineno, message):
+    ssets = {"simplex1": standard_simplex(1)}
+    assert parse_smap(SMAP_HEAD + SMAP_BODY, ssets).name == "f"
+    with pytest.raises(ParseError) as e:
+        parse_smap(text, ssets, "f.smap")
+    assert e.value.lineno == lineno and message in str(e.value)
+
+
+@pytest.mark.parametrize("edit, lineno, message", [
+    (lambda t: t + "span again\n", 7, "second span header"),
+    (lambda t: t + "M = trivial.M.sset\n", 7, "second M line"),
+    (lambda t: t.replace("iota = ", "pi = trivial.pi.smap\niota = "), 6, "second pi line"),
+], ids=["span-twice", "M-twice", "pi-twice"])
+def test_parse_span_file_rejects_repeated_lines(tmp_path, edit, lineno, message):
+    path = write_span_documents(load_span("trivial"), str(tmp_path))
+    with open(path) as fh:
+        text = fh.read()
+    with open(path, "w") as fh:
+        fh.write(edit(text))
+    with pytest.raises(ParseError) as e:
+        parse_span_file(path)
+    assert e.value.lineno == lineno and message in str(e.value)
+
+
+def test_cli_rejects_a_repeated_map_line(tmp_path, capsys):
+    from exitpath.cli import INPUT_ERROR, PASS, main
+
+    span_path = write_span_documents(load_span("boundary-collar"), str(tmp_path))
+    assert main(["check-mono", "--span", span_path]) == PASS
+    doc = tmp_path / "boundary-collar.iota.smap"
+    lines = doc.read_text().splitlines()
+    doc.write_text("\n".join(lines + [lines[-1].replace("() 0", "() 1")]) + "\n")
+    capsys.readouterr()
+    assert main(["check-mono", "--span", span_path]) == INPUT_ERROR
+    err = capsys.readouterr().err
+    assert f"boundary-collar.iota.smap:{len(lines) + 1}: second map line for 'l'" in err
+
+
+def test_cli_names_the_line_of_an_unrepresentable_label(tmp_path, capsys):
+    from exitpath.cli import INPUT_ERROR, main
+
+    span_path = write_span_documents(load_span("boundary-collar"), str(tmp_path))
+    doc = tmp_path / "boundary-collar.N.sset"
+    doc.write_text(doc.read_text().replace("gen 1\n", "gen 1 x\n"))
+    out = tmp_path / "ex.sset"
+    assert main(["build-exit", "--span", span_path, "--out", str(out)]) == INPUT_ERROR
+    assert "boundary-collar.N.sset:5: label '1 x' not representable" in capsys.readouterr().err
+    assert not out.exists()
