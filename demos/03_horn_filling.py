@@ -10,7 +10,7 @@ from exitpath.construction import build_exit
 from exitpath.gallery import load_span
 from exitpath.simplicial import nondeg
 from exitpath.verify import (
-    FaceIndex,
+    FaceRows,
     HornProblem,
     enumerate_horns,
     find_filler,
@@ -39,7 +39,7 @@ print(f"  horn: {h.describe()}")
 print(f"  filler: {find_filler(ex, h)}")
 print()
 
-horns = enumerate_horns(ex, 2, 1)
-index = FaceIndex(ex, 2, 1)
-fillable = sum(find_filler(ex, horn, index=index) is not None for horn in horns)
+faces = FaceRows(ex)  # one row store, shared by the enumeration and the fillers
+horns = enumerate_horns(ex, 2, 1, faces=faces)
+fillable = sum(find_filler(ex, horn, faces=faces) is not None for horn in horns)
 print(f"for scale: {fillable} of {len(horns)} inner 2-horns of Ex(broken) do fill")

@@ -326,7 +326,6 @@ class ExitComplex(SimplicialSet):
     def __init__(self, span: LinkedSpan, depth: int):
         super().__init__(f"Ex({span.name})<={depth}")
         self.span = span
-        self.depth = depth
         self.payload: dict[str, ExitSimplex] = {}
 
     def tagged(self, s: FormalSimplex) -> ExitSimplex:

@@ -239,13 +239,12 @@ def parse_smap(text: str, ssets: dict[str, SimplicialSet],
             if key in head:
                 raise ParseError(path, lineno, f"second {key} header")
             head[key] = _representable(_check_name, rest, path, lineno)
+            if key != "smap" and head[key] not in ssets:
+                raise ParseError(path, lineno, f"unknown sset {head[key]!r} as {key}")
         elif key == "map":
             domain, codomain = head.get("domain"), head.get("codomain")
             if domain is None or codomain is None:
                 raise ParseError(path, lineno, "map line before domain/codomain")
-            if domain not in ssets or codomain not in ssets:
-                raise ParseError(path, lineno,
-                                 f"unknown sset in {domain!r} -> {codomain!r}")
             eq = rest.split("=", 1)
             if len(eq) != 2:
                 raise ParseError(path, lineno, "map line needs '='")
@@ -273,6 +272,7 @@ def parse_span_file(path: str) -> LinkedSpan:
         text = fh.read()
     name = None
     refs: dict[str, str] = {}
+    lines: dict[str, int] = {}
     for lineno, line in _logical_lines(text, path):
         parts = line.split(None, 1)
         key, rest = parts[0], (parts[1] if len(parts) > 1 else "")
@@ -287,6 +287,7 @@ def parse_span_file(path: str) -> LinkedSpan:
             if len(eq) != 2 or eq[0].strip():
                 raise ParseError(path, lineno, f"expected '{key} = <path>'")
             refs[key] = eq[1].strip()
+            lines[key] = lineno
         else:
             raise ParseError(path, lineno, f"unknown directive {key!r}")
     if name is None:
@@ -297,9 +298,12 @@ def parse_span_file(path: str) -> LinkedSpan:
     base = os.path.dirname(os.path.abspath(path))
 
     def read(slot: str) -> str:
-        ref = os.path.join(base, refs[slot])
-        with open(ref, encoding="utf-8") as fh:
-            return fh.read()
+        try:
+            with open(os.path.join(base, refs[slot]), encoding="utf-8") as fh:
+                return fh.read()
+        except OSError as e:
+            raise ParseError(path, lines[slot],
+                             f"cannot read {slot} document {refs[slot]!r}: {e.strerror}") from None
 
     ssets: dict[str, SimplicialSet] = {}
     parsed: dict[str, SimplicialSet] = {}

@@ -11,14 +11,15 @@ scan in canonical order would inspect.  Exhaustion marks the
 surrounding check "inconclusive" rather than guessing.
 
 The searches find their answers by lookup, but charge the scan's
-nodes, so verdicts under any budget are those of the scan.  Horn
-enumeration looks each slot's candidates up through an index of
-X_{n-1} on (slot, face) and charges each partial horn |X_{n-1}| nodes
-before its lookup.  Filler and lift searches look up a face index
-built once per horn shape: a hit at position p costs p + 1 nodes and a
-miss costs every candidate.  One check call builds each degree's face
-rows and (slot, face) index once (FaceRows), shares them across its
-horn shapes and drops them when it returns.
+nodes, so verdicts under any budget are those of the scan.  All of
+them read one row store, FaceRows: each degree's face rows and their
+index on (slot, face), built once per check call, shared across its
+horn shapes and dropped when it returns.  Horn enumeration looks each
+slot's candidates up in X_{n-1} and charges each partial horn
+|X_{n-1}| nodes before its lookup.  Filler and lift searches are one
+search, FaceRows.first: the first n-simplex whose faces match the horn
+(and, for a lift, that maps to the base); a hit at position p costs
+p + 1 nodes and a miss costs |X_n|.
 """
 
 from __future__ import annotations
@@ -230,20 +231,21 @@ def horn_is_compatible(X: SimplicialSet, h: HornProblem) -> bool:
     return True
 
 
-FaceRow = tuple[FormalSimplex, tuple[FormalSimplex, ...]]
+FaceRow = tuple[int, FormalSimplex, tuple[FormalSimplex, ...]]
 
 
 class FaceRows:
     """The face rows of one simplicial set X, degree by degree, each
     degree built once on first use.
 
-    at(n) lists X_n in canonical order, each simplex with its faces
-    (d_0 x, ..., d_n x); vertices get an empty tuple.  matching(n,
-    wanted) lists, in the same order, the rows whose face at slot a is
-    g for every (a, g) in wanted, found through an index of X_n on
-    (slot, face).  One check call holds one FaceRows per simplicial set
-    and shares it across its horn shapes; it is freed with the call,
-    so nothing is kept on X itself.
+    at(n) lists X_n in canonical order as rows (pos, x, faces): x's
+    position in that order and its faces (d_0 x, ..., d_n x); vertices
+    get an empty tuple.  matching(n, wanted) lists, in the same order,
+    the rows whose face at slot a is g for every (a, g) in wanted, found
+    through an index of X_n on (slot, face).  first() is the one search
+    for fillers and lifts.  One check call holds one FaceRows per
+    simplicial set and shares it across its horn shapes; it is freed
+    with the call, so nothing is kept on X itself.
     """
 
     def __init__(self, X: SimplicialSet):
@@ -256,8 +258,8 @@ class FaceRows:
         if rows is None:
             X = self.X
             rows = self._rows[n] = [
-                (x, tuple(X.face(x, a) for a in range(n + 1)) if n else ())
-                for x in X.simplices_at(n)]
+                (pos, x, tuple(X.face(x, a) for a in range(n + 1)) if n else ())
+                for pos, x in enumerate(X.simplices_at(n))]
         return rows
 
     def matching(self, n: int, wanted: list[tuple[int, FormalSimplex]]) -> list[FaceRow]:
@@ -267,41 +269,23 @@ class FaceRows:
         if index is None:
             index = self._by_face[n] = {}
             for row in self.at(n):
-                for key in enumerate(row[1]):
+                for key in enumerate(row[2]):
                     index.setdefault(key, []).append(row)
         hits = index.get(wanted[0], [])
         rest = wanted[1:]
-        return [row for row in hits if all(row[1][a] == g for a, g in rest)] if rest else hits
+        return [row for row in hits if all(row[2][a] == g for a, g in rest)] if rest else hits
 
-
-class FaceIndex:
-    """The n-simplices of X keyed by an optional base key and their faces
-    at every slot but `missing`, for the searches over one horn shape.
-
-    find() answers what a scan in canonical order would, at the same
-    node cost: a hit at position p spends p + 1 nodes, a miss spends one
-    per simplex.  faces is a FaceRows of X to read the rows from; by
-    default the index builds its own.
-    """
-
-    def __init__(self, X: SimplicialSet, n: int, missing: int,
-                 key: Callable[[FormalSimplex], FormalSimplex] | None = None,
-                 *, faces: FaceRows | None = None):
-        rows = (FaceRows(X) if faces is None else faces).at(n)
-        self.size = len(rows)
-        self._first: dict[tuple, tuple[int, FormalSimplex]] = {}
-        for pos, (x, x_faces) in enumerate(rows):
-            k = (None if key is None else key(x), x_faces[:missing] + x_faces[missing + 1:])
-            self._first.setdefault(k, (pos, x))
-
-    def find(self, h: HornProblem, budget: Budget,
-             base: FormalSimplex | None = None) -> FormalSimplex | None:
-        hit = self._first.get((base, tuple(f for _, f in h.present())))
-        if hit is None:
-            budget.spend(self.size)
-            return None
-        budget.spend(hit[0] + 1)
-        return hit[1]
+    def first(self, n: int, wanted: list[tuple[int, FormalSimplex]], budget: Budget,
+              accept: Callable[[FormalSimplex], bool] | None = None) -> FormalSimplex | None:
+        """The first n-simplex of matching(n, wanted) that accept allows
+        (any, by default), at the node cost of a scan of X_n in canonical
+        order: a hit at position p spends p + 1 nodes, a miss |X_n|."""
+        for pos, x, _ in self.matching(n, wanted):
+            if accept is None or accept(x):
+                budget.spend(pos + 1)
+                return x
+        budget.spend(len(self.at(n)))
+        return None
 
 
 def enumerate_horns(X: SimplicialSet, n: int, missing: int,
@@ -335,12 +319,12 @@ def enumerate_horns(X: SimplicialSet, n: int, missing: int,
     def extend(chosen: dict[int, FaceRow], depth: int):
         if depth == len(slots):
             out.append(HornProblem(n, missing, tuple(
-                chosen[a][0] if a in chosen else None for a in range(n + 1))))
+                chosen[a][1] if a in chosen else None for a in range(n + 1))))
             return
         b = slots[depth]
         budget.spend(size)
         # a < b always: slots ascend, and chosen keeps that order
-        wanted = [(a, g_faces[b - 1]) for a, (_, g_faces) in chosen.items()]
+        wanted = [(a, g_faces[b - 1]) for a, (_, _, g_faces) in chosen.items()]
         for row in faces.matching(n - 1, wanted):
             chosen[b] = row
             extend(chosen, depth + 1)
@@ -351,15 +335,13 @@ def enumerate_horns(X: SimplicialSet, n: int, missing: int,
 
 
 def find_filler(X: SimplicialSet, h: HornProblem, budget: Budget | None = None,
-                index: FaceIndex | None = None) -> FormalSimplex | None:
-    """First n-simplex whose faces extend the horn, in canonical order.
-
-    index is a FaceIndex of X_n for the horn's shape; callers filling
-    many horns of one shape build it once and pass it in."""
-    budget = budget or Budget(None)
-    if index is None:
-        index = FaceIndex(X, h.n, h.missing)
-    return index.find(h, budget)
+                *, faces: FaceRows | None = None) -> FormalSimplex | None:
+    """First n-simplex whose faces extend the horn, in canonical order,
+    at a scan's node cost (FaceRows.first).  faces is a FaceRows of X to
+    share with other horns; by default the call builds its own."""
+    if faces is None:
+        faces = FaceRows(X)
+    return faces.first(h.n, h.present(), budget or Budget(None))
 
 
 def verify_quasicategory(X: SimplicialSet, depth: int,
@@ -386,12 +368,11 @@ def _horn_block(X: SimplicialSet, n: int, i: int, budget: int | None,
         horns = enumerate_horns(X, n, i, Budget(budget), faces=faces)
     except BudgetExhausted:
         return CheckEntry(name, "inconclusive", detail="enumeration budget exhausted")
-    index = FaceIndex(X, n, i, faces=faces)
     unfilled = None
     exhausted = 0
     for h in horns:
         try:
-            if find_filler(X, h, Budget(budget), index) is None:
+            if find_filler(X, h, Budget(budget), faces=faces) is None:
                 unfilled = h
                 break
         except BudgetExhausted:
@@ -440,19 +421,19 @@ def check_fibration(f: SimplicialMap, depth: int, kind: str = "right",
 def _lift_block(f: SimplicialMap, n: int, i: int, budget: int | None,
                 x_faces: FaceRows, y_faces: FaceRows) -> CheckEntry:
     name = f"lifts Lambda^{n}_{i}"
-    X = f.domain
     try:
-        horns = enumerate_horns(X, n, i, Budget(budget), faces=x_faces)
+        horns = enumerate_horns(f.domain, n, i, Budget(budget), faces=x_faces)
     except BudgetExhausted:
         return CheckEntry(name, "inconclusive", detail="enumeration budget exhausted")
-    lifts = FaceIndex(X, n, i, key=f, faces=x_faces)
     squares = 0
     exhausted = 0
     for h in horns:
-        for base, _ in y_faces.matching(n, [(a, f(g)) for a, g in h.present()]):
+        present = h.present()
+        for _, base, _ in y_faces.matching(n, [(a, f(g)) for a, g in present]):
             squares += 1
             try:
-                if lifts.find(h, Budget(budget), base) is None:
+                if x_faces.first(n, present, Budget(budget),
+                                 lambda x: f(x) == base) is None:
                     return CheckEntry(
                         name, "fail", detail=f"{squares} squares",
                         witness=f"no lift of {base!r} along {h.describe()}")

@@ -172,6 +172,36 @@ def test_parse_span_file_errors(tmp_path):
     assert "share the sset name" in str(e.value)
 
 
+def test_cli_names_the_line_of_an_unknown_smap_domain(tmp_path, capsys):
+    from exitpath.cli import INPUT_ERROR, main
+
+    # trivial's L is empty, so its iota document has no map lines
+    span_path = write_span_documents(load_span("trivial"), str(tmp_path))
+    doc = tmp_path / "trivial.iota.smap"
+    lines = doc.read_text().splitlines()
+    assert lines[1].startswith("domain ") and not any(x.startswith("map") for x in lines)
+    doc.write_text("\n".join([lines[0], "domain nope"] + lines[2:]) + "\n")
+    assert main(["check-mono", "--span", span_path]) == INPUT_ERROR
+    assert "trivial.iota.smap:2: unknown sset 'nope' as domain" in capsys.readouterr().err
+
+
+def test_span_file_names_the_line_of_a_missing_document(tmp_path, capsys):
+    from exitpath.cli import INPUT_ERROR, main
+
+    path = write_span_documents(load_span("trivial"), str(tmp_path))
+    with open(path) as fh:
+        text = fh.read()
+    with open(path, "w") as fh:
+        fh.write(text.replace("N = trivial.N.sset", "N = missing.sset"))
+    lineno = text.splitlines().index("N = trivial.N.sset") + 1
+    with pytest.raises(ParseError) as e:
+        parse_span_file(path)
+    assert e.value.lineno == lineno
+    assert main(["check-mono", "--span", path]) == INPUT_ERROR
+    err = capsys.readouterr().err
+    assert f"{path}:{lineno}: cannot read N document 'missing.sset'" in err
+
+
 def test_parse_error_integer_headers():
     e = parse_err("sset x\nmaxdim x\ndim 0\ngen a\n")
     assert e.lineno == 2 and "maxdim needs an integer, got 'x'" in str(e)

@@ -19,7 +19,6 @@ from exitpath.simplicial import (
 from exitpath.verify import (
     Budget,
     BudgetExhausted,
-    FaceIndex,
     FaceRows,
     HornProblem,
     VerificationReport,
@@ -40,6 +39,22 @@ def corrupted_triangle():
     X.add_generator(0, "b")
     X.add_generator(1, "e", [nondeg("b", 0), nondeg("a", 0)])
     X.add_generator(2, "T", [nondeg("e", 1), nondeg("e", 1), nondeg("e", 1)])
+    return X
+
+
+def one_entry_json(subject, bound, name, status, detail):
+    """The to_json() of a report with one entry and no witness."""
+    entry = {"name": name, "status": status, "detail": detail, "witness": None}
+    return json.dumps({"subject": subject, "bound": bound, "ok": status == "pass",
+                       "entries": [entry]}, sort_keys=True, indent=2)
+
+
+def bouquet(name, vertex, loops):
+    """One vertex and a loop at it for each label."""
+    X = SimplicialSet(name)
+    X.add_generator(0, vertex)
+    for label in loops:
+        X.add_generator(1, label, [nondeg(vertex, 0), nondeg(vertex, 0)])
     return X
 
 
@@ -130,10 +145,10 @@ def test_horn_enumeration_count():
     X = standard_simplex(1)
     horns = enumerate_horns(X, 2, 1)
     assert len(horns) == 4
-    index = FaceIndex(X, 2, 1)
+    faces = FaceRows(X)
     for h in horns:
         assert horn_is_compatible(X, h)
-        assert find_filler(X, h, index=index) is not None
+        assert find_filler(X, h, faces=faces) is not None
 
 
 def test_horn_compatibility_negative():
@@ -179,6 +194,22 @@ def test_quasicategory_budget_exhaustion_is_inconclusive():
     report = verify_quasicategory(X, 2, budget=1)
     assert not report.ok
     assert report.inconclusive and not report.failed
+
+
+def test_filler_searches_hitting_the_budget_are_counted():
+    # 29 triangles (a, a, a) come first, so the fillers of the horns
+    # (x, -, y) with x or y = b sit late in canonical order
+    Z = bouquet("Z", "v", ["a", "b"])
+    a, b = nondeg("a", 1), nondeg("b", 1)
+    for k in range(29):
+        Z.add_generator(2, f"T{k}", [a, a, a])
+    for label, (x, y) in zip("UVW", [(b, b), (a, b), (b, a)]):
+        Z.add_generator(2, label, [x, a, y])
+    name = "inner horns Lambda^2_1"
+    assert verify_quasicategory(Z, 2, 12).to_json() == one_entry_json(
+        "Z", 2, name, "inconclusive", "3/9 searches hit the budget")
+    assert verify_quasicategory(Z, 2).to_json() == one_entry_json(
+        "Z", 2, name, "pass", "9 horns filled")
 
 
 def test_unfillable_horn_is_witnessed():
@@ -292,12 +323,12 @@ def test_indexed_filler_matches_linear_scan():
     hits = misses = 0
     for span in search_spans():
         X = build_exit(span, 3)
+        faces = FaceRows(X)  # shared across shapes, as a check shares it
         for n, i, horns in all_horns(X, 3):
-            index = FaceIndex(X, n, i)
             for k, h in enumerate(horns):
-                filler = assert_same_search(lambda b: find_filler(X, h, b, index),
+                filler = assert_same_search(lambda b: find_filler(X, h, b, faces=faces),
                                             lambda b: linear_filler(X, h, b))
-                if k % 16 == 0:  # a standalone call builds its own index
+                if k % 16 == 0:  # a standalone call builds its own rows
                     assert find_filler(X, h) == filler
                 hits += filler is not None
                 misses += filler is None
@@ -308,12 +339,13 @@ def test_indexed_lift_matches_linear_scan():
     hits = misses = 0
     for span in search_spans():
         for f in (span.pi, span.iota):
+            faces = FaceRows(f.domain)
             for n, i, horns in all_horns(f.domain, 3):
-                index = FaceIndex(f.domain, n, i, key=f)
                 for h in horns:
                     for base in f.codomain.simplices_at(n):
-                        lift = assert_same_search(lambda b: index.find(h, b, base),
-                                                  lambda b: linear_lift(f, h, base, b))
+                        lift = assert_same_search(
+                            lambda b: faces.first(n, h.present(), b, lambda x: f(x) == base),
+                            lambda b: linear_lift(f, h, base, b))
                         hits += lift is not None
                         misses += lift is None
     assert hits and misses
@@ -384,6 +416,19 @@ def test_fibration_kind_validation():
     span = load_span("trivial")
     with pytest.raises(ValueError):
         check_fibration(span.pi, 2, kind="left")
+
+
+def test_lift_searches_hitting_the_budget_are_counted():
+    # the lift of the base g_k sits at position k of X_1, after s_0 x
+    X = bouquet("X", "x", [f"e{k}" for k in range(1, 6)])
+    Y = bouquet("Y", "y", [f"g{k}" for k in range(1, 6)])
+    f = SimplicialMap("f", X, Y, {"x": nondeg("y", 0),
+                                  **{f"e{k}": nondeg(f"g{k}", 1) for k in range(1, 6)}})
+    name = "lifts Lambda^1_1"
+    assert check_fibration(f, 1, "right", 3).to_json() == one_entry_json(
+        "f: X -> Y", 1, name, "inconclusive", "3/6 searches hit the budget")
+    assert check_fibration(f, 1, "right").to_json() == one_entry_json(
+        "f: X -> Y", 1, name, "pass", "6 squares lifted")
 
 
 # -- isomorphism -------------------------------------------------------------------------
