@@ -309,10 +309,7 @@ def exit_label(s: ExitSimplex) -> str:
         return f"M.{s.simplex.gen}"
     if isinstance(s, Upper):
         return f"N.{s.simplex.gen}"
-    gamma = s.path.gamma
-    word = degeneracy_word(gamma.degeneracy)
-    stem = gamma.gen if not word else f"{gamma.gen}+s{'s'.join(str(i) for i in word)}"
-    return f"P.{stem}@{s.path.index}"
+    return f"P.{s.path.gamma!r}@{s.path.index}"
 
 
 class ExitComplex(SimplicialSet):

@@ -40,6 +40,7 @@ class ParseError(ValueError):
 
 
 _LABEL_BAD = set("()#")
+_SLOTS = ("M", "L", "N", "pi", "iota")
 
 
 def _check_label(label: str):
@@ -53,13 +54,12 @@ def _check_name(name: str):
         raise ValueError(f"name {name!r} not representable in documents")
 
 
-def _representable(check, value: str, path: str, lineno: int) -> str:
-    """value, once check (_check_label or _check_name) accepts it."""
+def _at_line(path: str, lineno: int, call, *args):
+    """call(*args), with a ValueError from the model reported at lineno."""
     try:
-        check(value)
+        return call(*args)
     except ValueError as e:
         raise ParseError(path, lineno, str(e)) from None
-    return value
 
 
 def _word_str(word: tuple[int, ...]) -> str:
@@ -100,7 +100,7 @@ def print_span(span: LinkedSpan, paths: dict[str, str]) -> str:
     """paths maps the five slots M, L, N, pi, iota to relative paths."""
     _check_name(span.name)
     lines = [f"span {span.name}"]
-    for slot in ("M", "L", "N", "pi", "iota"):
+    for slot in _SLOTS:
         lines.append(f"{slot} = {paths[slot]}")
     return "\n".join(lines) + "\n"
 
@@ -108,11 +108,32 @@ def print_span(span: LinkedSpan, paths: dict[str, str]) -> str:
 # -- parsing ----------------------------------------------------------------
 
 
-def _logical_lines(text: str, path: str):
+_SSET_GRAMMAR = {"sset": "header", "maxdim": "header", "dim": None, "gen": None,
+                 "face": None}
+_SMAP_GRAMMAR = {"smap": "header", "domain": "header", "codomain": "header", "map": None}
+_SPAN_GRAMMAR = {"span": "header", **dict.fromkeys(_SLOTS, "line")}
+
+
+def _directives(text: str, path: str, grammar: dict[str, str | None]):
+    """(lineno, key, rest) for each line left once comments are stripped.
+
+    grammar maps each allowed key to the noun of a once-only directive
+    ('header', 'line'), or to None for a key that may repeat."""
+    seen = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
-        if line:
-            yield lineno, line
+        if not line:
+            continue
+        parts = line.split(None, 1)
+        key = parts[0]
+        if key not in grammar:
+            raise ParseError(path, lineno, f"unknown directive {key!r}")
+        noun = grammar[key]
+        if noun is not None:
+            if key in seen:
+                raise ParseError(path, lineno, f"second {key} {noun}")
+            seen.add(key)
+        yield lineno, key, (parts[1] if len(parts) > 1 else "")
 
 
 def _parse_entry(rest: str, path: str, lineno: int, dim: int) -> FormalSimplex:
@@ -137,6 +158,7 @@ def _parse_entry(rest: str, path: str, lineno: int, dim: int) -> FormalSimplex:
 def parse_sset(text: str, path: str = "<sset>") -> SimplicialSet:
     X: SimplicialSet | None = None
     maxdim: int | None = None
+    maxdim_line = 1
     cur_dim: int | None = None
     pending: tuple[str, int, list[FormalSimplex | None], str | None, int] | None = None
 
@@ -146,14 +168,8 @@ def parse_sset(text: str, path: str = "<sset>") -> SimplicialSet:
         except ValueError:
             raise ParseError(path, lineno, f"{key} needs an integer, got {rest!r}") from None
 
-    def add(lineno: int, d: int, label: str, faces, note):
-        # the gen line answers for a duplicate label or a bad face entry
-        try:
-            X.add_generator(d, label, faces, note=note)
-        except ValueError as e:
-            raise ParseError(path, lineno, str(e)) from None
-
     def flush():
+        # the gen line answers for a duplicate label or a bad face entry
         nonlocal pending
         if pending is None:
             return
@@ -161,22 +177,17 @@ def parse_sset(text: str, path: str = "<sset>") -> SimplicialSet:
         missing = [i for i, f in enumerate(faces) if f is None]
         if missing:
             raise ParseError(path, at, f"generator {label!r} missing faces {missing}")
-        add(at, d, label, faces, note)
+        _at_line(path, at, X.add_generator, d, label, faces, note)
         pending = None
 
-    for lineno, line in _logical_lines(text, path):
-        parts = line.split(None, 1)
-        key, rest = parts[0], (parts[1] if len(parts) > 1 else "")
+    for lineno, key, rest in _directives(text, path, _SSET_GRAMMAR):
         if key == "sset":
-            if X is not None:
-                raise ParseError(path, lineno, "second sset header")
-            X = SimplicialSet(_representable(_check_name, rest, path, lineno))
+            _at_line(path, lineno, _check_name, rest)
+            X = SimplicialSet(rest)
         elif X is None:
             raise ParseError(path, lineno, "document must start with 'sset <name>'")
         elif key == "maxdim":
-            if maxdim is not None:
-                raise ParseError(path, lineno, "second maxdim header")
-            maxdim = integer(lineno, key, rest)
+            maxdim, maxdim_line = integer(lineno, key, rest), lineno
         elif key == "dim":
             flush()
             cur_dim = integer(lineno, key, rest)
@@ -190,12 +201,12 @@ def parse_sset(text: str, path: str = "<sset>") -> SimplicialSet:
                 label, note = (p.strip() for p in rest.split("::", 1))
             else:
                 label, note = rest.strip(), None
-            _representable(_check_label, label, path, lineno)
+            _at_line(path, lineno, _check_label, label)
             if cur_dim == 0:
-                add(lineno, 0, label, None, note)
+                _at_line(path, lineno, X.add_generator, 0, label, None, note)
             else:
                 pending = (label, cur_dim, [None] * (cur_dim + 1), note, lineno)
-        elif key == "face":
+        else:
             if pending is None:
                 raise ParseError(path, lineno, "face line outside a generator block")
             eq = rest.split("=", 1)
@@ -211,20 +222,15 @@ def parse_sset(text: str, path: str = "<sset>") -> SimplicialSet:
             if faces[i] is not None:
                 raise ParseError(path, lineno, f"face {i} of {label!r} given twice")
             faces[i] = _parse_entry(eq[1], path, lineno, d - 1)
-        else:
-            raise ParseError(path, lineno, f"unknown directive {key!r}")
     if X is None:
         raise ParseError(path, 1, "empty document")
     flush()
     if maxdim is None:
         raise ParseError(path, 1, "missing maxdim header")
     if maxdim != X.max_gen_dim:
-        raise ParseError(path, 1,
+        raise ParseError(path, maxdim_line,
                          f"maxdim says {maxdim} but generators reach {X.max_gen_dim}")
-    try:
-        X.assert_coherent()
-    except ValueError as e:
-        raise ParseError(path, 1, str(e)) from None
+    _at_line(path, 1, X.assert_coherent)
     return X
 
 
@@ -232,38 +238,30 @@ def parse_smap(text: str, ssets: dict[str, SimplicialSet],
                path: str = "<smap>") -> SimplicialMap:
     head: dict[str, str] = {}
     assignment: dict[str, FormalSimplex] = {}
-    for lineno, line in _logical_lines(text, path):
-        parts = line.split(None, 1)
-        key, rest = parts[0], (parts[1] if len(parts) > 1 else "")
-        if key in ("smap", "domain", "codomain"):
-            if key in head:
-                raise ParseError(path, lineno, f"second {key} header")
-            head[key] = _representable(_check_name, rest, path, lineno)
-            if key != "smap" and head[key] not in ssets:
-                raise ParseError(path, lineno, f"unknown sset {head[key]!r} as {key}")
-        elif key == "map":
-            domain, codomain = head.get("domain"), head.get("codomain")
-            if domain is None or codomain is None:
-                raise ParseError(path, lineno, "map line before domain/codomain")
-            eq = rest.split("=", 1)
-            if len(eq) != 2:
-                raise ParseError(path, lineno, "map line needs '='")
-            g = eq[0].strip()
-            dom = ssets[domain]
-            if g not in dom.gen_dims:
-                raise ParseError(path, lineno, f"unknown domain generator {g!r}")
-            if g in assignment:
-                raise ParseError(path, lineno, f"second map line for {g!r}")
-            assignment[g] = _parse_entry(eq[1], path, lineno, dom.gen_dims[g])
-        else:
-            raise ParseError(path, lineno, f"unknown directive {key!r}")
+    for lineno, key, rest in _directives(text, path, _SMAP_GRAMMAR):
+        if key != "map":
+            _at_line(path, lineno, _check_name, rest)
+            if key != "smap" and rest not in ssets:
+                raise ParseError(path, lineno, f"unknown sset {rest!r} as {key}")
+            head[key] = rest
+            continue
+        domain, codomain = head.get("domain"), head.get("codomain")
+        if domain is None or codomain is None:
+            raise ParseError(path, lineno, "map line before domain/codomain")
+        eq = rest.split("=", 1)
+        if len(eq) != 2:
+            raise ParseError(path, lineno, "map line needs '='")
+        g = eq[0].strip()
+        dom = ssets[domain]
+        if g not in dom.gen_dims:
+            raise ParseError(path, lineno, f"unknown domain generator {g!r}")
+        if g in assignment:
+            raise ParseError(path, lineno, f"second map line for {g!r}")
+        assignment[g] = _parse_entry(eq[1], path, lineno, dom.gen_dims[g])
     if len(head) < 3:
         raise ParseError(path, 1, "missing smap/domain/codomain header")
-    try:
-        return SimplicialMap(head["smap"], ssets[head["domain"]], ssets[head["codomain"]],
-                             assignment)
-    except ValueError as e:
-        raise ParseError(path, 1, str(e)) from None
+    return _at_line(path, 1, SimplicialMap, head["smap"], ssets[head["domain"]],
+                    ssets[head["codomain"]], assignment)
 
 
 def parse_span_file(path: str) -> LinkedSpan:
@@ -271,60 +269,50 @@ def parse_span_file(path: str) -> LinkedSpan:
     with open(path, encoding="utf-8") as fh:
         text = fh.read()
     name = None
-    refs: dict[str, str] = {}
-    lines: dict[str, int] = {}
-    for lineno, line in _logical_lines(text, path):
-        parts = line.split(None, 1)
-        key, rest = parts[0], (parts[1] if len(parts) > 1 else "")
+    slots: dict[str, tuple[str, int]] = {}
+    for lineno, key, rest in _directives(text, path, _SPAN_GRAMMAR):
         if key == "span":
-            if name is not None:
-                raise ParseError(path, lineno, "second span header")
-            name = _representable(_check_name, rest, path, lineno)
-        elif key in ("M", "L", "N", "pi", "iota"):
-            if key in refs:
-                raise ParseError(path, lineno, f"second {key} line")
-            eq = rest.split("=", 1)
-            if len(eq) != 2 or eq[0].strip():
-                raise ParseError(path, lineno, f"expected '{key} = <path>'")
-            refs[key] = eq[1].strip()
-            lines[key] = lineno
-        else:
-            raise ParseError(path, lineno, f"unknown directive {key!r}")
+            _at_line(path, lineno, _check_name, rest)
+            name = rest
+            continue
+        eq = rest.split("=", 1)
+        if len(eq) != 2 or eq[0].strip():
+            raise ParseError(path, lineno, f"expected '{key} = <path>'")
+        slots[key] = (eq[1].strip(), lineno)
     if name is None:
         raise ParseError(path, 1, "missing span header")
-    missing = [k for k in ("M", "L", "N", "pi", "iota") if k not in refs]
+    missing = [k for k in _SLOTS if k not in slots]
     if missing:
         raise ParseError(path, 1, f"span document missing slots {missing}")
     base = os.path.dirname(os.path.abspath(path))
 
     def read(slot: str) -> str:
+        ref, lineno = slots[slot]
         try:
-            with open(os.path.join(base, refs[slot]), encoding="utf-8") as fh:
+            with open(os.path.join(base, ref), encoding="utf-8") as fh:
                 return fh.read()
         except OSError as e:
-            raise ParseError(path, lines[slot],
-                             f"cannot read {slot} document {refs[slot]!r}: {e.strerror}") from None
+            raise ParseError(path, lineno,
+                             f"cannot read {slot} document {ref!r}: {e.strerror}") from None
 
     ssets: dict[str, SimplicialSet] = {}
-    parsed: dict[str, SimplicialSet] = {}
     cache: dict[str, SimplicialSet] = {}
     for slot in ("M", "L", "N"):
-        ref = refs[slot]
+        ref, lineno = slots[slot]
         if ref not in cache:
             X = parse_sset(read(slot), ref)
             if X.name in ssets:
-                raise ParseError(path, 1,
+                raise ParseError(path, lineno,
                                  f"two distinct documents share the sset name {X.name!r}")
-            ssets[X.name] = X
-            cache[ref] = X
-        parsed[slot] = cache[ref]
-    pi = parse_smap(read("pi"), ssets, refs["pi"])
-    iota = parse_smap(read("iota"), ssets, refs["iota"])
-    if pi.domain is not parsed["L"] or pi.codomain is not parsed["M"]:
-        raise ParseError(path, 1, "pi must map the L document to the M document")
-    if iota.domain is not parsed["L"] or iota.codomain is not parsed["N"]:
-        raise ParseError(path, 1, "iota must map the L document to the N document")
-    return LinkedSpan(name, parsed["M"], parsed["L"], parsed["N"], pi, iota)
+            ssets[X.name] = cache[ref] = X
+    M, L, N = (cache[slots[slot][0]] for slot in ("M", "L", "N"))
+    pi = parse_smap(read("pi"), ssets, slots["pi"][0])
+    iota = parse_smap(read("iota"), ssets, slots["iota"][0])
+    for slot, f, letter, target in (("pi", pi, "M", M), ("iota", iota, "N", N)):
+        if f.domain is not L or f.codomain is not target:
+            raise ParseError(path, slots[slot][1],
+                             f"{slot} must map the L document to the {letter} document")
+    return LinkedSpan(name, M, L, N, pi, iota)
 
 
 def write_span_documents(span: LinkedSpan, directory: str) -> str:

@@ -113,7 +113,7 @@ class GalleryEntry:
     name: str
     build: Callable[[], LinkedSpan]
     summary: str
-    hypotheses_hold: bool  # iota cofibration + pi right fibration
+    hypotheses_hold: bool  # M, N quasicategories; iota mono; pi a right fibration
     oracle: Callable[[], SimplicialSet] | None = None
 
 

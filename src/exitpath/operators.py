@@ -109,6 +109,14 @@ def monotone_maps(src_dim: int, dst_dim: int):
         yield Operator(src_dim, dst_dim, values)
 
 
+def _values_from_repeats(src_dim: int, repeats: set[int]) -> tuple[int, ...]:
+    """Values of the surjection on [src_dim] with op(i) == op(i+1) exactly at repeats."""
+    values = [0]
+    for i in range(src_dim):
+        values.append(values[-1] if i in repeats else values[-1] + 1)
+    return tuple(values)
+
+
 def surjections(src_dim: int, dst_dim: int):
     """All surjective operators [src_dim] ->> [dst_dim], lexicographic in values.
 
@@ -120,11 +128,7 @@ def surjections(src_dim: int, dst_dim: int):
     if drops < 0:
         return
     for repeats in combinations(range(src_dim), drops):
-        rset = set(repeats)
-        values = [0]
-        for i in range(src_dim):
-            values.append(values[-1] if i in rset else values[-1] + 1)
-        yield Operator(src_dim, dst_dim, tuple(values))
+        yield Operator(src_dim, dst_dim, _values_from_repeats(src_dim, set(repeats)))
 
 
 def injections(src_dim: int, dst_dim: int):
@@ -151,7 +155,4 @@ def surjection_from_word(src_dim: int, word: tuple[int, ...]) -> Operator:
     rset = set(word)
     if len(rset) != len(word) or any(not 0 <= i < src_dim for i in word):
         raise ValueError(f"bad degeneracy word {word} for [{src_dim}]")
-    values = [0]
-    for i in range(src_dim):
-        values.append(values[-1] if i in rset else values[-1] + 1)
-    return Operator(src_dim, src_dim - len(word), tuple(values))
+    return Operator(src_dim, src_dim - len(word), _values_from_repeats(src_dim, rset))

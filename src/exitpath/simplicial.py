@@ -259,7 +259,7 @@ class SimplicialMap:
     """
 
     def __init__(self, name: str, domain: SimplicialSet, codomain: SimplicialSet,
-                 assignment: dict[str, FormalSimplex], check: bool = True):
+                 assignment: dict[str, FormalSimplex]):
         self.name = name
         self.domain = domain
         self.codomain = codomain
@@ -275,10 +275,9 @@ class SimplicialMap:
                                  f"want {domain.gen_dims[g]}")
             if not codomain.has_simplex(t):
                 raise ValueError(f"{name}: image of {g!r} not in {codomain.name}")
-        if check:
-            problems = self.audit()
-            if problems:
-                raise ValueError("; ".join(problems))
+        problems = self.audit()
+        if problems:
+            raise ValueError("; ".join(problems))
 
     def __call__(self, s: FormalSimplex) -> FormalSimplex:
         return self.codomain.act(self.assignment[s.gen], s.degeneracy)

@@ -368,18 +368,14 @@ def _horn_block(X: SimplicialSet, n: int, i: int, budget: int | None,
         horns = enumerate_horns(X, n, i, Budget(budget), faces=faces)
     except BudgetExhausted:
         return CheckEntry(name, "inconclusive", detail="enumeration budget exhausted")
-    unfilled = None
     exhausted = 0
     for h in horns:
         try:
             if find_filler(X, h, Budget(budget), faces=faces) is None:
-                unfilled = h
-                break
+                return CheckEntry(name, "fail", detail=f"{len(horns)} horns",
+                                  witness=f"no filler for {h.describe()}")
         except BudgetExhausted:
             exhausted += 1
-    if unfilled is not None:
-        return CheckEntry(name, "fail", detail=f"{len(horns)} horns",
-                          witness=f"no filler for {unfilled.describe()}")
     if exhausted:
         return CheckEntry(name, "inconclusive",
                           detail=f"{exhausted}/{len(horns)} searches hit the budget")

@@ -126,7 +126,7 @@ def test_parse_error_face_bookkeeping():
 
 def test_parse_error_maxdim_mismatch():
     e = parse_err("sset x\nmaxdim 3\ndim 0\ngen a\n")
-    assert "maxdim says 3" in str(e)
+    assert "maxdim says 3" in str(e) and e.lineno == 2
     e = parse_err("sset x\ndim 0\ngen a\n")
     assert "missing maxdim" in str(e)
 
@@ -169,7 +169,8 @@ def test_parse_span_file_errors(tmp_path):
                  "pi = p.smap\niota = i.smap\n")
     with pytest.raises(ParseError) as e:
         parse_span_file(str(q))
-    assert "share the sset name" in str(e.value)
+    # the L slot line, whose document repeats M's name
+    assert "share the sset name" in str(e.value) and e.value.lineno == 3
 
 
 def test_cli_names_the_line_of_an_unknown_smap_domain(tmp_path, capsys):
@@ -245,7 +246,9 @@ def test_cli_names_the_document_line(tmp_path, capsys):
     ("sset x\nmaxdim 0\ndim 0\ngen a b\n", 4, "label 'a b' not representable"),
     ("# heading\nsset\nmaxdim 0\ndim 0\ngen a\n", 2, "name '' not representable"),
     ("sset x\nmaxdim 0\nmaxdim 0\ndim 0\ngen a\n", 3, "second maxdim header"),
-], ids=["gen-no-label", "gen-note-no-label", "gen-two-words", "sset-no-name", "maxdim-twice"])
+    ("  bogus 1\nsset x\nmaxdim 0\n", 1, "unknown directive 'bogus'"),
+], ids=["gen-no-label", "gen-note-no-label", "gen-two-words", "sset-no-name", "maxdim-twice",
+        "unknown-first-directive"])
 def test_parse_sset_rejects_what_it_cannot_print(text, lineno, message):
     e = parse_err(text)
     assert e.lineno == lineno and message in str(e)
@@ -313,3 +316,17 @@ def test_cli_names_the_line_of_an_unrepresentable_label(tmp_path, capsys):
     assert main(["build-exit", "--span", span_path, "--out", str(out)]) == INPUT_ERROR
     assert "boundary-collar.N.sset:5: label '1 x' not representable" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_cli_names_the_slot_line_of_a_map_between_the_wrong_documents(tmp_path, capsys):
+    from exitpath.cli import INPUT_ERROR, main
+
+    span_path = write_span_documents(load_span("trivial"), str(tmp_path))
+    doc = tmp_path / "trivial.pi.smap"
+    lines = doc.read_text().splitlines()
+    assert lines[2] == "codomain emptyM"
+    doc.write_text("\n".join(lines[:2] + ["codomain chain3"] + lines[3:]) + "\n")
+    assert main(["check-mono", "--span", span_path]) == INPUT_ERROR
+    err = capsys.readouterr().err
+    assert "trivial.span:5: pi must map the L document to the M document" in err
+

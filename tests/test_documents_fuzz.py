@@ -1,0 +1,101 @@
+"""Seeded mutation fuzz of the document parsers.
+
+Each case emits a gallery span's documents, breaks one file in one
+way, and reads the span back.  The reader must either return a span or
+raise ParseError at a line that exists in the file it names; any other
+exception is a parser bug.  Each span's cases come from one seeded
+random.Random, so a failure reproduces exactly.
+"""
+
+import os
+import random
+
+import pytest
+
+from exitpath.documents import ParseError, parse_span_file, write_span_documents
+from exitpath.gallery import GALLERY, load_span
+
+# directive keys of the three grammars, and words no grammar accepts
+KEYS = ["sset", "maxdim", "dim", "gen", "face", "smap", "domain", "codomain", "map",
+        "span", "M", "L", "N", "pi", "iota"]
+BAD_WORDS = ["(9)", "(0 0)", "(", ")", "()", "=", "::", "-1", "x", "9", "0"]
+
+
+def _sset_names(docs: dict[str, str]) -> list[str]:
+    return sorted(text.split("\n", 1)[0].split(None, 1)[1]
+                  for fname, text in docs.items() if fname.endswith(".sset"))
+
+
+def mutate(text: str, rng: random.Random, words: list[str]) -> str:
+    """text with one line deleted, duplicated, truncated, given a swapped
+    token or a junk neighbour, or with the whole file cut short."""
+    lines = text.splitlines()
+    kind = rng.randrange(6)
+    if kind == 5 or not lines:
+        return text[:rng.randrange(len(text) + 1)]
+    at = rng.randrange(len(lines))
+    if kind == 0:
+        del lines[at]
+    elif kind == 1:
+        lines.insert(at, lines[at])
+    elif kind == 2:
+        lines[at] = lines[at][:rng.randrange(len(lines[at]) + 1)]
+    elif kind == 3:
+        tokens = lines[at].split() or [""]
+        tokens[rng.randrange(len(tokens))] = rng.choice(words)
+        lines[at] = " ".join(tokens)
+    else:
+        junk = " ".join(rng.choice(words) for _ in range(rng.randrange(1, 4)))
+        lines.insert(at, junk)
+    return "\n".join(lines) + "\n"
+
+
+def emitted(name: str, directory: str) -> tuple[str, dict[str, str]]:
+    """The span file path and the text of every document it names."""
+    span_path = write_span_documents(load_span(name), directory)
+    docs = {}
+    for fname in sorted(os.listdir(directory)):
+        with open(os.path.join(directory, fname), encoding="utf-8") as fh:
+            docs[fname] = fh.read()
+    return span_path, docs
+
+
+def run_case(span_path: str, docs: dict[str, str], rng: random.Random):
+    """Mutate one document in place, parse, restore.
+
+    Returns the span or the ParseError, and the texts that were read."""
+    directory = os.path.dirname(span_path)
+    fname = rng.choice(sorted(docs))
+    texts = dict(docs)
+    texts[fname] = mutate(docs[fname], rng, KEYS + BAD_WORDS + _sset_names(docs))
+    target = os.path.join(directory, fname)
+    with open(target, "w", encoding="utf-8") as fh:
+        fh.write(texts[fname])
+    try:
+        return parse_span_file(span_path), texts
+    except ParseError as e:
+        return e, texts
+    finally:
+        with open(target, "w", encoding="utf-8") as fh:
+            fh.write(docs[fname])
+
+
+CASES_PER_SPAN = 200
+
+
+@pytest.mark.parametrize("name", sorted(GALLERY))
+def test_mutated_documents_parse_or_name_a_real_line(name, tmp_path):
+    span_path, docs = emitted(name, str(tmp_path))
+    rng = random.Random(f"documents-fuzz-{name}")
+    outcomes = {"span": 0, "error": 0}
+    for _ in range(CASES_PER_SPAN):
+        result, texts = run_case(span_path, docs, rng)
+        if isinstance(result, ParseError):
+            outcomes["error"] += 1
+            # slot documents are named by their path relative to the span file
+            lines = texts[os.path.basename(result.path)].splitlines()
+            assert 1 <= result.lineno <= max(1, len(lines)), str(result)
+        else:
+            outcomes["span"] += 1
+    # the mutations reach both outcomes, so neither branch is vacuous
+    assert outcomes["error"] > 0
