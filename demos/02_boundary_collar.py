@@ -8,7 +8,6 @@ edge, and the complex glues them to the boundary stratum.
 
 from exitpath.construction import (
     Exit,
-    ExitPath,
     build_exit,
     exit_face,
     exit_simplices,
@@ -31,7 +30,7 @@ for gamma in (edge, degenerate_at_0, degenerate_at_1):
     print(f"  ({gamma!r}, 1): {is_exit_path(span, gamma, 1)}")
 print()
 
-p = Exit(ExitPath(edge, 1))
+p = Exit(edge, 1)
 print(f"faces of the exit edge {p!r}:")
 print(f"  d_1 (low)   = {exit_face(span, p, 1)!r}   # through pi after the lift")
 print(f"  d_0 (upper) = {exit_face(span, p, 0)!r}")

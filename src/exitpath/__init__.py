@@ -36,7 +36,6 @@ from .shuffles import (
 from .construction import (
     Exit,
     ExitComplex,
-    ExitPath,
     IotaNotMono,
     LinkedSpan,
     Low,

@@ -221,10 +221,13 @@ def cmd_examples(args) -> int:
     # emit
     name = args.name
     if name not in GALLERY:
-        raise ValueError(f"unknown example {name!r}; gallery: {', '.join(sorted(GALLERY))}")
-    span = load_span(name)
-    path = write_span_documents(span, args.dir)
-    print(f"wrote {path}")
+        what = "examples emit needs a span name" if name is None else f"unknown example {name!r}"
+        raise ValueError(f"{what}; gallery: {', '.join(sorted(GALLERY))}")
+    path = write_span_documents(load_span(name), args.dir)
+    if args.format == "machine":
+        print(json.dumps({"name": name, "span": path}, sort_keys=True, indent=2))
+    else:
+        print(f"wrote {path}")
     return PASS
 
 

@@ -6,10 +6,10 @@ injective).  Its exit complex Ex has
     Ex_0 = M_0 + N_0
     Ex_k = M_k + P_{k-1} + N_k        (k >= 1)
 
-where P_{k-1} consists of the exit paths: pairs (gamma, j) of a
-k-simplex gamma of N and an exit index 1 <= j <= k such that the
-restriction of gamma . C_j to level 0 of the prism factors through
-iota.  Since iota is mono the factorization is unique.
+where P_{k-1} consists of the exit paths, the Exit values: pairs
+(gamma, j) of a k-simplex gamma of N and an exit index 1 <= j <= k such
+that the restriction of gamma . C_j to level 0 of the prism factors
+through iota.  Since iota is mono the factorization is unique.
 
 Membership is decided once per generator of N and front face.  Write
 gamma = sigma^* g with sigma: [k] ->> [d] and g nondegenerate.  The
@@ -58,8 +58,20 @@ class IotaNotMono(RuntimeError):
 
 
 @dataclass(frozen=True)
-class ExitPath:
-    """A k-simplex gamma of N together with its exit index j.
+class Low:
+    simplex: FormalSimplex
+
+    @property
+    def dim(self) -> int:
+        return self.simplex.dim
+
+    def __repr__(self):
+        return f"low[{self.simplex!r}]"
+
+
+@dataclass(frozen=True)
+class Exit:
+    """An exit path: a k-simplex gamma of N together with its exit index j.
 
     Equality is equality of both coordinates; the same gamma with two
     different indices gives two different simplices of Ex.
@@ -77,31 +89,7 @@ class ExitPath:
         return self.gamma.dim
 
     def __repr__(self):
-        return f"({self.gamma!r}@{self.index})"
-
-
-@dataclass(frozen=True)
-class Low:
-    simplex: FormalSimplex
-
-    @property
-    def dim(self) -> int:
-        return self.simplex.dim
-
-    def __repr__(self):
-        return f"low[{self.simplex!r}]"
-
-
-@dataclass(frozen=True)
-class Exit:
-    path: ExitPath
-
-    @property
-    def dim(self) -> int:
-        return self.path.dim
-
-    def __repr__(self):
-        return f"exit{self.path!r}"
+        return f"exit({self.gamma!r}@{self.index})"
 
 
 @dataclass(frozen=True)
@@ -193,13 +181,13 @@ def is_exit_path(span: LinkedSpan, gamma: FormalSimplex, j: int) -> bool:
     return span.front_lifts(gamma.gen, gamma.degeneracy.values[j - 1])
 
 
-def exit_simplices(span: LinkedSpan, k: int) -> list[ExitPath]:
+def exit_simplices(span: LinkedSpan, k: int) -> list[Exit]:
     """All exit paths of dimension k, in (N-simplex order, index) order."""
     if k < 1:
         return []
     span.require_iota(k - 1)
     lifts = span.front_lifts
-    return [ExitPath(gamma, j)
+    return [Exit(gamma, j)
             for gamma in span.N.simplices_at(k)
             for j in range(1, k + 1)
             if lifts(gamma.gen, gamma.degeneracy.values[j - 1])]
@@ -207,11 +195,8 @@ def exit_simplices(span: LinkedSpan, k: int) -> list[ExitPath]:
 
 def all_exit_simplices(span: LinkedSpan, k: int) -> list[ExitSimplex]:
     """Every k-simplex of Ex in tagged form, in M + P + N order."""
-    out: list[ExitSimplex] = [Low(s) for s in span.M.simplices_at(k)]
-    if k >= 1:
-        out.extend(Exit(p) for p in exit_simplices(span, k))
-    out.extend(Upper(s) for s in span.N.simplices_at(k))
-    return out
+    return ([Low(s) for s in span.M.simplices_at(k)] + exit_simplices(span, k)
+            + [Upper(s) for s in span.N.simplices_at(k)])
 
 
 # -- faces and degeneracies ---------------------------------------------------
@@ -238,10 +223,10 @@ def exit_face(span: LinkedSpan, s: ExitSimplex, i: int) -> ExitSimplex:
         return Low(span.M.face(s.simplex, i))
     if isinstance(s, Upper):
         return Upper(span.N.face(s.simplex, i))
-    gamma, j, k = s.path.gamma, s.path.index, s.path.dim
+    gamma, j, k = s.gamma, s.index, s.dim
     cls = classify_face(k, j, i)
     if cls is FaceClass.VERTICAL:
-        return Exit(ExitPath(span.N.face(gamma, i), flat(k, j, i)))
+        return Exit(span.N.face(gamma, i), flat(k, j, i))
     if cls is FaceClass.LOW:
         return Low(span.pi(_lift_low(span, span.N.face(gamma, i))))
     return Upper(span.N.face(gamma, i))
@@ -255,11 +240,11 @@ def exit_degeneracy(span: LinkedSpan, s: ExitSimplex, i: int) -> ExitSimplex:
         return Low(span.M.degeneracy(s.simplex, i))
     if isinstance(s, Upper):
         return Upper(span.N.degeneracy(s.simplex, i))
-    gamma, j, k = s.path.gamma, s.path.index, s.path.dim
-    return Exit(ExitPath(span.N.degeneracy(gamma, i), sharp(k, j, i)))
+    gamma, j, k = s.gamma, s.index, s.dim
+    return Exit(span.N.degeneracy(gamma, i), sharp(k, j, i))
 
 
-def detect_degenerate_exit(span: LinkedSpan, p: ExitPath) -> tuple[ExitPath, int] | None:
+def detect_degenerate_exit(span: LinkedSpan, p: Exit) -> tuple[Exit, int] | None:
     """Invert exit_degeneracy: find (q, i) with s_i q = p, smallest i.
 
     p = (sigma^* g, j) is s_i of an exit path exactly when sigma repeats
@@ -275,7 +260,7 @@ def detect_degenerate_exit(span: LinkedSpan, p: ExitPath) -> tuple[ExitPath, int
     if i is None or not is_exit_path(span, gamma, j):
         return None
     face = FormalSimplex(gamma.gen, Operator(k - 1, gamma.gen_dim, sigma[:i] + sigma[i + 1:]))
-    return ExitPath(face, j if i >= j else j - 1), i
+    return Exit(face, j if i >= j else j - 1), i
 
 
 def exit_normal_form(span: LinkedSpan, s: ExitSimplex) -> tuple[ExitSimplex, Operator]:
@@ -291,13 +276,13 @@ def exit_normal_form(span: LinkedSpan, s: ExitSimplex) -> tuple[ExitSimplex, Ope
         return Low(nondeg(s.simplex.gen, s.simplex.gen_dim)), s.simplex.degeneracy
     if isinstance(s, Upper):
         return Upper(nondeg(s.simplex.gen, s.simplex.gen_dim)), s.simplex.degeneracy
-    gamma, j = s.path.gamma, s.path.index
+    gamma, j = s.gamma, s.index
     sigma, d = gamma.degeneracy.values, gamma.gen_dim
     r = sigma[j - 1]
     c = int(sigma[j] == r)
     core = FormalSimplex(gamma.gen, degeneracy_op(d, r) if c else identity(d))
     op = Operator(gamma.dim, d + c, tuple(v + c if m >= j else v for m, v in enumerate(sigma)))
-    return Exit(ExitPath(core, r + 1)), op
+    return Exit(core, r + 1), op
 
 
 # -- materialization ----------------------------------------------------------
@@ -309,7 +294,7 @@ def exit_label(s: ExitSimplex) -> str:
         return f"M.{s.simplex.gen}"
     if isinstance(s, Upper):
         return f"N.{s.simplex.gen}"
-    return f"P.{s.path.gamma!r}@{s.path.index}"
+    return f"P.{s.gamma!r}@{s.index}"
 
 
 class ExitComplex(SimplicialSet):
@@ -357,9 +342,9 @@ def build_exit(span: LinkedSpan, depth: int) -> ExitComplex:
 
     for k in range(depth + 1):
         new = [(Low(nondeg(g, k)), "low") for g in span.M.generators(k)]
-        new += [(Exit(ExitPath(FormalSimplex(g, degeneracy_op(k - 1, i)), i + 1)), f"exit@{i + 1}")
+        new += [(Exit(FormalSimplex(g, degeneracy_op(k - 1, i)), i + 1), f"exit@{i + 1}")
                 for g in span.N.generators(k - 1) for i in range(k) if lifts(g, i)]
-        new += [(Exit(ExitPath(nondeg(g, k), j)), f"exit@{j}")
+        new += [(Exit(nondeg(g, k), j), f"exit@{j}")
                 for g in span.N.generators(k) for j in range(1, k + 1) if lifts(g, j - 1)]
         new += [(Upper(nondeg(g, k)), "upper") for g in span.N.generators(k)]
         for tagged, note in new:

@@ -13,7 +13,9 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .construction import LinkedSpan
+from .operators import Operator
 from .simplicial import (
+    FormalSimplex,
     SimplicialMap,
     SimplicialSet,
     empty_sset,
@@ -24,9 +26,7 @@ from .simplicial import (
 
 
 def point(name: str = "point", vertex: str = "pt") -> SimplicialSet:
-    X = SimplicialSet(name)
-    X.add_generator(0, vertex)
-    return X
+    return discrete(name, [vertex])
 
 
 def discrete(name: str, vertices: list[str]) -> SimplicialSet:
@@ -60,9 +60,6 @@ def cone_span(X: SimplicialSet, name: str | None = None) -> LinkedSpan:
 
 def _constant_assignment(X: SimplicialSet, vertex: str):
     """Send every generator to the appropriate degeneracy of one vertex."""
-    from .operators import Operator
-    from .simplicial import FormalSimplex
-
     out = {}
     for g, d in X.gen_dims.items():
         out[g] = FormalSimplex(vertex, Operator(d, 0, tuple(0 for _ in range(d + 1))))

@@ -151,8 +151,12 @@ def degeneracy_word(op: Operator) -> tuple[int, ...]:
 
 
 def surjection_from_word(src_dim: int, word: tuple[int, ...]) -> Operator:
-    """Rebuild a surjection [src_dim] ->> [src_dim - len(word)] from its word."""
+    """Rebuild a surjection [src_dim] ->> [src_dim - len(word)] from its word.
+
+    The word must be strictly ascending, as degeneracy_word writes it, so
+    each surjection has exactly one word.
+    """
     rset = set(word)
-    if len(rset) != len(word) or any(not 0 <= i < src_dim for i in word):
+    if list(word) != sorted(rset) or any(not 0 <= i < src_dim for i in word):
         raise ValueError(f"bad degeneracy word {word} for [{src_dim}]")
     return Operator(src_dim, src_dim - len(word), _values_from_repeats(src_dim, rset))

@@ -357,7 +357,7 @@ def verify_quasicategory(X: SimplicialSet, depth: int,
     faces = FaceRows(X)
     report = VerificationReport(X.name, depth)
     report.entries = [_horn_block(X, n, i, budget, faces)
-                      for n in range(2, depth + 1) for i in range(1, n)]
+                      for n in range(2, depth + 1) for i in _KIND_RANGES["inner"](n)]
     return report
 
 
@@ -444,6 +444,11 @@ def _lift_block(f: SimplicialMap, n: int, i: int, budget: int | None,
 # -- isomorphism ------------------------------------------------------------------
 
 
+def _relabel(mapping: dict[str, str], s: FormalSimplex) -> FormalSimplex:
+    """s with its generator carried along a generator bijection."""
+    return FormalSimplex(mapping[s.gen], s.degeneracy)
+
+
 def find_isomorphism(X: SimplicialSet, Y: SimplicialSet,
                      depth: int) -> dict[str, str] | None:
     """A generator bijection X -> Y through degree depth commuting with
@@ -455,9 +460,6 @@ def find_isomorphism(X: SimplicialSet, Y: SimplicialSet,
         if len(X.gens.get(d, [])) != len(Y.gens.get(d, [])):
             return None
     mapping: dict[str, str] = {}
-
-    def carry(s: FormalSimplex) -> FormalSimplex:
-        return FormalSimplex(mapping[s.gen], s.degeneracy)
 
     def assign(dim_idx: int, pos: int, used: set[str]) -> bool:
         if dim_idx == len(dims):
@@ -471,7 +473,7 @@ def find_isomorphism(X: SimplicialSet, Y: SimplicialSet,
             if h in used:
                 continue
             if d >= 1:
-                wanted = [carry(X.face_table[(g, i)]) for i in range(d + 1)]
+                wanted = [_relabel(mapping, X.face_table[(g, i)]) for i in range(d + 1)]
                 actual = [Y.face_table[(h, i)] for i in range(d + 1)]
                 if wanted != actual:
                     continue
@@ -508,23 +510,20 @@ def isomorphism_report(X: SimplicialSet, Y: SimplicialSet, depth: int) -> Verifi
         return report
     report.add("generator bijection", "pass", detail=f"{len(mapping)} generators")
 
-    def carry(s: FormalSimplex) -> FormalSimplex:
-        return FormalSimplex(mapping[s.gen], s.degeneracy)
-
     mismatch = None
     checked = 0
     for n in range(depth + 1):
         for s in X.simplices_at(n):
-            t = carry(s)
+            t = _relabel(mapping, s)
             for i in range(n + 1) if n >= 1 else []:
                 checked += 1
-                if carry(X.face(s, i)) != Y.face(t, i):
+                if _relabel(mapping, X.face(s, i)) != Y.face(t, i):
                     mismatch = f"d_{i} {s!r}"
                     break
             if n < depth:
                 for i in range(n + 1):
                     checked += 1
-                    if carry(X.degeneracy(s, i)) != Y.degeneracy(t, i):
+                    if _relabel(mapping, X.degeneracy(s, i)) != Y.degeneracy(t, i):
                         mismatch = f"s_{i} {s!r}"
                         break
             if mismatch:

@@ -212,7 +212,7 @@ def test_c07_point_cone_is_interval():
             return (0,) * (s.dim + 1)
         if isinstance(s, Upper):
             return (1,) * (s.dim + 1)
-        return exit_shuffle(s.dim, s.path.index).level.values
+        return exit_shuffle(s.dim, s.index).level.values
 
     for k in range(6):
         seen = set()

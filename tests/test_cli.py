@@ -213,6 +213,15 @@ def test_examples_list_and_emit(capsys, tmp_path):
     span_path = str(tmp_path / "boundary-collar.span")
     assert span_path in out
 
+    code, out, _ = run(capsys, "examples", "emit", "boundary-collar",
+                       "--dir", str(tmp_path), "--format", "machine")
+    assert code == PASS
+    assert json.loads(out) == {"name": "boundary-collar", "span": span_path}
+
+    code, out, err = run(capsys, "examples", "emit")
+    assert code == INPUT_ERROR and out == ""
+    assert err.startswith("error: examples emit needs a span name; gallery: ")
+
     # the emitted documents feed straight back into --span
     code, out, _ = run(capsys, "stats", "--span", span_path, "--max-dim", "2")
     assert code == PASS

@@ -5,7 +5,6 @@ import pytest
 
 from exitpath.construction import (
     Exit,
-    ExitPath,
     LinkedSpan,
     Low,
     SpanIntegrityError,
@@ -75,15 +74,15 @@ def test_membership_input_checks():
 
 def test_exit_path_index_range():
     with pytest.raises(ValueError):
-        ExitPath(nondeg("0,1", 1), 2)
+        Exit(nondeg("0,1", 1), 2)
     with pytest.raises(ValueError):
-        ExitPath(nondeg("0,1", 1), 0)
+        Exit(nondeg("0,1", 1), 0)
 
 
 def test_same_gamma_different_index_are_distinct():
     span = load_span("point-cone", verify_depth=3)
     gamma = span.N.degeneracy(degenerate_edge("x"), 0)
-    assert ExitPath(gamma, 1) != ExitPath(gamma, 2)
+    assert Exit(gamma, 1) != Exit(gamma, 2)
     assert is_exit_path(span, gamma, 1) and is_exit_path(span, gamma, 2)
 
 
@@ -151,7 +150,7 @@ def test_membership_agrees_with_restriction_lookup(name):
                 assert is_exit_path(span, gamma, j) == member, (gamma, j)
                 outcomes.add(member)
                 if member:
-                    want.append(ExitPath(gamma, j))
+                    want.append(Exit(gamma, j))
         assert exit_simplices(span, k) == want, k
     if name == "diamond-prefix":
         assert outcomes == {False, True}
@@ -160,7 +159,7 @@ def test_membership_agrees_with_restriction_lookup(name):
 def test_exit_simplices_order_and_counts():
     span = collar()
     paths = exit_simplices(span, 1)
-    assert [repr(p) for p in paths] == ["(0+s0@1)", "(0,1@1)"]
+    assert [repr(p) for p in paths] == ["exit(0+s0@1)", "exit(0,1@1)"]
     # degree 2: both indices of the degenerate square at 0, plus the
     # degeneracies of the two 1-paths, plus the nondegenerate triangle
     assert len(exit_simplices(span, 2)) == 5
@@ -184,7 +183,7 @@ def test_cardinality_sum():
 
 def test_edge_faces_low_and_upper():
     span = collar()
-    e = Exit(ExitPath(nondeg("0,1", 1), 1))
+    e = Exit(nondeg("0,1", 1), 1)
     assert exit_face(span, e, 1) == Low(nondeg("m", 0))
     assert exit_face(span, e, 0) == Upper(nondeg("1", 0))
 
@@ -192,16 +191,16 @@ def test_edge_faces_low_and_upper():
 def test_triangle_face_dispatch():
     span = collar()
     b = nondeg("0,1", 1)
-    t = Exit(ExitPath(span.N.degeneracy(b, 0), 1))
+    t = Exit(span.N.degeneracy(b, 0), 1)
     assert exit_face(span, t, 0) == Upper(b)
-    assert exit_face(span, t, 1) == Exit(ExitPath(b, 1))
-    assert exit_face(span, t, 2) == Exit(ExitPath(degenerate_edge("0"), 1))
+    assert exit_face(span, t, 1) == Exit(b, 1)
+    assert exit_face(span, t, 2) == Exit(degenerate_edge("0"), 1)
 
 
 def test_low_face_lands_through_pi():
     span = broken_span()
     span.verify_iota(3)
-    e = Exit(ExitPath(nondeg("0,1", 1), 1))
+    e = Exit(nondeg("0,1", 1), 1)
     # the link sits at vertex 0 of N and pi sends it to vertex 1 of M
     assert exit_face(span, e, 1) == Low(nondeg("1", 0))
 
@@ -218,18 +217,18 @@ def test_low_and_upper_parts_are_closed():
 
 def test_degeneracies_of_an_exit_edge():
     span = collar()
-    p = ExitPath(nondeg("0,1", 1), 1)
-    up0 = exit_degeneracy(span, Exit(p), 0)
-    up1 = exit_degeneracy(span, Exit(p), 1)
-    assert up0 == Exit(ExitPath(span.N.degeneracy(p.gamma, 0), 2))
-    assert up1 == Exit(ExitPath(span.N.degeneracy(p.gamma, 1), 1))
-    assert detect_degenerate_exit(span, up0.path) == (p, 0)
-    assert detect_degenerate_exit(span, up1.path) == (p, 1)
+    p = Exit(nondeg("0,1", 1), 1)
+    up0 = exit_degeneracy(span, p, 0)
+    up1 = exit_degeneracy(span, p, 1)
+    assert up0 == Exit(span.N.degeneracy(p.gamma, 0), 2)
+    assert up1 == Exit(span.N.degeneracy(p.gamma, 1), 1)
+    assert detect_degenerate_exit(span, up0) == (p, 0)
+    assert detect_degenerate_exit(span, up1) == (p, 1)
 
 
 def test_face_index_bounds():
     span = collar()
-    e = Exit(ExitPath(nondeg("0,1", 1), 1))
+    e = Exit(nondeg("0,1", 1), 1)
     with pytest.raises(ValueError):
         exit_face(span, e, 2)
     with pytest.raises(ValueError):
@@ -244,11 +243,11 @@ def test_membership_is_closed_under_faces_and_degeneracies():
         for k in range(1, 4):
             for p in exit_simplices(span, k):
                 for i in range(k + 1):
-                    f = exit_face(span, Exit(p), i)
+                    f = exit_face(span, p, i)
                     if isinstance(f, Exit):
-                        assert is_exit_path(span, f.path.gamma, f.path.index)
-                    s = exit_degeneracy(span, Exit(p), i)
-                    assert is_exit_path(span, s.path.gamma, s.path.index)
+                        assert is_exit_path(span, f.gamma, f.index)
+                    s = exit_degeneracy(span, p, i)
+                    assert is_exit_path(span, s.gamma, s.index)
 
 
 # -- degeneracy detection and normal forms ------------------------------------------
@@ -256,7 +255,7 @@ def test_membership_is_closed_under_faces_and_degeneracies():
 
 def test_dimension_one_paths_never_degenerate():
     span = collar()
-    assert detect_degenerate_exit(span, ExitPath(degenerate_edge("0"), 1)) is None
+    assert detect_degenerate_exit(span, Exit(degenerate_edge("0"), 1)) is None
 
 
 def test_detect_agrees_with_enumeration():
@@ -268,14 +267,14 @@ def test_detect_agrees_with_enumeration():
             images = {}
             for q in exit_simplices(span, k - 1):
                 for i in range(k):
-                    img = exit_degeneracy(span, Exit(q), i)
-                    images.setdefault(img.path, (q, i))
+                    img = exit_degeneracy(span, q, i)
+                    images.setdefault(img, (q, i))
             for p in exit_simplices(span, k):
                 hit = detect_degenerate_exit(span, p)
                 assert (hit is not None) == (p in images), (name, p)
                 if hit is not None:
                     q, i = hit
-                    assert exit_degeneracy(span, Exit(q), i) == Exit(p)
+                    assert exit_degeneracy(span, q, i) == p
 
 
 def test_normal_form_roundtrip():
@@ -296,8 +295,8 @@ def test_exit_labels():
     span = collar()
     assert exit_label(Low(nondeg("m", 0))) == "M.m"
     assert exit_label(Upper(nondeg("0,1", 1))) == "N.0,1"
-    assert exit_label(Exit(ExitPath(nondeg("0,1", 1), 1))) == "P.0,1@1"
-    assert exit_label(Exit(ExitPath(degenerate_edge("0"), 1))) == "P.0+s0@1"
+    assert exit_label(Exit(nondeg("0,1", 1), 1)) == "P.0,1@1"
+    assert exit_label(Exit(degenerate_edge("0"), 1)) == "P.0+s0@1"
 
 
 # -- the prism decomposition against the peeling oracles -------------------------------
@@ -323,7 +322,7 @@ def peeling_detect(span, p):
             continue
         q_gamma = span.N.face(gamma, i)
         if is_exit_path(span, q_gamma, e):
-            return ExitPath(q_gamma, e), i
+            return Exit(q_gamma, e), i
     return None
 
 
@@ -336,7 +335,7 @@ def peeling_normal_form(span, p):
     op = identity(p.dim + len(word))
     for i in word:
         op = compose(degeneracy_op(op.dst_dim - 1, i), op)
-    return Exit(p), op
+    return p, op
 
 
 def assert_matches_peeling(span, depth=5):
@@ -345,17 +344,17 @@ def assert_matches_peeling(span, depth=5):
     span.verify_iota(depth)
     ex = build_exit(span, depth)
     for k in range(1, depth + 1):
-        want = [Exit(p) for p in exit_simplices(span, k) if peeling_detect(span, p) is None]
+        want = [p for p in exit_simplices(span, k) if peeling_detect(span, p) is None]
         got = [g for g in ex.generators(k) if g.startswith("P.")]
         assert got == [exit_label(t) for t in want], (span.name, k)
         assert [ex.payload[g] for g in got] == want, (span.name, k)
         for gamma in span.N.simplices_at(k):
             for j in range(1, k + 1):
-                p = ExitPath(gamma, j)
+                p = Exit(gamma, j)
                 hit = detect_degenerate_exit(span, p)
                 assert hit == peeling_detect(span, p), (span.name, p)
                 if is_exit_path(span, gamma, j):
-                    assert exit_normal_form(span, Exit(p)) == peeling_normal_form(span, p), \
+                    assert exit_normal_form(span, p) == peeling_normal_form(span, p), \
                         (span.name, p)
                 else:
                     assert hit is None, (span.name, p)
@@ -450,7 +449,7 @@ def test_low_lift_failure_is_span_integrity_error():
     # corrupt the verified preimage table behind iota's back: the low
     # face of a legitimate exit path then has no lift
     span = collar()
-    e = Exit(ExitPath(nondeg("0,1", 1), 1))
+    e = Exit(nondeg("0,1", 1), 1)
     span.iota._image_tables[0] = {}
     with pytest.raises(SpanIntegrityError):
         exit_face(span, e, 1)

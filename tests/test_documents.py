@@ -124,6 +124,17 @@ def test_parse_error_face_bookkeeping():
     assert "one label" in str(e)
 
 
+def test_parse_error_descending_degeneracy_word():
+    # (0 1) and (1 0) name the same surjection; only the ascending word
+    # is read, so every document prints back as it was written
+    doc = ("sset x\nmaxdim 3\ndim 0\ngen a\ndim 3\ngen t\n"
+           "face 0 = ({}) a\nface 1 = (0 1) a\nface 2 = (0 1) a\nface 3 = (0 1) a\n")
+    printed = print_sset(parse_sset(doc.format("0 1")))
+    assert print_sset(parse_sset(printed)) == printed
+    e = parse_err(doc.format("1 0"))
+    assert e.lineno == 7 and "bad degeneracy word (1, 0)" in str(e)
+
+
 def test_parse_error_maxdim_mismatch():
     e = parse_err("sset x\nmaxdim 3\ndim 0\ngen a\n")
     assert "maxdim says 3" in str(e) and e.lineno == 2

@@ -115,3 +115,10 @@ def test_degeneracy_word_rejects_nonsurjection():
         surjection_from_word(2, (0, 0))
     with pytest.raises(ValueError):
         surjection_from_word(2, (5,))
+
+
+def test_degeneracy_word_must_ascend():
+    # a word is a set of repeat positions written in one order; another
+    # order would parse to the same surjection and print back differently
+    with pytest.raises(ValueError, match="bad degeneracy word"):
+        surjection_from_word(3, (1, 0))
