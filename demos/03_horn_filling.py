@@ -10,8 +10,8 @@ from exitpath.construction import build_exit
 from exitpath.gallery import load_span
 from exitpath.simplicial import nondeg
 from exitpath.verify import (
-    FaceRows,
     HornProblem,
+    Tables,
     enumerate_horns,
     find_filler,
     verify_quasicategory,
@@ -39,7 +39,7 @@ print(f"  horn: {h.describe()}")
 print(f"  filler: {find_filler(ex, h)}")
 print()
 
-faces = FaceRows(ex)  # one row store, shared by the enumeration and the fillers
-horns = enumerate_horns(ex, 2, 1, faces=faces)
-fillable = sum(find_filler(ex, horn, faces=faces) is not None for horn in horns)
+tables = Tables(ex)  # one numbered store, shared by the enumeration and the fillers
+horns = enumerate_horns(ex, 2, 1, tables=tables)
+fillable = sum(find_filler(ex, horn, tables=tables) is not None for horn in horns)
 print(f"for scale: {fillable} of {len(horns)} inner 2-horns of Ex(broken) do fill")

@@ -188,14 +188,14 @@ class SimplicialSet:
     def simplices_at(self, n: int) -> list[FormalSimplex]:
         """All n-simplices: generators of dimension d <= n, each under
         every surjection [n] ->> [d].  Order: generators by (dimension,
-        insertion order), then degeneracy values lexicographic."""
+        insertion order), then degeneracy values lexicographic.  The
+        generators of one dimension share their surjections."""
         out = []
         for d in sorted(self.gens):
             if d > n:
                 break
-            for label in self.gens[d]:
-                for sigma in surjections(n, d):
-                    out.append(FormalSimplex(label, sigma))
+            sigmas = list(surjections(n, d))
+            out += [FormalSimplex(label, sigma) for label in self.gens[d] for sigma in sigmas]
         return out
 
     def count_at(self, n: int) -> int:

@@ -10,23 +10,21 @@ A budget is a node allowance; one node is one candidate simplex that a
 scan in canonical order would inspect.  Exhaustion marks the
 surrounding check "inconclusive" rather than guessing.
 
-The searches find their answers by lookup, but charge the scan's
-nodes, so verdicts under any budget are those of the scan.  All of
-them read one row store, FaceRows: each degree's face rows and their
-index on (slot, face), built once per check call, shared across its
-horn shapes and dropped when it returns.  Horn enumeration looks each
-slot's candidates up in X_{n-1} and charges each partial horn
-|X_{n-1}| nodes before its lookup.  Filler and lift searches are one
-search, FaceRows.first: the first n-simplex whose faces match the horn
-(and, for a lift, that maps to the base); a hit at position p costs
-p + 1 nodes and a miss costs |X_n|.
+Every check reads one store per simplicial set, built once per call:
+Tables numbers X_n by canonical position and holds each degree's faces
+and degeneracies as tuples of numbers, with an index on (slot, face),
+so the checks compare ints.  Searches find their answers by lookup but
+charge the scan's nodes, so verdicts under any budget are those of the
+scan: horn enumeration charges each partial horn |X_{n-1}| nodes before
+its lookup, and the one filler and lift search, Tables.first, charges
+p + 1 nodes for a hit at position p and |X_n| for a miss.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Sequence
 
 from .simplicial import FormalSimplex, SimplicialMap, SimplicialSet
 
@@ -103,56 +101,114 @@ class VerificationReport:
         return json.dumps(payload, sort_keys=True, indent=2)
 
 
+# -- the tables ----------------------------------------------------------------
+
+
+class _ByDegree(dict):
+    """degree -> value, each built by build(n) on first use."""
+
+    def __init__(self, build: Callable[[int], object]):
+        super().__init__()
+        self.build = build
+
+    def __missing__(self, n: int):
+        return self.setdefault(n, self.build(n))
+
+
+def _face_index(rows: list[tuple[int, ...]]) -> dict[tuple[int, int], list[int]]:
+    """(slot, face) -> the numbers of the rows with that face there."""
+    index: dict[tuple[int, int], list[int]] = {}
+    for p, row in enumerate(rows):
+        for key in enumerate(row):
+            index.setdefault(key, []).append(p)
+    return index
+
+
+class Tables:
+    """One simplicial set X in numbers, each degree built on first use.
+
+    simplices[n] lists X_n in canonical order; a simplex's number is its
+    position there, and numbers[n] maps it back.  faces[n][p] holds the
+    numbers of d_0 x, ..., d_n x for the x numbered p, and degens[n][p]
+    those of s_0 x, ..., s_n x, from one face or degeneracy call per
+    (x, i).  matching() and first() look simplices up by their faces.
+    One check call holds one Tables per simplicial set and frees it on
+    return, so nothing is kept on X.
+    """
+
+    def __init__(self, X: SimplicialSet):
+        # the builders close over the parts, never over self, so no
+        # reference cycle keeps a Tables alive after its call
+        simplices = self.simplices = _ByDegree(X.simplices_at)
+        numbers = self.numbers = _ByDegree(
+            lambda n: {x: p for p, x in enumerate(simplices[n])})
+        faces = self.faces = _ByDegree(lambda n: [
+            tuple(numbers[n - 1][X.face(x, a)] for a in range(n + 1)) if n else ()
+            for x in simplices[n]])
+        self.degens = _ByDegree(lambda n: [
+            tuple(numbers[n + 1][X.degeneracy(x, i)] for i in range(n + 1))
+            for x in simplices[n]])
+        self._by_face = _ByDegree(lambda n: _face_index(faces[n]))
+
+    def apply(self, n: int, p: int, word: tuple[tuple[str, int], ...]) -> tuple[int, int]:
+        """(degree, number) of the simplex numbered p in X_n under a word
+        of ("d" or "s", index) letters, applied right to left."""
+        for op, i in reversed(word):
+            if op == "d":
+                n, p = n - 1, self.faces[n][p][i]
+            else:
+                n, p = n + 1, self.degens[n][p][i]
+        return n, p
+
+    def matching(self, n: int, wanted: list[tuple[int, int | None]]) -> Sequence[int]:
+        """The numbers, ascending, of the n-simplices whose face at slot a
+        is numbered g for every (a, g) in wanted; g None matches none."""
+        if not wanted:
+            return range(len(self.simplices[n]))
+        rows = self.faces[n]
+        hits = self._by_face[n].get(wanted[0], [])
+        rest = wanted[1:]
+        return [p for p in hits if all(rows[p][a] == g for a, g in rest)] if rest else hits
+
+    def first(self, n: int, wanted: list[tuple[int, int | None]], budget: Budget,
+              accept: Callable[[int], bool] | None = None) -> int | None:
+        """The first number of matching(n, wanted) that accept allows
+        (any, by default), at the node cost of a scan of X_n in canonical
+        order: a hit at position p spends p + 1 nodes, a miss |X_n|."""
+        for p in self.matching(n, wanted):
+            if accept is None or accept(p):
+                budget.spend(p + 1)
+                return p
+        budget.spend(len(self.simplices[n]))
+        return None
+
+    def image(self, f: SimplicialMap, target: Tables) -> _ByDegree:
+        """f in numbers: image[n][p] is the number in target's degree n
+        of f's image of the simplex numbered p in X_n."""
+        return _ByDegree(lambda n: [target.numbers[n][f(x)] for x in self.simplices[n]])
+
+
 # -- simplicial identities -----------------------------------------------------
 
 
-class _Rows:
-    """The faces and degeneracies of the faces and degeneracies of one
-    simplex s, each computed once (equal simplices share their rows):
-    ff[j][i] = d_i d_j s, fg[j][i] = s_i d_j s, gf[j][i] = d_i s_j s,
-    gg[j][i] = s_i s_j s."""
-
-    def __init__(self, X: SimplicialSet, s: FormalSimplex):
-        n = s.dim
-        self.s = s
-        faces = [X.face(s, i) for i in range(n + 1)] if n else []
-        degeneracies = [X.degeneracy(s, j) for j in range(n + 1)]
-        rows: dict[FormalSimplex, tuple[list, list]] = {}
-        for t in faces + degeneracies:
-            if t not in rows:
-                k = t.dim
-                rows[t] = ([X.face(t, i) for i in range(k + 1)] if k else [],
-                           [X.degeneracy(t, i) for i in range(k + 1)])
-        self.ff = [rows[t][0] for t in faces]
-        self.fg = [rows[t][1] for t in faces]
-        self.gf = [rows[t][0] for t in degeneracies]
-        self.gg = [rows[t][1] for t in degeneracies]
-
-
-# One row per family: its name; its index pairs (i, j) on an n-simplex,
-# in checking order; the two sides as lookups in _Rows; and the two
-# sides as words, for the witness (None: the simplex itself).
+# One row per family: its name, and its instances on an n-simplex in
+# checking order, each the two sides as words for Tables.apply; the
+# empty word is the simplex itself.
 _IDENTITIES = [
     ("d_i d_j = d_{j-1} d_i (i<j)",
-     lambda n: [(i, j) for j in range(1, n + 1) for i in range(j)] if n >= 2 else [],
-     lambda r, i, j: (r.ff[j][i], r.ff[i][j - 1]),
-     lambda i, j: (f"d_{i} d_{j}", f"d_{j-1} d_{i}")),
+     lambda n: [((("d", i), ("d", j)), (("d", j - 1), ("d", i)))
+                for j in range(1, n + 1) for i in range(j)] if n >= 2 else []),
     ("d_i s_j = s_{j-1} d_i (i<j)",
-     lambda n: [(i, j) for j in range(n + 1) for i in range(j)],
-     lambda r, i, j: (r.gf[j][i], r.fg[i][j - 1]),
-     lambda i, j: (f"d_{i} s_{j}", f"s_{j-1} d_{i}")),
+     lambda n: [((("d", i), ("s", j)), (("s", j - 1), ("d", i)))
+                for j in range(n + 1) for i in range(j)]),
     ("d_i s_j = id (i=j, j+1)",
-     lambda n: [(i, j) for j in range(n + 1) for i in (j, j + 1)],
-     lambda r, i, j: (r.gf[j][i], r.s),
-     lambda i, j: (f"d_{i} s_{j}", None)),
+     lambda n: [((("d", i), ("s", j)), ()) for j in range(n + 1) for i in (j, j + 1)]),
     ("d_i s_j = s_j d_{i-1} (i>j+1)",
-     lambda n: [(i, j) for j in range(n + 1) for i in range(j + 2, n + 2)],
-     lambda r, i, j: (r.gf[j][i], r.fg[i - 1][j]),
-     lambda i, j: (f"d_{i} s_{j}", f"s_{j} d_{i-1}")),
+     lambda n: [((("d", i), ("s", j)), (("s", j), ("d", i - 1)))
+                for j in range(n + 1) for i in range(j + 2, n + 2)]),
     ("s_i s_j = s_{j+1} s_i (i<=j)",
-     lambda n: [(i, j) for j in range(n + 1) for i in range(j + 1)],
-     lambda r, i, j: (r.gg[j][i], r.gg[i][j + 1]),
-     lambda i, j: (f"s_{i} s_{j}", f"s_{j+1} s_{i}")),
+     lambda n: [((("s", i), ("s", j)), (("s", j + 1), ("s", i)))
+                for j in range(n + 1) for i in range(j + 1)]),
 ]
 
 
@@ -160,42 +216,34 @@ def verify_simplicial_identities(X: SimplicialSet, depth: int) -> VerificationRe
     """Check the five simplicial identity families on every simplex of
     degree <= depth.
 
-    Simplices are visited degree by degree in canonical order; each
-    one's faces and degeneracies, and theirs, are computed once into
-    rows (_Rows) that every family then reads, and are dropped before
-    the next simplex.  Each family gets one report entry; a fail entry
-    carries its first counterexample in (degree, simplex, pair) order
-    and the family is not checked further."""
-    witnesses: list[str | None] = [None] * len(_IDENTITIES)
-    counts = [0] * len(_IDENTITIES)
-    for n in range(depth + 1):
-        if all(witnesses):
-            break
-        pairs = [family[1](n) for family in _IDENTITIES]
-        for s in X.simplices_at(n):
-            rows = _Rows(X, s)
-            for k, (_, _, sides, words) in enumerate(_IDENTITIES):
-                if witnesses[k] is None:
-                    witnesses[k] = _first_failure(rows, pairs[k], sides, words)
-                    counts[k] += len(pairs[k])
+    The two sides of each instance are compared as numbers, read off one
+    Tables of X: rows through degree depth + 1, numbers of depth + 2.
+    Each family gets one report entry; a fail entry carries its first
+    counterexample in (degree, simplex, instance) order and the family
+    is not checked further."""
+    tables = Tables(X)
     report = VerificationReport(X.name, depth)
-    for (name, *_), witness, checked in zip(_IDENTITIES, witnesses, counts):
-        if witness:
-            report.add(name, "fail", witness=witness)
+    for name, instances in _IDENTITIES:
+        per_degree = [instances(n) for n in range(depth + 1)]
+        failure = next(((n, p, lhs, rhs) for n, pairs in enumerate(per_degree)
+                        for p in range(len(tables.simplices[n])) for lhs, rhs in pairs
+                        if tables.apply(n, p, lhs) != tables.apply(n, p, rhs)), None)
+        if failure:
+            report.add(name, "fail", witness=_identity_witness(tables, *failure))
         else:
+            checked = sum(len(pairs) * len(tables.simplices[n])
+                          for n, pairs in enumerate(per_degree))
             report.add(name, "pass", detail=f"{checked} instances")
     return report
 
 
-def _first_failure(rows: _Rows, pairs, sides, words) -> str | None:
-    for i, j in pairs:
-        lhs, rhs = sides(rows, i, j)
-        if lhs != rhs:
-            lw, rw = words(i, j)
-            if rw is None:
-                return f"{rows.s!r}: {lw} = {lhs!r} != the simplex itself"
-            return f"{rows.s!r}: {lw} = {lhs!r} != {rhs!r} = {rw}"
-    return None
+def _identity_witness(tables: Tables, n: int, p: int, lhs, rhs) -> str:
+    (m, a), (_, b) = tables.apply(n, p, lhs), tables.apply(n, p, rhs)
+    lw, rw = (" ".join(f"{op}_{i}" for op, i in word) for word in (lhs, rhs))
+    head = f"{tables.simplices[n][p]!r}: {lw} = {tables.simplices[m][a]!r}"
+    if not rhs:
+        return f"{head} != the simplex itself"
+    return f"{head} != {tables.simplices[m][b]!r} = {rw}"
 
 
 # -- horns ---------------------------------------------------------------------
@@ -231,78 +279,21 @@ def horn_is_compatible(X: SimplicialSet, h: HornProblem) -> bool:
     return True
 
 
-FaceRow = tuple[int, FormalSimplex, tuple[FormalSimplex, ...]]
-
-
-class FaceRows:
-    """The face rows of one simplicial set X, degree by degree, each
-    degree built once on first use.
-
-    at(n) lists X_n in canonical order as rows (pos, x, faces): x's
-    position in that order and its faces (d_0 x, ..., d_n x); vertices
-    get an empty tuple.  matching(n, wanted) lists, in the same order,
-    the rows whose face at slot a is g for every (a, g) in wanted, found
-    through an index of X_n on (slot, face).  first() is the one search
-    for fillers and lifts.  One check call holds one FaceRows per
-    simplicial set and shares it across its horn shapes; it is freed
-    with the call, so nothing is kept on X itself.
-    """
-
-    def __init__(self, X: SimplicialSet):
-        self.X = X
-        self._rows: dict[int, list[FaceRow]] = {}
-        self._by_face: dict[int, dict[tuple[int, FormalSimplex], list[FaceRow]]] = {}
-
-    def at(self, n: int) -> list[FaceRow]:
-        rows = self._rows.get(n)
-        if rows is None:
-            X = self.X
-            rows = self._rows[n] = [
-                (pos, x, tuple(X.face(x, a) for a in range(n + 1)) if n else ())
-                for pos, x in enumerate(X.simplices_at(n))]
-        return rows
-
-    def matching(self, n: int, wanted: list[tuple[int, FormalSimplex]]) -> list[FaceRow]:
-        if not wanted:
-            return self.at(n)
-        index = self._by_face.get(n)
-        if index is None:
-            index = self._by_face[n] = {}
-            for row in self.at(n):
-                for key in enumerate(row[2]):
-                    index.setdefault(key, []).append(row)
-        hits = index.get(wanted[0], [])
-        rest = wanted[1:]
-        return [row for row in hits if all(row[2][a] == g for a, g in rest)] if rest else hits
-
-    def first(self, n: int, wanted: list[tuple[int, FormalSimplex]], budget: Budget,
-              accept: Callable[[FormalSimplex], bool] | None = None) -> FormalSimplex | None:
-        """The first n-simplex of matching(n, wanted) that accept allows
-        (any, by default), at the node cost of a scan of X_n in canonical
-        order: a hit at position p spends p + 1 nodes, a miss |X_n|."""
-        for pos, x, _ in self.matching(n, wanted):
-            if accept is None or accept(x):
-                budget.spend(pos + 1)
-                return x
-        budget.spend(len(self.at(n)))
-        return None
-
-
 def enumerate_horns(X: SimplicialSet, n: int, missing: int,
                     budget: Budget | None = None,
-                    *, faces: FaceRows | None = None) -> list[HornProblem]:
+                    *, tables: Tables | None = None) -> list[HornProblem]:
     """All horns of shape (n, missing) in X, by backtracking over the
     face slots in ascending index order.
 
     Slot b of a partial horn takes the (n-1)-simplices whose face a
     equals d_{b-1} of the simplex at every chosen slot a < b; they are
-    looked up through the (slot, face) index of X_{n-1} on the first
-    chosen slot and filtered on the others.
+    looked up by number through the (slot, face) index of X_{n-1} on
+    the first chosen slot and filtered on the others.
 
     A node is one candidate a scan of X_{n-1} in canonical order would
     try: each partial horn is charged |X_{n-1}| nodes before its lookup,
     so the enumeration spends what the scan spends and runs out of
-    budget exactly when the scan would.  faces is a FaceRows of X to
+    budget exactly when the scan would.  tables is a Tables of X to
     share with other shapes; by default the call builds its own.
     """
     if n < 1:
@@ -310,23 +301,23 @@ def enumerate_horns(X: SimplicialSet, n: int, missing: int,
     if not 0 <= missing <= n:
         raise ValueError(f"horn index {missing} outside 0..{n}")
     budget = budget or Budget(None)
-    if faces is None:
-        faces = FaceRows(X)
+    if tables is None:
+        tables = Tables(X)
     slots = [a for a in range(n + 1) if a != missing]
-    size = len(faces.at(n - 1))
+    simplices, faces = tables.simplices[n - 1], tables.faces[n - 1]
     out: list[HornProblem] = []
 
-    def extend(chosen: dict[int, FaceRow], depth: int):
+    def extend(chosen: dict[int, int], depth: int):
         if depth == len(slots):
             out.append(HornProblem(n, missing, tuple(
-                chosen[a][1] if a in chosen else None for a in range(n + 1))))
+                simplices[chosen[a]] if a in chosen else None for a in range(n + 1))))
             return
         b = slots[depth]
-        budget.spend(size)
+        budget.spend(len(simplices))
         # a < b always: slots ascend, and chosen keeps that order
-        wanted = [(a, g_faces[b - 1]) for a, (_, _, g_faces) in chosen.items()]
-        for row in faces.matching(n - 1, wanted):
-            chosen[b] = row
+        wanted = [(a, faces[p][b - 1]) for a, p in chosen.items()]
+        for p in tables.matching(n - 1, wanted):
+            chosen[b] = p
             extend(chosen, depth + 1)
             del chosen[b]
 
@@ -335,13 +326,17 @@ def enumerate_horns(X: SimplicialSet, n: int, missing: int,
 
 
 def find_filler(X: SimplicialSet, h: HornProblem, budget: Budget | None = None,
-                *, faces: FaceRows | None = None) -> FormalSimplex | None:
+                *, tables: Tables | None = None) -> FormalSimplex | None:
     """First n-simplex whose faces extend the horn, in canonical order,
-    at a scan's node cost (FaceRows.first).  faces is a FaceRows of X to
-    share with other horns; by default the call builds its own."""
-    if faces is None:
-        faces = FaceRows(X)
-    return faces.first(h.n, h.present(), budget or Budget(None))
+    at a scan's node cost (Tables.first); a face outside X_{n-1} matches
+    nothing.  tables is a Tables of X to share with other horns; by
+    default the call builds its own."""
+    if tables is None:
+        tables = Tables(X)
+    numbers = tables.numbers[h.n - 1]
+    p = tables.first(h.n, [(a, numbers.get(g)) for a, g in h.present()],
+                     budget or Budget(None))
+    return None if p is None else tables.simplices[h.n][p]
 
 
 def verify_quasicategory(X: SimplicialSet, depth: int,
@@ -351,27 +346,27 @@ def verify_quasicategory(X: SimplicialSet, depth: int,
     The budget is a per-subproblem node limit: each (n, i) enumeration
     gets one allowance and each horn's filler search gets a fresh one,
     so a verdict does not depend on which other subproblems ran.  The
-    shapes share one FaceRows of X, so each degree's face rows are
-    built once per call.
+    shapes share one Tables of X, so each degree's face rows are built
+    once per call.
     """
-    faces = FaceRows(X)
+    tables = Tables(X)
     report = VerificationReport(X.name, depth)
-    report.entries = [_horn_block(X, n, i, budget, faces)
+    report.entries = [_horn_block(X, n, i, budget, tables)
                       for n in range(2, depth + 1) for i in _KIND_RANGES["inner"](n)]
     return report
 
 
 def _horn_block(X: SimplicialSet, n: int, i: int, budget: int | None,
-                faces: FaceRows) -> CheckEntry:
+                tables: Tables) -> CheckEntry:
     name = f"inner horns Lambda^{n}_{i}"
     try:
-        horns = enumerate_horns(X, n, i, Budget(budget), faces=faces)
+        horns = enumerate_horns(X, n, i, Budget(budget), tables=tables)
     except BudgetExhausted:
         return CheckEntry(name, "inconclusive", detail="enumeration budget exhausted")
     exhausted = 0
     for h in horns:
         try:
-            if find_filler(X, h, Budget(budget), faces=faces) is None:
+            if find_filler(X, h, Budget(budget), tables=tables) is None:
                 return CheckEntry(name, "fail", detail=f"{len(horns)} horns",
                                   witness=f"no filler for {h.describe()}")
         except BudgetExhausted:
@@ -401,38 +396,40 @@ def check_fibration(f: SimplicialMap, depth: int, kind: str = "right",
     horn in the domain against an n-simplex downstairs must admit a
     lift; witnesses name the first square without one.  The bases of a
     horn are the n-simplices of the codomain whose faces are its
-    images, looked up in canonical order.  The shapes share one
-    FaceRows of each side, so each degree's face rows are built once
-    per call.
+    images, looked up in canonical order.  The shapes share one Tables
+    of each side and one image of f, so each degree's face rows and
+    image are built once per call.
     """
     if kind not in _KIND_RANGES:
         raise ValueError(f"unknown fibration kind {kind!r}")
     report = VerificationReport(f"{f.name}: {f.domain.name} -> {f.codomain.name}", depth)
-    x_faces, y_faces = FaceRows(f.domain), FaceRows(f.codomain)
-    report.entries = [_lift_block(f, n, i, budget, x_faces, y_faces)
+    x_tables, y_tables = Tables(f.domain), Tables(f.codomain)
+    image = x_tables.image(f, y_tables)
+    report.entries = [_lift_block(f, n, i, budget, x_tables, y_tables, image)
                       for n in range(1, depth + 1) for i in _KIND_RANGES[kind](n)]
     return report
 
 
 def _lift_block(f: SimplicialMap, n: int, i: int, budget: int | None,
-                x_faces: FaceRows, y_faces: FaceRows) -> CheckEntry:
+                x_tables: Tables, y_tables: Tables, image: _ByDegree) -> CheckEntry:
     name = f"lifts Lambda^{n}_{i}"
     try:
-        horns = enumerate_horns(f.domain, n, i, Budget(budget), faces=x_faces)
+        horns = enumerate_horns(f.domain, n, i, Budget(budget), tables=x_tables)
     except BudgetExhausted:
         return CheckEntry(name, "inconclusive", detail="enumeration budget exhausted")
-    squares = 0
-    exhausted = 0
+    numbers, below, above = x_tables.numbers[n - 1], image[n - 1], image[n]
+    squares = exhausted = 0
     for h in horns:
-        present = h.present()
-        for _, base, _ in y_faces.matching(n, [(a, f(g)) for a, g in present]):
+        wanted = [(a, numbers[g]) for a, g in h.present()]
+        for base in y_tables.matching(n, [(a, below[p]) for a, p in wanted]):
             squares += 1
             try:
-                if x_faces.first(n, present, Budget(budget),
-                                 lambda x: f(x) == base) is None:
+                if x_tables.first(n, wanted, Budget(budget),
+                                  lambda p: above[p] == base) is None:
                     return CheckEntry(
                         name, "fail", detail=f"{squares} squares",
-                        witness=f"no lift of {base!r} along {h.describe()}")
+                        witness=f"no lift of {y_tables.simplices[n][base]!r} "
+                                f"along {h.describe()}")
             except BudgetExhausted:
                 exhausted += 1
     if exhausted:

@@ -1,7 +1,9 @@
 """The verification engines: identity checking, horn filling, lifting,
 isomorphism search, budgets."""
 
+import gc
 import json
+import weakref
 
 import pytest
 
@@ -19,8 +21,8 @@ from exitpath.simplicial import (
 from exitpath.verify import (
     Budget,
     BudgetExhausted,
-    FaceRows,
     HornProblem,
+    Tables,
     VerificationReport,
     check_fibration,
     enumerate_horns,
@@ -137,6 +139,22 @@ def test_identity_report_pinned_on_gallery_exit_complex():
         "Ex(broken)<=4", 4, [413, 421, 530, 421, 686])
 
 
+def test_identity_report_pinned_on_a_wrong_degeneracy():
+    # s_0 of the vertex 0 answers the edge 0,1 instead of 0+s0: every
+    # family with a degeneracy in it fails, each with its own witness
+    X = standard_simplex(1)
+    vertex, edge = nondeg("0", 0), nondeg("0,1", 1)
+    degeneracy = X.degeneracy
+    X.degeneracy = lambda s, i: edge if (s, i) == (vertex, 0) else degeneracy(s, i)
+    report = verify_simplicial_identities(X, 2)
+    assert report.to_json() == identity_report_json("simplex1", 2, [
+        12,
+        "0+s0: d_0 s_1 = 0+s0 != 0,1 = s_0 d_0",
+        "0: d_0 s_0 = 1 != the simplex itself",
+        "0+s0: d_2 s_0 = 0+s0 != 0,1 = s_0 d_1",
+        "0: s_0 s_0 = 0,1+s0 != 0,1+s1 = s_1 s_0"])
+
+
 # -- horns ---------------------------------------------------------------------------
 
 
@@ -145,10 +163,10 @@ def test_horn_enumeration_count():
     X = standard_simplex(1)
     horns = enumerate_horns(X, 2, 1)
     assert len(horns) == 4
-    faces = FaceRows(X)
+    tables = Tables(X)
     for h in horns:
         assert horn_is_compatible(X, h)
-        assert find_filler(X, h, faces=faces) is not None
+        assert find_filler(X, h, tables=tables) is not None
 
 
 def test_horn_compatibility_negative():
@@ -179,6 +197,21 @@ def test_filler_is_first_in_canonical_order():
     h = enumerate_horns(X, 2, 1)[0]
     assert find_filler(X, h) == find_filler(X, h)
     assert find_filler(X, h) in X.simplices_at(2)
+
+
+def test_filler_of_a_foreign_horn_is_a_miss():
+    # a face with an unknown generator, or of the wrong degree, matches
+    # no simplex: the search misses and spends |X_n|.  The vertex 0 in
+    # slot 0 would be filled by s_0 s_0 0 if it were read as 0+s0.
+    X = standard_simplex(1)
+    degenerate = FormalSimplex("0", Operator(1, 0, (0, 0)))
+    unknown = HornProblem(2, 1, (nondeg("nope", 1), None, degenerate))
+    wrong_degree = HornProblem(2, 1, (nondeg("0", 0), None, degenerate))
+    assert find_filler(X, HornProblem(2, 1, (degenerate, None, degenerate))) is not None
+    for h in (unknown, wrong_degree):
+        budget = Budget(None)
+        assert find_filler(X, h, budget) is None
+        assert budget.spent == X.count_at(2)
 
 
 def test_quasicategory_of_a_nerve():
@@ -301,16 +334,53 @@ def assert_same_search(indexed, oracle):
     return expected
 
 
+def test_tables_read_back_as_the_face_action():
+    spans = search_spans() + [cone_span(standard_simplex(3))]
+    for X in [build_exit(span, 4) for span in spans[:-1]] + [spans[-1].L]:
+        tables = Tables(X)
+        for n in range(5):
+            simplices = tables.simplices[n]
+            assert simplices == X.simplices_at(n)
+            assert list(tables.numbers[n].items()) == [(x, p) for p, x in enumerate(simplices)]
+            for x, faces, degens in zip(simplices, tables.faces[n], tables.degens[n]):
+                assert [tables.simplices[n - 1][q] for q in faces] == \
+                    [X.face(x, a) for a in range(n + 1) if n]
+                assert [tables.simplices[n + 1][q] for q in degens] == \
+                    [X.degeneracy(x, i) for i in range(n + 1)]
+    for span in spans:
+        for f in (span.pi, span.iota):
+            source, target = Tables(f.domain), Tables(f.codomain)
+            image = source.image(f, target)
+            for n in range(5):
+                assert [target.simplices[n][q] for q in image[n]] == \
+                    [f(x) for x in source.simplices[n]]
+
+
+def test_tables_hold_no_reference_cycle():
+    # a check's tables go when the check returns, without waiting for
+    # the cycle collector
+    tables = Tables(standard_simplex(2))
+    tables.apply(1, 0, (("d", 0), ("s", 1)))
+    tables.first(2, [(0, 0)], Budget(None))
+    ref = weakref.ref(tables)
+    gc.disable()
+    try:
+        del tables
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
 def test_indexed_enumeration_matches_linear_scan():
     spans = search_spans()
     cone3 = cone_span(standard_simplex(3))
     complexes = [build_exit(span, 4) for span in spans] + [cone3.L]
     accepted = tried = 0
     for X in complexes:
-        faces = FaceRows(X)  # shared across shapes, as a check shares it
+        tables = Tables(X)  # shared across shapes, as a check shares it
         for n, i in shapes(4):
             horns = assert_same_search(
-                lambda b: enumerate_horns(X, n, i, b, faces=faces),
+                lambda b: enumerate_horns(X, n, i, b, tables=tables),
                 lambda b: linear_enumerate(X, n, i, b))
             spent = Budget(None)  # standalone, with rows of its own
             assert enumerate_horns(X, n, i, spent) == horns
@@ -323,10 +393,10 @@ def test_indexed_filler_matches_linear_scan():
     hits = misses = 0
     for span in search_spans():
         X = build_exit(span, 3)
-        faces = FaceRows(X)  # shared across shapes, as a check shares it
+        tables = Tables(X)  # shared across shapes, as a check shares it
         for n, i, horns in all_horns(X, 3):
             for k, h in enumerate(horns):
-                filler = assert_same_search(lambda b: find_filler(X, h, b, faces=faces),
+                filler = assert_same_search(lambda b: find_filler(X, h, b, tables=tables),
                                             lambda b: linear_filler(X, h, b))
                 if k % 16 == 0:  # a standalone call builds its own rows
                     assert find_filler(X, h) == filler
@@ -339,13 +409,16 @@ def test_indexed_lift_matches_linear_scan():
     hits = misses = 0
     for span in search_spans():
         for f in (span.pi, span.iota):
-            faces = FaceRows(f.domain)
+            tables = Tables(f.domain)
             for n, i, horns in all_horns(f.domain, 3):
+                simplices, numbers = tables.simplices[n], tables.numbers[n - 1]
                 for h in horns:
+                    wanted = [(a, numbers[g]) for a, g in h.present()]
                     for base in f.codomain.simplices_at(n):
-                        lift = assert_same_search(
-                            lambda b: faces.first(n, h.present(), b, lambda x: f(x) == base),
-                            lambda b: linear_lift(f, h, base, b))
+                        def indexed(b):
+                            p = tables.first(n, wanted, b, lambda q: f(simplices[q]) == base)
+                            return None if p is None else simplices[p]
+                        lift = assert_same_search(indexed, lambda b: linear_lift(f, h, base, b))
                         hits += lift is not None
                         misses += lift is None
     assert hits and misses
