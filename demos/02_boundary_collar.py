@@ -17,9 +17,9 @@ from exitpath.documents import print_sset
 from exitpath.gallery import load_span
 from exitpath.simplicial import nondeg
 
-span = load_span("boundary-collar", verify_depth=3)
+span = load_span("boundary-collar")
 print(f"span: {span.M.name} <- {span.L.name} -> {span.N.name}")
-print(f"iota levelwise injective through degree {span.iota.mono_bound}")
+print(f"iota levelwise injective through degree 3: {span.iota.is_mono(3)[0]}")
 print()
 
 edge = nondeg("0,1", 1)

@@ -18,13 +18,13 @@ from exitpath.verify import (
 )
 
 for name in ("s0-defect", "boundary-collar"):
-    span = load_span(name, verify_depth=3)
+    span = load_span(name)
     ex = build_exit(span, 3)
     report = verify_quasicategory(ex, 3)
     print(report.to_text())
     print()
 
-span = load_span("broken", verify_depth=2)
+span = load_span("broken")
 ex = build_exit(span, 2)
 print("the broken span:  edge <- point -> edge, pi landing at the closed end")
 report = verify_quasicategory(ex, 2)

@@ -40,7 +40,7 @@ print("S^0 -> * as a right fibration, depth 3:")
 print(report.to_text())
 print()
 
-span = load_span("broken", verify_depth=2)
+span = load_span("broken")
 report = check_fibration(span.pi, kind="right", depth=2)
 print("pi of the broken span:")
 print(report.to_text())

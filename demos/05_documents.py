@@ -13,7 +13,7 @@ from exitpath.construction import build_exit, exit_simplices
 from exitpath.documents import parse_span_file, print_smap, write_span_documents
 from exitpath.gallery import load_span
 
-span = load_span("s0-defect", verify_depth=3)
+span = load_span("s0-defect")
 
 print("=== iota as a document ===")
 print(print_smap(span.iota))
@@ -28,7 +28,6 @@ with tempfile.TemporaryDirectory() as tmp:
     print(span_path.read_text())
 
     copy = parse_span_file(str(span_path))
-    copy.verify_iota(3)
 
     ex = build_exit(span, 3)
     ex2 = build_exit(copy, 3)

@@ -110,12 +110,11 @@ ExitSimplex = Low | Exit | Upper
 class LinkedSpan:
     """M <-pi- L -iota-> N with pi, iota natural on generators.
 
-    Naturality of both maps is audited at construction.  Injectivity of
-    iota is verified on demand and iota records the degree it holds
-    through (SimplicialMap.mono_bound); exit-path membership queries
-    require that check to have passed through the relevant degree.
-    Whether pi is a right fibration is a separate check,
-    verify.check_fibration.
+    Naturality of both maps is audited at construction, and iota fixes
+    from its generators the degree it is injective through
+    (SimplicialMap.mono_bound); exit-path membership queries need that
+    bound to reach the relevant degree.  Whether pi is a right
+    fibration is a separate check, verify.check_fibration.
     """
 
     def __init__(self, name: str, M: SimplicialSet, L: SimplicialSet, N: SimplicialSet,
@@ -131,21 +130,15 @@ class LinkedSpan:
         # iota; at most sum over generators of (dim + 1) entries
         self._front_lifts: dict[tuple[str, int], bool] = {}
 
-    def verify_iota(self, depth: int) -> bool:
-        """Check iota is levelwise injective through degree depth."""
-        return self.iota.is_mono(depth)[0]
-
     def require_iota(self, depth: int):
-        if self.iota.mono_bound >= depth:
-            return
         ok, witness = self.iota.is_mono(depth)
         if not ok:
             raise IotaNotMono(f"{self.name}: iota is not mono: {witness}")
 
     def front_lifts(self, gen: str, r: int) -> bool:
         """Whether the front face g . (0 < ... < r) of the generator gen
-        of N lies in the image of iota.  Requires iota verified mono
-        through degree r; the answer is cached per (gen, r)."""
+        of N lies in the image of iota.  Requires iota mono through
+        degree r; the answer is cached per (gen, r)."""
         key = (gen, r)
         hit = self._front_lifts.get(key)
         if hit is None:
@@ -170,7 +163,7 @@ def is_exit_path(span: LinkedSpan, gamma: FormalSimplex, j: int) -> bool:
     of the front face F_r(g) of gamma's generator at r = sigma(j - 1),
     and a degeneracy lies in the simplicial subset im(iota) exactly
     when its nondegenerate core does; so the answer is
-    span.front_lifts(g, r), with r <= k - 1 inside the verified bound.
+    span.front_lifts(g, r), with r <= k - 1 inside iota's mono bound.
     """
     k = gamma.dim
     if k < 1:
@@ -323,7 +316,7 @@ class ExitComplex(SimplicialSet):
 def build_exit(span: LinkedSpan, depth: int) -> ExitComplex:
     """Materialize Ex(span) up to dimension depth.
 
-    Requires iota verified mono through depth.  Generators per
+    Requires iota mono through depth.  Generators per
     dimension k are the generators of M, the nondegenerate exit paths
     read off the prisms over N's generators (first (s_i^* g, i + 1) for
     g in gens_{k-1}(N), then (g, j) for g in gens_k(N), where

@@ -257,7 +257,9 @@ def parse_smap(text: str, ssets: dict[str, SimplicialSet],
             raise ParseError(path, lineno, f"unknown domain generator {g!r}")
         if g in assignment:
             raise ParseError(path, lineno, f"second map line for {g!r}")
-        assignment[g] = _parse_entry(eq[1], path, lineno, dom.gen_dims[g])
+        image = assignment[g] = _parse_entry(eq[1], path, lineno, dom.gen_dims[g])
+        if not ssets[codomain].has_simplex(image):
+            raise ParseError(path, lineno, f"image of {g!r} not in {codomain}")
     if len(head) < 3:
         raise ParseError(path, 1, "missing smap/domain/codomain header")
     return _at_line(path, 1, SimplicialMap, head["smap"], ssets[head["domain"]],

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-from math import comb
+from math import comb, inf
 
 from .operators import (
     Operator,
@@ -255,7 +255,9 @@ class SimplicialMap:
     assignment maps each domain generator label to a FormalSimplex of
     the codomain of the same dimension; the action on arbitrary
     simplices follows by naturality.  audit() checks naturality on the
-    face tables, which is the whole condition.
+    face tables, which is the whole condition.  Injectivity is likewise
+    read off the generators, once: mono_bound is the highest degree
+    through which the map is injective (inf if it is mono).
     """
 
     def __init__(self, name: str, domain: SimplicialSet, codomain: SimplicialSet,
@@ -264,8 +266,6 @@ class SimplicialMap:
         self.domain = domain
         self.codomain = codomain
         self.assignment = dict(assignment)
-        self._mono_bound = -1
-        self._image_tables: dict[int, dict[FormalSimplex, FormalSimplex]] = {}
         missing = [g for g in domain.gen_dims if g not in self.assignment]
         if missing:
             raise ValueError(f"{name}: no image for generators {missing}")
@@ -278,6 +278,17 @@ class SimplicialMap:
         problems = self.audit()
         if problems:
             raise ValueError("; ".join(problems))
+        # f(sigma^* g) = sigma^* f(g) is in normal form while f(g) is
+        # nondegenerate, so f is injective exactly below the first
+        # generator whose image is degenerate or already taken
+        self.mono_bound: float = inf
+        self._preimage_gens: dict[str, str] = {}
+        for g in domain.generators():
+            t = self.assignment[g]
+            if t.is_nondegenerate() and t.gen not in self._preimage_gens:
+                self._preimage_gens[t.gen] = g
+            else:
+                self.mono_bound = min(self.mono_bound, domain.gen_dims[g] - 1)
 
     def __call__(self, s: FormalSimplex) -> FormalSimplex:
         return self.codomain.act(self.assignment[s.gen], s.degeneracy)
@@ -302,46 +313,34 @@ class SimplicialMap:
     # -- injectivity ------------------------------------------------------
 
     def image_table(self, n: int) -> dict[FormalSimplex, FormalSimplex]:
-        """image simplex -> first preimage at degree n; built lazily.
-        Only trustworthy once is_mono succeeded through degree n."""
-        if n not in self._image_tables:
-            table = {}
-            for s in self.domain.simplices_at(n):
-                table.setdefault(self(s), s)
-            self._image_tables[n] = table
-        return self._image_tables[n]
+        """image simplex -> first preimage at degree n, by listing L_n."""
+        table = {}
+        for s in self.domain.simplices_at(n):
+            table.setdefault(self(s), s)
+        return table
 
     def is_mono(self, depth: int) -> tuple[bool, str | None]:
-        """Degree-wise injectivity through degree depth: each degree's
-        image table has one entry per domain simplex.
-
-        Returns (ok, witness); the witness names the first simplex, in
-        canonical order, whose image an earlier one already took.  On
-        success the verified bound is recorded so preimage() becomes
-        available through that degree.
-        """
-        for n in range(depth + 1):
-            table = self.image_table(n)
-            if len(table) < self.domain.count_at(n):
-                s = next(s for s in self.domain.simplices_at(n) if table[self(s)] != s)
-                t = self(s)
-                return False, f"degree {n}: {table[t]!r} and {s!r} both map to {t!r}"
-        self._mono_bound = max(self._mono_bound, depth)
-        return True, None
-
-    @property
-    def mono_bound(self) -> int:
-        return self._mono_bound
+        """(ok, witness): injectivity through degree depth, read off
+        mono_bound.  On failure the witness names the first simplex of
+        degree mono_bound + 1, in canonical order, whose image an
+        earlier one already took."""
+        if depth <= self.mono_bound:
+            return True, None
+        n = self.mono_bound + 1
+        table = self.image_table(n)
+        s = next(s for s in self.domain.simplices_at(n) if table[self(s)] != s)
+        t = self(s)
+        return False, f"degree {n}: {table[t]!r} and {s!r} both map to {t!r}"
 
     def preimage(self, s: FormalSimplex) -> FormalSimplex | None:
-        """The unique preimage of s, or None if s is not in the image.
-        Requires is_mono verified through s.dim."""
-        if s.dim > self._mono_bound:
-            raise RuntimeError(
-                f"{self.name}: preimage queried at degree {s.dim} but injectivity "
-                f"is only verified through degree {self._mono_bound}"
-            )
-        return self.image_table(s.dim).get(s)
+        """The unique preimage of s, or None if s is not in the image:
+        s's generator relabelled, its degeneracy kept.  Defined through
+        degree mono_bound."""
+        if s.dim > self.mono_bound:
+            raise RuntimeError(f"{self.name}: preimage queried at degree {s.dim} but "
+                               f"injectivity holds only through degree {self.mono_bound}")
+        g = self._preimage_gens.get(s.gen)
+        return None if g is None else FormalSimplex(g, s.degeneracy)
 
     def __repr__(self):
         return f"SimplicialMap({self.name!r}: {self.domain.name} -> {self.codomain.name})"

@@ -180,7 +180,7 @@ def test_c05_exit_complex_identities():
     t0 = time.perf_counter()
     ok = True
     for name in HYPOTHESIS_SPANS:
-        span = load_span(name, verify_depth=4)
+        span = load_span(name)
         report = verify_simplicial_identities(build_exit(span, 4), 4)
         ok = ok and report.ok
     dt = time.perf_counter() - t0
@@ -190,7 +190,7 @@ def test_c05_exit_complex_identities():
 
 
 def test_c06_trivial_span_recovers_input():
-    span = load_span("trivial", verify_depth=5)
+    span = load_span("trivial")
     ex = build_exit(span, 5)
     report = isomorphism_report(ex, GALLERY["trivial"].oracle(), 5)
     conclude(6, "Ex(empty <- empty -> X) is isomorphic to X through degree 5",
@@ -198,7 +198,7 @@ def test_c06_trivial_span_recovers_input():
 
 
 def test_c07_point_cone_is_interval():
-    span = load_span("point-cone", verify_depth=7)
+    span = load_span("point-cone")
     ex = build_exit(span, 6)
     ok = all(ex.count_at(k) == k + 2 for k in range(7))
     ok = ok and isomorphism_report(ex, standard_simplex(1, "interval"), 6).ok
@@ -235,7 +235,7 @@ def test_c08_inner_horns_fill():
     t0 = time.perf_counter()
     ok = True
     for name in HYPOTHESIS_SPANS:
-        span = load_span(name, verify_depth=3)
+        span = load_span(name)
         report = verify_quasicategory(build_exit(span, 3), 3, budget=BUDGET)
         ok = ok and report.ok and not report.inconclusive
     dt = time.perf_counter() - t0
@@ -245,7 +245,7 @@ def test_c08_inner_horns_fill():
 
 
 def test_c09_broken_span_detected():
-    span = load_span("broken", verify_depth=3)
+    span = load_span("broken")
     fib = check_fibration(span.pi, 1, kind="right", budget=BUDGET)
     ok = bool(fib.failed)
     ok = ok and fib.failed[0].name == "lifts Lambda^1_1"

@@ -182,6 +182,31 @@ def test_check_mono(capsys, tmp_path):
     assert code == FAIL and out.startswith("FAIL") and "degree 0" in out
 
 
+def test_check_mono_lists_at_most_the_witness_degree(capsys, tmp_path, monkeypatch):
+    # injectivity is decided from the generators; only a failure lists
+    # L_n, at the one degree that names the witness (0 for merged)
+    from exitpath.simplicial import SimplicialSet
+
+    listing = SimplicialSet.simplices_at
+
+    def witness_degree_only(self, n):
+        if n != 0:
+            raise AssertionError(f"listed {self.name} at degree {n}")
+        return listing(self, n)
+
+    monkeypatch.setattr(SimplicialSet, "simplices_at", witness_degree_only)
+    for name in ("point-cone", "s0-defect"):
+        code, out, _ = run(capsys, "check-mono", "--span", name, "--max-dim", "1000",
+                           "--format", "machine")
+        assert code == PASS
+        assert json.loads(out) == {"map": "iota", "mono_through": 1000, "ok": True,
+                                   "witness": None}
+    code, out, _ = run(capsys, "check-mono", "--span", merged_span(tmp_path), "--max-dim", "1000")
+    assert code == FAIL
+    assert out == ("FAIL: iota levelwise injective through degree 1000  "
+                   "[degree 0: l1 and l2 both map to p]\n")
+
+
 @pytest.mark.parametrize("command", ["build-exit", "stats", "verify-identities",
                                      "verify-qcat"])
 def test_non_mono_iota_is_an_input_error(capsys, tmp_path, command):

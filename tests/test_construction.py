@@ -41,12 +41,6 @@ from exitpath.simplicial import (
 SPAN_NAMES = sorted(GALLERY)
 
 
-def collar():
-    span = boundary_collar_span()
-    span.verify_iota(5)
-    return span
-
-
 def degenerate_edge(vertex: str) -> FormalSimplex:
     return FormalSimplex(vertex, Operator(1, 0, (0, 0)))
 
@@ -55,7 +49,7 @@ def degenerate_edge(vertex: str) -> FormalSimplex:
 
 
 def test_membership_on_the_collar():
-    span = collar()
+    span = boundary_collar_span()
     b = nondeg("0,1", 1)
     assert is_exit_path(span, b, 1)
     assert is_exit_path(span, degenerate_edge("0"), 1)
@@ -63,7 +57,7 @@ def test_membership_on_the_collar():
 
 
 def test_membership_input_checks():
-    span = collar()
+    span = boundary_collar_span()
     with pytest.raises(ValueError):
         is_exit_path(span, nondeg("0", 0), 1)
     with pytest.raises(ValueError):
@@ -80,7 +74,7 @@ def test_exit_path_index_range():
 
 
 def test_same_gamma_different_index_are_distinct():
-    span = load_span("point-cone", verify_depth=3)
+    span = load_span("point-cone")
     gamma = span.N.degeneracy(degenerate_edge("x"), 0)
     assert Exit(gamma, 1) != Exit(gamma, 2)
     assert is_exit_path(span, gamma, 1) and is_exit_path(span, gamma, 2)
@@ -93,7 +87,7 @@ def test_membership_requires_verified_iota():
     pi = SimplicialMap("pi", L, M, {"l1": nondeg("m", 0), "l2": nondeg("m", 0)})
     iota = SimplicialMap("iota", L, N, {"l1": nondeg("n", 0), "l2": nondeg("n", 0)})
     span = LinkedSpan("collapsed", M, L, N, pi, iota)
-    assert not span.verify_iota(0)
+    assert not span.iota.is_mono(0)[0]
     assert span.iota.mono_bound == -1
     with pytest.raises(RuntimeError):
         is_exit_path(span, degenerate_edge("n"), 1)
@@ -140,7 +134,6 @@ MEMBERSHIP_SPANS = {
 def test_membership_agrees_with_restriction_lookup(name):
     span = MEMBERSHIP_SPANS[name]()
     assert exit_simplices(span, 0) == []
-    span.verify_iota(3)
     outcomes = set()
     for k in range(1, 5):
         want = []
@@ -157,7 +150,7 @@ def test_membership_agrees_with_restriction_lookup(name):
 
 
 def test_exit_simplices_order_and_counts():
-    span = collar()
+    span = boundary_collar_span()
     paths = exit_simplices(span, 1)
     assert [repr(p) for p in paths] == ["exit(0+s0@1)", "exit(0,1@1)"]
     # degree 2: both indices of the degenerate square at 0, plus the
@@ -168,7 +161,7 @@ def test_exit_simplices_order_and_counts():
 def test_cardinality_sum():
     # |Ex_k| = |M_k| + |paths_k| + |N_k| for every gallery span
     for name in SPAN_NAMES:
-        span = load_span(name, verify_depth=4)
+        span = load_span(name)
         ex = build_exit(span, 4)
         for k in range(5):
             expected = span.M.count_at(k) + span.N.count_at(k)
@@ -182,14 +175,14 @@ def test_cardinality_sum():
 
 
 def test_edge_faces_low_and_upper():
-    span = collar()
+    span = boundary_collar_span()
     e = Exit(nondeg("0,1", 1), 1)
     assert exit_face(span, e, 1) == Low(nondeg("m", 0))
     assert exit_face(span, e, 0) == Upper(nondeg("1", 0))
 
 
 def test_triangle_face_dispatch():
-    span = collar()
+    span = boundary_collar_span()
     b = nondeg("0,1", 1)
     t = Exit(span.N.degeneracy(b, 0), 1)
     assert exit_face(span, t, 0) == Upper(b)
@@ -199,14 +192,13 @@ def test_triangle_face_dispatch():
 
 def test_low_face_lands_through_pi():
     span = broken_span()
-    span.verify_iota(3)
     e = Exit(nondeg("0,1", 1), 1)
     # the link sits at vertex 0 of N and pi sends it to vertex 1 of M
     assert exit_face(span, e, 1) == Low(nondeg("1", 0))
 
 
 def test_low_and_upper_parts_are_closed():
-    span = collar()
+    span = boundary_collar_span()
     m = Low(span.M.degeneracy(nondeg("m", 0), 0))
     assert isinstance(exit_face(span, m, 0), Low)
     assert isinstance(exit_degeneracy(span, m, 0), Low)
@@ -216,7 +208,7 @@ def test_low_and_upper_parts_are_closed():
 
 
 def test_degeneracies_of_an_exit_edge():
-    span = collar()
+    span = boundary_collar_span()
     p = Exit(nondeg("0,1", 1), 1)
     up0 = exit_degeneracy(span, p, 0)
     up1 = exit_degeneracy(span, p, 1)
@@ -227,7 +219,7 @@ def test_degeneracies_of_an_exit_edge():
 
 
 def test_face_index_bounds():
-    span = collar()
+    span = boundary_collar_span()
     e = Exit(nondeg("0,1", 1), 1)
     with pytest.raises(ValueError):
         exit_face(span, e, 2)
@@ -239,7 +231,7 @@ def test_face_index_bounds():
 
 def test_membership_is_closed_under_faces_and_degeneracies():
     for name in SPAN_NAMES:
-        span = load_span(name, verify_depth=4)
+        span = load_span(name)
         for k in range(1, 4):
             for p in exit_simplices(span, k):
                 for i in range(k + 1):
@@ -254,7 +246,7 @@ def test_membership_is_closed_under_faces_and_degeneracies():
 
 
 def test_dimension_one_paths_never_degenerate():
-    span = collar()
+    span = boundary_collar_span()
     assert detect_degenerate_exit(span, Exit(degenerate_edge("0"), 1)) is None
 
 
@@ -262,7 +254,7 @@ def test_detect_agrees_with_enumeration():
     # a path is degenerate iff it is s_i of some lower path; compare the
     # closed-form detector against brute-force enumeration
     for name in SPAN_NAMES:
-        span = load_span(name, verify_depth=4)
+        span = load_span(name)
         for k in range(2, 5):
             images = {}
             for q in exit_simplices(span, k - 1):
@@ -279,7 +271,7 @@ def test_detect_agrees_with_enumeration():
 
 def test_normal_form_roundtrip():
     for name in SPAN_NAMES:
-        span = load_span(name, verify_depth=4)
+        span = load_span(name)
         ex = build_exit(span, 4)
         for k in range(5):
             tagged = set()
@@ -292,7 +284,7 @@ def test_normal_form_roundtrip():
 
 
 def test_exit_labels():
-    span = collar()
+    span = boundary_collar_span()
     assert exit_label(Low(nondeg("m", 0))) == "M.m"
     assert exit_label(Upper(nondeg("0,1", 1))) == "N.0,1"
     assert exit_label(Exit(nondeg("0,1", 1), 1)) == "P.0,1@1"
@@ -341,7 +333,6 @@ def peeling_normal_form(span, p):
 def assert_matches_peeling(span, depth=5):
     """build_exit's exit generators, detect_degenerate_exit and
     exit_normal_form agree with the oracles on every pair (gamma, j)."""
-    span.verify_iota(depth)
     ex = build_exit(span, depth)
     for k in range(1, depth + 1):
         want = [p for p in exit_simplices(span, k) if peeling_detect(span, p) is None]
@@ -402,7 +393,7 @@ def each_tagged(span, max_dim):
 
 @pytest.mark.parametrize("name", SPAN_NAMES)
 def test_tagged_identity_dd(name):
-    span = load_span(name, verify_depth=4)
+    span = load_span(name)
     for s in each_tagged(span, 3):
         n = s.dim
         if n < 2:
@@ -415,7 +406,7 @@ def test_tagged_identity_dd(name):
 
 @pytest.mark.parametrize("name", SPAN_NAMES)
 def test_tagged_identity_ds(name):
-    span = load_span(name, verify_depth=4)
+    span = load_span(name)
     for s in each_tagged(span, 3):
         n = s.dim
         for j in range(n + 1):
@@ -433,7 +424,7 @@ def test_tagged_identity_ds(name):
 
 @pytest.mark.parametrize("name", SPAN_NAMES)
 def test_tagged_identity_ss(name):
-    span = load_span(name, verify_depth=4)
+    span = load_span(name)
     for s in each_tagged(span, 3):
         n = s.dim
         for j in range(n + 1):
@@ -446,10 +437,10 @@ def test_tagged_identity_ss(name):
 
 
 def test_low_lift_failure_is_span_integrity_error():
-    # corrupt the verified preimage table behind iota's back: the low
-    # face of a legitimate exit path then has no lift
-    span = collar()
+    # corrupt iota's generator table behind its back: the low face of
+    # a legitimate exit path then has no lift
+    span = boundary_collar_span()
     e = Exit(nondeg("0,1", 1), 1)
-    span.iota._image_tables[0] = {}
+    span.iota._preimage_gens.clear()
     with pytest.raises(SpanIntegrityError):
         exit_face(span, e, 1)

@@ -42,7 +42,7 @@ def test_sset_roundtrip_with_notes_and_spaces_in_name():
 
 
 def test_exit_complex_document_roundtrip():
-    span = load_span("boundary-collar", verify_depth=3)
+    span = load_span("boundary-collar")
     ex = build_exit(span, 3)
     same_sset(ex, parse_sset(print_sset(ex)))
 
@@ -315,6 +315,19 @@ def test_cli_rejects_a_repeated_map_line(tmp_path, capsys):
     assert main(["check-mono", "--span", span_path]) == INPUT_ERROR
     err = capsys.readouterr().err
     assert f"boundary-collar.iota.smap:{len(lines) + 1}: second map line for 'l'" in err
+
+
+@pytest.mark.parametrize("image", ["zz", "0,1"], ids=["unknown-generator", "wrong-dimension"])
+def test_cli_names_the_map_line_of_an_image_outside_the_codomain(tmp_path, capsys, image):
+    from exitpath.cli import INPUT_ERROR, main
+
+    span_path = write_span_documents(load_span("boundary-collar"), str(tmp_path))
+    doc = tmp_path / "boundary-collar.iota.smap"
+    lines = doc.read_text().splitlines()
+    assert lines[3].strip() == "map l = () 0"
+    doc.write_text("\n".join(lines[:3] + [f"  map l = () {image}"]) + "\n")
+    assert main(["check-mono", "--span", span_path]) == INPUT_ERROR
+    assert "boundary-collar.iota.smap:4: image of 'l' not in collar" in capsys.readouterr().err
 
 
 def test_cli_names_the_line_of_an_unrepresentable_label(tmp_path, capsys):

@@ -26,7 +26,7 @@ def test_load_span_unknown():
 @pytest.mark.parametrize("name", sorted(GALLERY))
 def test_iota_is_mono_everywhere(name):
     span = load_span(name)
-    assert span.verify_iota(4)
+    assert span.iota.is_mono(4) == (True, None)
     assert span.iota.mono_bound >= 4
 
 
@@ -40,7 +40,7 @@ def test_hypothesis_flag_matches_fibration_check(name):
         "M inner horns": verify_quasicategory(span.M, 4).ok,
         "N inner horns": verify_quasicategory(span.N, 4).ok,
         "pi right fibration": check_fibration(span.pi, 4, kind="right").ok,
-        "iota mono": span.verify_iota(4),
+        "iota mono": span.iota.is_mono(4)[0],
     }
     assert all(hypotheses.values()) == GALLERY[name].hypotheses_hold, hypotheses
     if GALLERY[name].hypotheses_hold:
@@ -49,7 +49,7 @@ def test_hypothesis_flag_matches_fibration_check(name):
 
 @pytest.mark.parametrize("name", sorted(GALLERY))
 def test_exit_complex_is_coherent(name):
-    span = load_span(name, verify_depth=3)
+    span = load_span(name)
     ex = build_exit(span, 3)
     assert ex.audit() == []
     assert verify_simplicial_identities(ex, 3).ok
@@ -57,13 +57,13 @@ def test_exit_complex_is_coherent(name):
 
 @pytest.mark.parametrize("name", [n for n in sorted(GALLERY) if GALLERY[n].oracle])
 def test_oracles_match(name):
-    span = load_span(name, verify_depth=3)
+    span = load_span(name)
     ex = build_exit(span, 3)
     assert isomorphism_report(ex, GALLERY[name].oracle(), 3).ok
 
 
 def test_point_cone_counts():
-    span = load_span("point-cone", verify_depth=6)
+    span = load_span("point-cone")
     ex = build_exit(span, 6)
     for k in range(7):
         assert ex.count_at(k) == k + 2
@@ -78,18 +78,18 @@ def test_cone_names_follow_the_base():
     assert cone_span(standard_simplex(2)).name == "cone-simplex2"
     assert cone_span(standard_simplex(3, "tetra")).name == "cone-tetra"
     assert load_span("point-cone").name == "point-cone"
-    assert build_exit(load_span("point-cone", verify_depth=1), 1).name == "Ex(point-cone)<=1"
+    assert build_exit(load_span("point-cone"), 1).name == "Ex(point-cone)<=1"
 
 
 def test_s0_defect_counts():
-    span = load_span("s0-defect", verify_depth=5)
+    span = load_span("s0-defect")
     ex = build_exit(span, 5)
     for k in range(6):
         assert ex.count_at(k) == 2 * k + 3
 
 
 def test_boundary_collar_inventory():
-    span = load_span("boundary-collar", verify_depth=3)
+    span = load_span("boundary-collar")
     ex = build_exit(span, 3)
     assert ex.generators(0) == ["M.m", "N.0", "N.1"]
     assert ex.generators(1) == ["P.0+s0@1", "P.0,1@1", "N.0,1"]
@@ -104,7 +104,7 @@ def test_boundary_collar_inventory():
 
 def test_broken_exit_paths_exist_but_horns_fail():
     # building Ex never needs the fibration hypothesis; only filling does
-    span = load_span("broken", verify_depth=2)
+    span = load_span("broken")
     assert len(exit_simplices(span, 1)) == 2
     ex = build_exit(span, 2)
     assert ex.audit() == []

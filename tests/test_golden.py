@@ -93,7 +93,6 @@ def test_cone_simplex3_kan_lifts(tmp_path, capsys):
 
 def test_cone_simplex3_depth5_statuses():
     span = cone_span(standard_simplex(3))
-    span.verify_iota(5)
     report = verify_quasicategory(build_exit(span, 5), 5)
     statuses = {e.name: e.status for e in report.entries}
     assert statuses == json.loads(golden("verify-qcat-cone-simplex3-depth5-statuses"))

@@ -1,5 +1,6 @@
 """Generator normal form: the operator action, enumeration, audits, maps."""
 
+from itertools import product
 from math import comb
 
 import pytest
@@ -86,7 +87,7 @@ def operator_act(X, s, op):
 
 def exit_complex(name, depth):
     span = (cone_span(standard_simplex(2)) if name == "cone-simplex2"
-            else load_span(name, verify_depth=depth))
+            else load_span(name))
     return build_exit(span, depth)
 
 
@@ -213,7 +214,7 @@ def corrupted_tetrahedron():
 
 def gallery_complexes():
     for name in sorted(GALLERY):
-        span = load_span(name, verify_depth=4)
+        span = load_span(name)
         yield from (span.M, span.L, span.N, build_exit(span, 4))
 
 
@@ -241,7 +242,7 @@ def test_face_input_checks():
 
 @pytest.mark.parametrize("name", sorted(GALLERY))
 def test_count_at_closed_form(name):
-    span = load_span(name, verify_depth=5)
+    span = load_span(name)
     for X in (span.M, span.L, span.N, build_exit(span, 5)):
         for n in range(6):
             assert X.count_at(n) == len(X.simplices_at(n)), (X.name, n)
@@ -298,26 +299,153 @@ def test_is_mono_and_preimage():
     assert not ok and "degree 0" in witness
 
 
-def test_is_mono_witness_is_first_clash_in_canonical_order():
-    # three edges a -> b; e and f land on the same edge, g on a degenerate one
+def parallel_map():
+    # three edges a -> b, all landing on the edge 0,1
     X = SimplicialSet("parallel")
     X.add_generator(0, "a")
     X.add_generator(0, "b")
     for label in "efg":
         X.add_generator(1, label, [nondeg("b", 0), nondeg("a", 0)])
     Y = standard_simplex(1)
-    m = SimplicialMap("m", X, Y, {"a": nondeg("0", 0), "b": nondeg("1", 0),
-                                  "e": nondeg("0,1", 1), "f": nondeg("0,1", 1),
-                                  "g": nondeg("0,1", 1)})
+    return SimplicialMap("m", X, Y, {"a": nondeg("0", 0), "b": nondeg("1", 0),
+                                     "e": nondeg("0,1", 1), "f": nondeg("0,1", 1),
+                                     "g": nondeg("0,1", 1)})
+
+
+def test_is_mono_witness_is_first_clash_in_canonical_order():
+    m = parallel_map()
+    X = m.domain
     assert m.is_mono(3) == (False, "degree 1: e and f both map to 0,1")
-    assert m.mono_bound == -1
+    assert m.mono_bound == 0
     firsts = [X.degeneracy(nondeg("a", 0), 0), X.degeneracy(nondeg("b", 0), 0), nondeg("e", 1)]
     assert m.image_table(1) == {m(x): x for x in firsts}
 
 
-def test_preimage_requires_verification():
+def test_preimage_needs_no_is_mono_call():
     X = standard_simplex(1)
     P = standard_simplex(0, "pt")
     inc = SimplicialMap("inc", P, X, {"0": nondeg("0", 0)})
+    assert inc.preimage(nondeg("0", 0)) == nondeg("0", 0)
+    assert inc.preimage(nondeg("1", 0)) is None
+
+    m = parallel_map()
+    assert m.preimage(nondeg("1", 0)) == nondeg("b", 0)
     with pytest.raises(RuntimeError):
-        inc.preimage(nondeg("0", 0))
+        m.preimage(nondeg("0,1", 1))
+    with pytest.raises(RuntimeError):
+        m.preimage(m.codomain.degeneracy(nondeg("0", 0), 0))
+
+
+# -- injectivity against the per-degree scan ------------------------------------
+
+
+def scanned_is_mono(f, depth):
+    """Injectivity as decided by listing L_n degree by degree: the
+    witness names the first simplex whose image an earlier one took."""
+    for n in range(depth + 1):
+        table = scanned_image_table(f, n)
+        if len(table) < f.domain.count_at(n):
+            s = next(s for s in f.domain.simplices_at(n) if table[f(s)] != s)
+            return False, f"degree {n}: {table[f(s)]!r} and {s!r} both map to {f(s)!r}"
+    return True, None
+
+
+def scanned_image_table(f, n):
+    table = {}
+    for s in f.domain.simplices_at(n):
+        table.setdefault(f(s), s)
+    return table
+
+
+# every poset on at most three elements, up to isomorphism
+SMALL_POSETS = [
+    ([], []), (["a"], []), (["a", "b"], []), (["a", "b"], [("a", "b")]),
+    (["a", "b", "c"], []), (["a", "b", "c"], [("a", "b")]),
+    (["a", "b", "c"], [("a", "b"), ("b", "c")]),
+    (["a", "b", "c"], [("a", "b"), ("a", "c")]), (["a", "b", "c"], [("a", "c"), ("b", "c")]),
+]
+
+
+def nerve_maps():
+    """The map of nerves of every monotone map between SMALL_POSETS."""
+    nerves = [nerve_of_poset(e, r, f"P{i}") for i, (e, r) in enumerate(SMALL_POSETS)]
+    for P in nerves:
+        for Q in nerves:
+            for values in product(Q.generators(0), repeat=len(P.generators(0))):
+                v = dict(zip(P.generators(0), values))
+                if any(v[x] != v[y] and f"{v[x]},{v[y]}" not in Q.gen_dims
+                       for x, y in (e.split(",") for e in P.generators(1))):
+                    continue
+                assignment = {}
+                for label in P.generators():
+                    image = [v[x] for x in label.split(",")]
+                    chain = list(dict.fromkeys(image))
+                    sigma = Operator(len(image) - 1, len(chain) - 1,
+                                     tuple(chain.index(x) for x in image))
+                    assignment[label] = FormalSimplex(",".join(chain), sigma)
+                yield SimplicialMap(f"{P.name}->{Q.name}", P, Q, assignment)
+
+
+def circle_to_point():
+    X = SimplicialSet("circle")
+    X.add_generator(0, "v")
+    X.add_generator(1, "e", [nondeg("v", 0), nondeg("v", 0)])
+    return SimplicialMap("crush", X, standard_simplex(0),
+                         {"v": nondeg("0", 0), "e": FormalSimplex("0", Operator(1, 0, (0, 0)))})
+
+
+def pillow_to_triangle():
+    # two triangles on one boundary
+    X = standard_simplex(2, "pillow")
+    X.add_generator(2, "t2", [X.face_table[("0,1,2", i)] for i in range(3)])
+    assignment = {g: nondeg(g, X.gen_dims[g]) for g in X.generators() if g != "t2"}
+    return SimplicialMap("fold", X, standard_simplex(2), {**assignment, "t2": nondeg("0,1,2", 2)})
+
+
+def thin_triangle():
+    # t has d_0 t = s_0 b and d_1 t = d_2 t = e, so it may go to s_1 e
+    X, Y = SimplicialSet("thin"), SimplicialSet("edge")
+    for Z in (X, Y):
+        Z.add_generator(0, "a")
+        Z.add_generator(0, "b")
+        Z.add_generator(1, "e", [nondeg("b", 0), nondeg("a", 0)])
+    X.add_generator(2, "t", [X.degeneracy(nondeg("b", 0), 0), nondeg("e", 1), nondeg("e", 1)])
+    X.assert_coherent()
+    assignment = {g: nondeg(g, X.gen_dims[g]) for g in "abe"}
+    return SimplicialMap("squash", X, Y, {**assignment, "t": Y.degeneracy(nondeg("e", 1), 1)})
+
+
+def test_hand_built_maps_fail_above_degree_zero():
+    assert circle_to_point().is_mono(4) == (False, "degree 1: v+s0 and e both map to 0+s0")
+    assert pillow_to_triangle().is_mono(4) == (False, "degree 2: 0,1,2 and t2 both map to 0,1,2")
+    assert thin_triangle().is_mono(4) == (False, "degree 2: e+s1 and t both map to e+s1")
+
+
+def oracle_maps():
+    for name in sorted(GALLERY):
+        span = load_span(name)
+        yield from (span.pi, span.iota)
+    for n in range(4):
+        span = cone_span(standard_simplex(n))
+        yield from (span.pi, span.iota)
+    yield from nerve_maps()
+    yield from (circle_to_point(), pillow_to_triangle(), thin_triangle())
+
+
+def test_mono_bound_agrees_with_the_per_degree_scan():
+    maps = list(oracle_maps())
+    for f in maps:
+        for depth in range(5):
+            assert f.is_mono(depth) == scanned_is_mono(f, depth), (f.name, depth)
+        for n in range(4):
+            if not scanned_is_mono(f, n)[0]:
+                for s in f.codomain.simplices_at(n):
+                    with pytest.raises(RuntimeError):
+                        f.preimage(s)
+                continue
+            table = scanned_image_table(f, n)
+            for s in f.codomain.simplices_at(n):
+                assert f.preimage(s) == table.get(s), (f.name, s)
+    # 485 nerve maps, 366 of them and four pi maps not injective on vertices
+    assert len(maps) == 506
+    assert sum(f.mono_bound == -1 for f in maps) == 370

@@ -133,7 +133,7 @@ def test_identity_report_pinned_on_corrupted_table():
 
 
 def test_identity_report_pinned_on_gallery_exit_complex():
-    ex = build_exit(load_span("broken", verify_depth=4), 4)
+    ex = build_exit(load_span("broken"), 4)
     report = verify_simplicial_identities(ex, 4)
     assert report.to_json() == identity_report_json(
         "Ex(broken)<=4", 4, [413, 421, 530, 421, 686])
@@ -246,7 +246,7 @@ def test_filler_searches_hitting_the_budget_are_counted():
 
 
 def test_unfillable_horn_is_witnessed():
-    span = load_span("broken", verify_depth=3)
+    span = load_span("broken")
     ex = build_exit(span, 2)
     report = verify_quasicategory(ex, 2)
     assert report.failed
@@ -305,10 +305,8 @@ def linear_lift(f, h, base, budget):
 
 
 def search_spans():
-    spans = [load_span(name, verify_depth=3) for name in sorted(GALLERY)]
-    cone = cone_span(standard_simplex(2))
-    cone.verify_iota(3)
-    return spans + [cone]
+    spans = [load_span(name) for name in sorted(GALLERY)]
+    return spans + [cone_span(standard_simplex(2))]
 
 
 def shapes(depth):
@@ -426,7 +424,6 @@ def test_indexed_lift_matches_linear_scan():
 
 def test_cone_search_verdicts():
     span = cone_span(standard_simplex(2))
-    span.verify_iota(4)
     report = verify_quasicategory(build_exit(span, 4), 4)
     assert [(e.name, e.status) for e in report.entries] == [
         ("inner horns Lambda^2_1", "pass"), ("inner horns Lambda^3_1", "fail"),
@@ -477,7 +474,7 @@ def test_sphere_to_point_is_right_fibration():
 
 
 def test_broken_pi_fails_at_the_first_right_horn():
-    span = load_span("broken", verify_depth=2)
+    span = load_span("broken")
     report = check_fibration(span.pi, 2, kind="right")
     assert report.failed
     first = report.failed[0]
