@@ -15,13 +15,15 @@ status: 0 all checks passed, 1 a check failed, 2 input error, 3 a
 search budget was exhausted (fail wins over exhaustion when both
 happen).  Output is deterministic; --format machine emits json with
 sorted keys.
+
+Each cmd_* returns (status, payload, text) and prints nothing; main
+prints text, or the machine json of payload, and returns the status.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import json
 import os
 import sys
 
@@ -32,7 +34,7 @@ from .construction import (
     SpanIntegrityError,
     build_exit,
 )
-from .documents import ParseError, parse_span_file, print_sset, write_span_documents
+from .documents import parse_span_file, print_sset, write_span_documents
 from .gallery import GALLERY, load_span
 from .shuffles import (
     UndefinedFlat,
@@ -41,10 +43,16 @@ from .shuffles import (
     flat,
     sharp,
 )
-from .verify import check_fibration, verify_quasicategory, verify_simplicial_identities
+from .verify import (
+    check_fibration,
+    machine_json,
+    verify_quasicategory,
+    verify_simplicial_identities,
+)
 
 PASS, FAIL, INPUT_ERROR, EXHAUSTED = 0, 1, 2, 3
 DEFAULT_BUDGET = 100000
+Output = tuple[int, object, str]  # (status, payload, text)
 
 
 def _resolve_span(ref: str) -> LinkedSpan:
@@ -63,22 +71,20 @@ def _exit_complex(args) -> tuple[LinkedSpan, ExitComplex]:
     return span, build_exit(span, args.max_dim)
 
 
-def _report_status(report) -> int:
+def _report(report) -> Output:
     if report.failed:
-        return FAIL
-    if report.inconclusive:
-        return EXHAUSTED
-    return PASS
+        status = FAIL
+    elif report.inconclusive:
+        status = EXHAUSTED
+    else:
+        status = PASS
+    return status, report.payload(), report.to_text()
 
 
-def _emit_report(report, fmt: str) -> int:
-    print(report.to_json() if fmt == "machine" else report.to_text())
-    return _report_status(report)
-
-
-def cmd_shuffle_table(args) -> int:
+def cmd_shuffle_table(args) -> Output:
     k = args.k
     rows = []
+    lines = [f"exit shuffles and collapses, k = {k}"]
     for j in range(1, k + 1):
         S = exit_shuffle(k, j)
         C = collapse(k, j)
@@ -88,20 +94,15 @@ def cmd_shuffle_table(args) -> int:
             "collapse_low": list(C.low.values),
             "collapse_high": list(C.high.values),
         })
-    if args.format == "machine":
-        print(json.dumps({"k": k, "tables": rows}, sort_keys=True, indent=2))
-        return PASS
-    print(f"exit shuffles and collapses, k = {k}")
-    for row in rows:
-        pts = " ".join(f"{i}->({lv},{pos})" for i, (lv, pos) in enumerate(row["shuffle"]))
-        print(f"S_{row['j']}: {pts}")
-        low = " ".join(f"(0,{i})->{v}" for i, v in enumerate(row["collapse_low"]))
-        high = " ".join(f"(1,{i})->{v}" for i, v in enumerate(row["collapse_high"]))
-        print(f"C_{row['j']}: {low} | {high}")
-    return PASS
+        pts = " ".join(f"{i}->({lv},{pos})" for i, (lv, pos) in enumerate(S.points))
+        lines.append(f"S_{j}: {pts}")
+        low = " ".join(f"(0,{i})->{v}" for i, v in enumerate(C.low.values))
+        high = " ".join(f"(1,{i})->{v}" for i, v in enumerate(C.high.values))
+        lines.append(f"C_{j}: {low} | {high}")
+    return PASS, {"k": k, "tables": rows}, "\n".join(lines)
 
 
-def cmd_flat_sharp_table(args) -> int:
+def cmd_flat_sharp_table(args) -> Output:
     k = args.k
     flats = {}
     sharps = {}
@@ -114,121 +115,97 @@ def cmd_flat_sharp_table(args) -> int:
                 frow.append(None)
         flats[j] = frow
         sharps[j] = [sharp(k, j, i) for i in range(k + 1)]
-    if args.format == "machine":
-        print(json.dumps({"k": k,
-                          "flat": {str(j): v for j, v in flats.items()},
-                          "sharp": {str(j): v for j, v in sharps.items()}},
-                         sort_keys=True, indent=2))
-        return PASS
-
-    def table(name, data):
-        print(f"{name}(k={k}, j, i); rows j = 1..{k}, columns i = 0..{k}")
-        print("j\\i " + " ".join(f"{i:>2d}" for i in range(k + 1)))
+    lines = []
+    for name, data in (("flat", flats), ("sharp", sharps)):
+        lines.append(f"{name}(k={k}, j, i); rows j = 1..{k}, columns i = 0..{k}")
+        lines.append("j\\i " + " ".join(f"{i:>2d}" for i in range(k + 1)))
         for j in range(1, k + 1):
             cells = " ".join(" -" if v is None else f"{v:>2d}" for v in data[j])
-            print(f"{j:>3d} {cells}")
+            lines.append(f"{j:>3d} {cells}")
+    payload = {"k": k,
+               "flat": {str(j): v for j, v in flats.items()},
+               "sharp": {str(j): v for j, v in sharps.items()}}
+    return PASS, payload, "\n".join(lines)
 
-    table("flat", flats)
-    table("sharp", sharps)
-    return PASS
 
-
-def cmd_build_exit(args) -> int:
+def cmd_build_exit(args) -> Output:
     span, ex = _exit_complex(args)
     doc = print_sset(ex)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(doc)
     if args.stats:
-        return _print_stats(span, ex, args)
-    if args.format == "machine":
-        print(json.dumps({"name": ex.name, "document": doc}, sort_keys=True, indent=2))
-    elif not args.out:
-        print(doc, end="")
-    else:
-        print(f"wrote {args.out}")
-    return PASS
+        return _stats(span, ex, args)
+    text = f"wrote {args.out}" if args.out else doc.removesuffix("\n")
+    return PASS, {"name": ex.name, "document": doc}, text
 
 
-def _print_stats(span, ex, args) -> int:
+def _stats(span, ex, args) -> Output:
     # Ex_k is M_k, the exit paths of degree k, and N_k, disjointly
     rows = []
+    lines = [f"exit complex of {span.name}, degrees 0..{args.max_dim}",
+             "degree  low  exit  upper  total  generators"]
     for k in range(args.max_dim + 1):
         low, upper, total = span.M.count_at(k), span.N.count_at(k), ex.count_at(k)
-        rows.append({
+        r = {
             "degree": k,
             "low": low,
             "exit": total - low - upper,
             "upper": upper,
             "total": total,
             "generators": len(ex.gens.get(k, [])),
-        })
-    if args.format == "machine":
-        print(json.dumps({"span": span.name, "max_dim": args.max_dim, "degrees": rows},
-                         sort_keys=True, indent=2))
-        return PASS
-    print(f"exit complex of {span.name}, degrees 0..{args.max_dim}")
-    print("degree  low  exit  upper  total  generators")
-    for r in rows:
-        print(f"{r['degree']:>6d} {r['low']:>4d} {r['exit']:>5d} {r['upper']:>6d} "
-              f"{r['total']:>6d} {r['generators']:>11d}")
-    return PASS
+        }
+        rows.append(r)
+        lines.append(f"{r['degree']:>6d} {r['low']:>4d} {r['exit']:>5d} {r['upper']:>6d} "
+                     f"{r['total']:>6d} {r['generators']:>11d}")
+    payload = {"span": span.name, "max_dim": args.max_dim, "degrees": rows}
+    return PASS, payload, "\n".join(lines)
 
 
-def cmd_stats(args) -> int:
+def cmd_stats(args) -> Output:
     span, ex = _exit_complex(args)
-    return _print_stats(span, ex, args)
+    return _stats(span, ex, args)
 
 
-def cmd_verify_identities(args) -> int:
+def cmd_verify_identities(args) -> Output:
     _, ex = _exit_complex(args)
-    return _emit_report(verify_simplicial_identities(ex, args.max_dim), args.format)
+    return _report(verify_simplicial_identities(ex, args.max_dim))
 
 
-def cmd_verify_qcat(args) -> int:
+def cmd_verify_qcat(args) -> Output:
     _, ex = _exit_complex(args)
-    return _emit_report(verify_quasicategory(ex, args.max_dim, args.budget), args.format)
+    return _report(verify_quasicategory(ex, args.max_dim, args.budget))
 
 
-def cmd_check_fibration(args) -> int:
+def cmd_check_fibration(args) -> Output:
     span = _resolve_span(args.span)
     report = check_fibration(span.pi, args.max_dim, kind=args.kind, budget=args.budget)
-    return _emit_report(report, args.format)
+    return _report(report)
 
 
-def cmd_check_mono(args) -> int:
+def cmd_check_mono(args) -> Output:
     span = _resolve_span(args.span)
     ok, witness = span.iota.is_mono(args.max_dim)
-    if args.format == "machine":
-        print(json.dumps({"map": span.iota.name, "mono_through": args.max_dim,
-                          "ok": ok, "witness": witness}, sort_keys=True, indent=2))
-    else:
-        verdict = "PASS" if ok else "FAIL"
-        print(f"{verdict}: {span.iota.name} levelwise injective through "
-              f"degree {args.max_dim}" + (f"  [{witness}]" if witness else ""))
-    return PASS if ok else FAIL
+    verdict = "PASS" if ok else "FAIL"
+    text = (f"{verdict}: {span.iota.name} levelwise injective through "
+            f"degree {args.max_dim}" + (f"  [{witness}]" if witness else ""))
+    payload = {"map": span.iota.name, "mono_through": args.max_dim,
+               "ok": ok, "witness": witness}
+    return (PASS if ok else FAIL), payload, text
 
 
-def cmd_examples(args) -> int:
+def cmd_examples(args) -> Output:
     if args.action == "list":
-        if args.format == "machine":
-            print(json.dumps({name: e.summary for name, e in GALLERY.items()},
-                             sort_keys=True, indent=2))
-        else:
-            for name in sorted(GALLERY):
-                print(f"{name:<16s} {GALLERY[name].summary}")
-        return PASS
+        payload = {name: e.summary for name, e in GALLERY.items()}
+        text = "\n".join(f"{name:<16s} {GALLERY[name].summary}" for name in sorted(GALLERY))
+        return PASS, payload, text
     # emit
     name = args.name
     if name not in GALLERY:
         what = "examples emit needs a span name" if name is None else f"unknown example {name!r}"
         raise ValueError(f"{what}; gallery: {', '.join(sorted(GALLERY))}")
     path = write_span_documents(load_span(name), args.dir)
-    if args.format == "machine":
-        print(json.dumps({"name": name, "span": path}, sort_keys=True, indent=2))
-    else:
-        print(f"wrote {path}")
-    return PASS
+    return PASS, {"name": name, "span": path}, f"wrote {path}"
 
 
 def _at_least(minimum: int):
@@ -317,10 +294,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
-    except (ParseError, ValueError, KeyError, OSError, IotaNotMono, SpanIntegrityError) as e:
+        status, payload, text = args.fn(args)
+        print(machine_json(payload) if args.format == "machine" else text)
+    except (ValueError, OSError, IotaNotMono, SpanIntegrityError) as e:
         print(f"error: {e}", file=sys.stderr)
         return INPUT_ERROR
+    return status
 
 
 if __name__ == "__main__":

@@ -2,7 +2,7 @@
 
 One document per object.  The grammar is line-oriented; indentation is
 cosmetic, comments run from '#' to end of line, labels are any
-whitespace-free tokens without '(', ')' or '#'.  Degeneracy data is
+whitespace-free tokens without '(', ')', '#', '=' or '::'.  Degeneracy data is
 written as the word of codegeneracy indices (ascending repeat
 positions), '()' for nondegenerate.
 
@@ -39,12 +39,13 @@ class ParseError(ValueError):
         self.lineno = lineno
 
 
-_LABEL_BAD = set("()#")
+_LABEL_BAD = set("()#=")
 _SLOTS = ("M", "L", "N", "pi", "iota")
 
 
 def _check_label(label: str):
-    if not label or any(c in _LABEL_BAD or c.isspace() for c in label):
+    # '=' and '::' separate the parts of map and gen lines
+    if not label or "::" in label or any(c in _LABEL_BAD or c.isspace() for c in label):
         raise ValueError(f"label {label!r} not representable in documents")
 
 
@@ -92,6 +93,8 @@ def print_smap(f: SimplicialMap) -> str:
         _check_name(name)
     lines = [f"smap {f.name}", f"domain {f.domain.name}", f"codomain {f.codomain.name}"]
     for g in f.domain.generators():
+        _check_label(g)
+        _check_label(f.assignment[g].gen)
         lines.append(f"  map {g} = {_entry_str(f.assignment[g])}")
     return "\n".join(lines) + "\n"
 

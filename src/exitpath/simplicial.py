@@ -327,10 +327,13 @@ class SimplicialMap:
         if depth <= self.mono_bound:
             return True, None
         n = self.mono_bound + 1
-        table = self.image_table(n)
-        s = next(s for s in self.domain.simplices_at(n) if table[self(s)] != s)
-        t = self(s)
-        return False, f"degree {n}: {table[t]!r} and {s!r} both map to {t!r}"
+        first = {}
+        for s in self.domain.simplices_at(n):
+            t = self(s)
+            if t in first:
+                return False, f"degree {n}: {first[t]!r} and {s!r} both map to {t!r}"
+            first[t] = s
+        raise AssertionError(f"{self.name}: no two simplices of degree {n} share an image")
 
     def preimage(self, s: FormalSimplex) -> FormalSimplex | None:
         """The unique preimage of s, or None if s is not in the image:

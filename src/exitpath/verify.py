@@ -46,6 +46,12 @@ class Budget:
             raise BudgetExhausted(f"budget of {self.limit} nodes exhausted")
 
 
+def machine_json(payload) -> str:
+    """The machine format of every exitpath output: json with sorted
+    keys, indented by 2."""
+    return json.dumps(payload, sort_keys=True, indent=2)
+
+
 @dataclass(frozen=True)
 class CheckEntry:
     name: str
@@ -87,8 +93,8 @@ class VerificationReport:
         lines.append(f"result: {verdict} ({len(self.entries)} checks)")
         return "\n".join(lines)
 
-    def to_json(self) -> str:
-        payload = {
+    def payload(self) -> dict:
+        return {
             "subject": self.subject,
             "bound": self.bound,
             "ok": self.ok,
@@ -98,7 +104,9 @@ class VerificationReport:
                 for e in self.entries
             ],
         }
-        return json.dumps(payload, sort_keys=True, indent=2)
+
+    def to_json(self) -> str:
+        return machine_json(self.payload())
 
 
 # -- the tables ----------------------------------------------------------------

@@ -227,6 +227,19 @@ def test_span_integrity_error_is_an_input_error(capsys, monkeypatch):
     assert code == INPUT_ERROR and err == "error: low face has no lift\n"
 
 
+def test_internal_key_error_is_not_an_input_error(capsys, monkeypatch):
+    # only input errors exit 2; a failed lookup inside the program is a bug
+    from exitpath import cli
+
+    def lookup_bug(span, depth):
+        raise KeyError("missing")
+
+    monkeypatch.setattr(cli, "build_exit", lookup_bug)
+    with pytest.raises(KeyError):
+        main(["verify-qcat", "--span", "broken"])
+    assert capsys.readouterr().err == ""
+
+
 def test_examples_list_and_emit(capsys, tmp_path):
     code, out, _ = run(capsys, "examples", "list")
     assert code == PASS

@@ -14,7 +14,13 @@ from exitpath.documents import (
     write_span_documents,
 )
 from exitpath.gallery import GALLERY, load_span
-from exitpath.simplicial import SimplicialSet, nerve_of_poset, standard_simplex
+from exitpath.simplicial import (
+    SimplicialMap,
+    SimplicialSet,
+    nerve_of_poset,
+    nondeg,
+    standard_simplex,
+)
 
 
 def chain3():
@@ -87,6 +93,22 @@ def test_labels_unprintable():
     Y = SimplicialSet("with # comment")
     with pytest.raises(ValueError):
         print_sset(Y)
+
+
+@pytest.mark.parametrize("label", ["a::b", "a=b", "=", "::"])
+def test_labels_with_line_separators_are_unprintable(label):
+    # 'gen a::b' would read back as label a with note b, and
+    # 'map a=b = () c' splits at the first '='
+    X = SimplicialSet("X")
+    X.add_generator(0, label)
+    with pytest.raises(ValueError, match="not representable"):
+        print_sset(X)
+    P = SimplicialSet("P")
+    P.add_generator(0, "c")
+    for f in (SimplicialMap("f", X, P, {label: nondeg("c", 0)}),
+              SimplicialMap("g", P, X, {"c": nondeg(label, 0)})):
+        with pytest.raises(ValueError, match="not representable"):
+            print_smap(f)
 
 
 def parse_err(text):
@@ -255,11 +277,12 @@ def test_cli_names_the_document_line(tmp_path, capsys):
     ("sset x\nmaxdim 0\ndim 0\ngen\n", 4, "label '' not representable"),
     ("sset x\nmaxdim 0\ndim 0\ngen :: a note\n", 4, "label '' not representable"),
     ("sset x\nmaxdim 0\ndim 0\ngen a b\n", 4, "label 'a b' not representable"),
+    ("sset x\nmaxdim 0\ndim 0\ngen a=b\n", 4, "label 'a=b' not representable"),
     ("# heading\nsset\nmaxdim 0\ndim 0\ngen a\n", 2, "name '' not representable"),
     ("sset x\nmaxdim 0\nmaxdim 0\ndim 0\ngen a\n", 3, "second maxdim header"),
     ("  bogus 1\nsset x\nmaxdim 0\n", 1, "unknown directive 'bogus'"),
-], ids=["gen-no-label", "gen-note-no-label", "gen-two-words", "sset-no-name", "maxdim-twice",
-        "unknown-first-directive"])
+], ids=["gen-no-label", "gen-note-no-label", "gen-two-words", "gen-equals", "sset-no-name",
+        "maxdim-twice", "unknown-first-directive"])
 def test_parse_sset_rejects_what_it_cannot_print(text, lineno, message):
     e = parse_err(text)
     assert e.lineno == lineno and message in str(e)

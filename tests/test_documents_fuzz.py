@@ -5,13 +5,19 @@ way, and reads the span back.  The reader must either return a span or
 raise ParseError at a line that exists in the file it names; any other
 exception is a parser bug.  Each span's cases come from one seeded
 random.Random, so a failure reproduces exactly.
+
+The same mutations then go through the span commands of the CLI, which
+must end with an exit status, never an exception: a document the
+reader refuses is an input error (2), and one it accepts is checked.
 """
 
+import contextlib
 import os
 import random
 
 import pytest
 
+from exitpath.cli import EXHAUSTED, FAIL, INPUT_ERROR, PASS, main
 from exitpath.documents import ParseError, parse_span_file, write_span_documents
 from exitpath.gallery import GALLERY, load_span
 
@@ -60,10 +66,9 @@ def emitted(name: str, directory: str) -> tuple[str, dict[str, str]]:
     return span_path, docs
 
 
-def run_case(span_path: str, docs: dict[str, str], rng: random.Random):
-    """Mutate one document in place, parse, restore.
-
-    Returns the span or the ParseError, and the texts that were read."""
+@contextlib.contextmanager
+def mutated(span_path: str, docs: dict[str, str], rng: random.Random):
+    """Mutate one document in place, yield the texts now on disk, restore."""
     directory = os.path.dirname(span_path)
     fname = rng.choice(sorted(docs))
     texts = dict(docs)
@@ -72,12 +77,21 @@ def run_case(span_path: str, docs: dict[str, str], rng: random.Random):
     with open(target, "w", encoding="utf-8") as fh:
         fh.write(texts[fname])
     try:
-        return parse_span_file(span_path), texts
-    except ParseError as e:
-        return e, texts
+        yield texts
     finally:
         with open(target, "w", encoding="utf-8") as fh:
             fh.write(docs[fname])
+
+
+def run_case(span_path: str, docs: dict[str, str], rng: random.Random):
+    """Parse the span with one document mutated.
+
+    Returns the span or the ParseError, and the texts that were read."""
+    with mutated(span_path, docs, rng) as texts:
+        try:
+            return parse_span_file(span_path), texts
+        except ParseError as e:
+            return e, texts
 
 
 CASES_PER_SPAN = 200
@@ -99,3 +113,20 @@ def test_mutated_documents_parse_or_name_a_real_line(name, tmp_path):
             outcomes["span"] += 1
     # the mutations reach both outcomes, so neither branch is vacuous
     assert outcomes["error"] > 0
+
+
+CLI_COMMANDS = [["check-mono"], ["build-exit", "--stats"], ["verify-identities"],
+                ["verify-qcat"], ["check-fibration", "--kind", "kan"]]
+CLI_CASES_PER_SPAN = 40
+
+
+@pytest.mark.parametrize("name", sorted(GALLERY))
+def test_mutated_documents_through_the_cli(name, tmp_path):
+    span_path, docs = emitted(name, str(tmp_path))
+    rng = random.Random(f"cli-fuzz-{name}")
+    statuses = set()
+    for _ in range(CLI_CASES_PER_SPAN):
+        with mutated(span_path, docs, rng):
+            for command in CLI_COMMANDS:
+                statuses.add(main([*command, "--span", span_path, "--max-dim", "2"]))
+    assert statuses <= {PASS, FAIL, INPUT_ERROR, EXHAUSTED}, statuses

@@ -20,6 +20,10 @@ across shapes:
   `check-fibration --kind kan --format machine --max-dim 4` on cone(Δ^3);
 * `verify-qcat-cone-simplex3-depth5-statuses.json`: the entry statuses
   of `verify_quasicategory(Ex(cone(Δ^3)), 5)`.
+
+`cli-outputs.json` maps each command line of CLI_LINES, run in text and
+in machine format, to its exit status and stdout; it was recorded
+before the commands handed their output to `main` to print.
 """
 
 import json
@@ -89,6 +93,24 @@ def test_cone_simplex3_kan_lifts(tmp_path, capsys):
     out = stdout_of(capsys, FAIL, "check-fibration", "--span", cone_file(tmp_path, 3),
                     "--kind", "kan", "--format", "machine", "--max-dim", "4")
     assert out == golden("check-fibration-kan-cone-simplex3")
+
+
+CLI_LINES = [
+    "shuffle-table --k 3", "flat-sharp-table --k 4", "examples list",
+    *(f"{command} --span {span} --max-dim 3"
+      for command in ("stats", "build-exit", "build-exit --stats", "verify-identities",
+                      "verify-qcat", "check-fibration", "check-mono")
+      for span in ("broken", "point-cone")),
+]
+
+
+@pytest.mark.parametrize("fmt", ["text", "machine"])
+@pytest.mark.parametrize("line", CLI_LINES)
+def test_cli_outputs(line, fmt, capsys):
+    argv = [*line.split(), "--format", fmt]
+    status = main(argv)
+    recorded = json.loads(golden("cli-outputs"))[" ".join(argv)]
+    assert {"status": status, "stdout": capsys.readouterr().out} == recorded
 
 
 def test_cone_simplex3_depth5_statuses():

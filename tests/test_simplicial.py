@@ -421,6 +421,20 @@ def test_hand_built_maps_fail_above_degree_zero():
     assert thin_triangle().is_mono(4) == (False, "degree 2: e+s1 and t both map to e+s1")
 
 
+def test_is_mono_lists_the_witness_degree_once(monkeypatch):
+    f = pillow_to_triangle()
+    listing = SimplicialSet.simplices_at
+    listed = []
+
+    def spy(self, n):
+        listed.append(n)
+        return listing(self, n)
+
+    monkeypatch.setattr(SimplicialSet, "simplices_at", spy)
+    assert f.is_mono(4) == (False, "degree 2: 0,1,2 and t2 both map to 0,1,2")
+    assert listed == [2]
+
+
 def oracle_maps():
     for name in sorted(GALLERY):
         span = load_span(name)
