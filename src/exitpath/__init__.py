@@ -56,10 +56,9 @@ from .verify import (
     HornProblem,
     VerificationReport,
     check_fibration,
+    comparison_report,
     enumerate_horns,
     find_filler,
-    find_isomorphism,
-    isomorphism_report,
     verify_quasicategory,
     verify_simplicial_identities,
 )

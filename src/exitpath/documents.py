@@ -49,10 +49,12 @@ def _check_label(label: str):
         raise ValueError(f"label {label!r} not representable in documents")
 
 
-def _check_name(name: str):
-    # names are rest-of-line tokens; only comments and newlines are out
-    if not name or name != name.strip() or "#" in name or "\n" in name:
-        raise ValueError(f"name {name!r} not representable in documents")
+def _check_name(name: str, noun: str = "name"):
+    # names and notes are rest-of-line tokens, read back stripped: not
+    # empty, no comment, no line break (splitlines' sense) and no
+    # whitespace at either end
+    if name != name.strip() or "#" in name or name.splitlines() != [name]:
+        raise ValueError(f"{noun} {name!r} not representable in documents")
 
 
 def _at_line(path: str, lineno: int, call, *args):
@@ -82,7 +84,9 @@ def print_sset(X: SimplicialSet) -> str:
         for g in X.gens[d]:
             _check_label(g)
             note = X.notes.get(g)
-            lines.append(f"  gen {g}" + (f" :: {note}" if note else ""))
+            if note is not None:
+                _check_name(note, "note")
+            lines.append(f"  gen {g}" + (f" :: {note}" if note is not None else ""))
             for i in range(d + 1) if d >= 1 else []:
                 lines.append(f"    face {i} = {_entry_str(X.face_table[(g, i)])}")
     return "\n".join(lines) + "\n"
@@ -205,6 +209,8 @@ def parse_sset(text: str, path: str = "<sset>") -> SimplicialSet:
             else:
                 label, note = rest.strip(), None
             _at_line(path, lineno, _check_label, label)
+            if note is not None:
+                _at_line(path, lineno, _check_name, note, "note")
             if cur_dim == 0:
                 _at_line(path, lineno, X.add_generator, 0, label, None, note)
             else:

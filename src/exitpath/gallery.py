@@ -1,8 +1,10 @@
 """Worked spans with known exit complexes.
 
-Each entry builds a small linked span whose exit complex has a hand
-or nerve-computed oracle; the expectations are re-verified by the test
-suite and by `exitpath examples`.  The broken entry violates the
+Each entry builds a small linked span.  Where its exit complex is
+known by hand or as a nerve, the entry's oracle maps the built complex
+onto it, and the test suite checks that map with
+verify.comparison_report; `exitpath examples` only lists the entries
+and writes their documents.  The broken entry violates the
 right-fibration hypothesis on purpose and is the negative control for
 the horn-filling checks.
 """
@@ -111,30 +113,41 @@ class GalleryEntry:
     build: Callable[[], LinkedSpan]
     summary: str
     hypotheses_hold: bool  # M, N quasicategories; iota mono; pi a right fibration
-    oracle: Callable[[], SimplicialSet] | None = None
+    # the built Ex -> the comparison map from it onto its known complex
+    oracle: Callable[[SimplicialSet], SimplicialMap] | None = None
 
 
-def _trivial():
-    return trivial_inclusion_span(nerve_of_poset(["a", "b", "c"],
-                                                 [("a", "b"), ("b", "c"), ("a", "c")],
-                                                 "chain3"))
+def _chain3():
+    return nerve_of_poset(["a", "b", "c"], [("a", "b"), ("b", "c"), ("a", "c")], "chain3")
+
+
+def _relabelling(ex: SimplicialSet, oracle: SimplicialSet,
+                 labels: dict[str, str]) -> SimplicialMap:
+    """The comparison map ex -> oracle sending each generator g of ex to
+    the oracle's generator labels[g]; building it audits naturality."""
+    return SimplicialMap("comparison", ex, oracle,
+                         {g: nondeg(labels[g], d) for g, d in ex.gen_dims.items()})
 
 
 GALLERY: dict[str, GalleryEntry] = {
     "trivial": GalleryEntry(
-        "trivial", _trivial,
+        "trivial", lambda: trivial_inclusion_span(_chain3()),
         "empty <- empty -> nerve(a<b<c); Ex is N again", True,
-        lambda: nerve_of_poset(["a", "b", "c"],
-                               [("a", "b"), ("b", "c"), ("a", "c")], "chain3")),
+        lambda ex: _relabelling(ex, _chain3(),
+                                {g: g.removeprefix("N.") for g in ex.gen_dims})),
     "point-cone": GalleryEntry(
         "point-cone", lambda: cone_span(point("apexlink", "x"), "point-cone"),
         "point <- point = point; Ex is the 1-simplex", True,
-        lambda: standard_simplex(1, "interval")),
+        lambda ex: _relabelling(ex, standard_simplex(1, "interval"),
+                                {"M.c": "0", "N.x": "1", "P.x+s0@1": "0,1"})),
     "s0-defect": GalleryEntry(
         "s0-defect", s0_defect_span,
         "point <- S^0 = S^0; Ex is the nerve of m<n-, m<n+", True,
-        lambda: nerve_of_poset(["m", "n-", "n+"], [("m", "n-"), ("m", "n+")],
-                               "defect-nerve")),
+        lambda ex: _relabelling(
+            ex, nerve_of_poset(["m", "n-", "n+"], [("m", "n-"), ("m", "n+")],
+                               "defect-nerve"),
+            {"M.m": "m", "N.n-": "n-", "N.n+": "n+",
+             "P.n-+s0@1": "m,n-", "P.n++s0@1": "m,n+"})),
     "boundary-collar": GalleryEntry(
         "boundary-collar", boundary_collar_span,
         "point <- point -> edge at vertex 0; boundary with collar", True,

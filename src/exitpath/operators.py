@@ -89,18 +89,26 @@ def compose(outer: Operator, inner: Operator) -> Operator:
     return Operator(inner.src_dim, outer.dst_dim, tuple(outer.values[v] for v in inner.values))
 
 
+def epi_mono_values(values) -> tuple[list[int], list[int]]:
+    """Epi-mono factorization of a monotone value list: (the surjection
+    onto the image's positions, the image in ascending order)."""
+    epi, image = [], []
+    for v in values:
+        if not image or image[-1] != v:
+            image.append(v)
+        epi.append(len(image) - 1)
+    return epi, image
+
+
 def epi_mono_factor(op: Operator) -> tuple[Operator, Operator]:
     """Factor op = mono . epi with epi surjective and mono injective.
 
     Returns (epi, mono).  The factorization is the unique one through
     [r] where r+1 is the size of the image.
     """
-    image = sorted(set(op.values))
+    epi, image = epi_mono_values(op.values)
     rank = len(image) - 1
-    pos = {v: m for m, v in enumerate(image)}
-    epi = Operator(op.src_dim, rank, tuple(pos[v] for v in op.values))
-    mono = Operator(rank, op.dst_dim, tuple(image))
-    return epi, mono
+    return Operator(op.src_dim, rank, tuple(epi)), Operator(rank, op.dst_dim, tuple(image))
 
 
 def monotone_maps(src_dim: int, dst_dim: int):

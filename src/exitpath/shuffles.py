@@ -34,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .operators import Operator, face_op, degeneracy_op
+from .operators import Operator
 
 
 class UndefinedFlat(ValueError):
@@ -167,19 +167,3 @@ def restriction_operator(k: int, j: int) -> Operator:
     _check_exit_index(k, j)
     return Operator(k - 1, k, tuple(m if m < j else j - 1 for m in range(k)))
 
-
-# -- composites used by the verification suite ------------------------------
-
-
-def shuffle_after_coface(k: int, j: int, i: int) -> tuple[tuple[int, int], ...]:
-    """Points of S_j . coface_i : [k-1] -> Delta[1] x Delta[k-1]."""
-    S = exit_shuffle(k, j)
-    op = face_op(k, i)
-    return tuple(S(op(m)) for m in range(k))
-
-
-def shuffle_after_codegeneracy(k: int, j: int, i: int) -> tuple[tuple[int, int], ...]:
-    """Points of S_j . codegeneracy_i : [k+1] -> Delta[1] x Delta[k-1]."""
-    S = exit_shuffle(k, j)
-    op = degeneracy_op(k, i)
-    return tuple(S(op(m)) for m in range(k + 2))

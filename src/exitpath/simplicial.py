@@ -26,6 +26,7 @@ from .operators import (
     Operator,
     degeneracy_op,
     degeneracy_word,
+    epi_mono_values,
     face_op,
     identity,
     surjections,
@@ -35,17 +36,6 @@ from .operators import (
 # the largest degree acted on.
 _face_op = cache(face_op)
 _degeneracy_op = cache(degeneracy_op)
-
-
-def _factor(values: list[int]) -> tuple[list[int], list[int]]:
-    """Epi-mono factorization of a monotone value list: (the surjection
-    onto the image's positions, the image in ascending order)."""
-    epi, image = [], []
-    for v in values:
-        if not image or image[-1] != v:
-            image.append(v)
-        epi.append(len(image) - 1)
-    return epi, image
 
 
 @dataclass(frozen=True)
@@ -157,7 +147,7 @@ class SimplicialSet:
             raise ValueError(f"operator {op!r} does not match simplex of dimension {s.dim}")
         gen, dim = s.gen, s.gen_dim
         sigma = s.degeneracy.values
-        epi, image = _factor([sigma[v] for v in op.values])
+        epi, image = epi_mono_values([sigma[v] for v in op.values])
         while len(image) <= dim:
             # the highest value the image misses: it factors through
             # that coface, so drop it from the codomain
@@ -167,7 +157,7 @@ class SimplicialSet:
                 k -= 1
             entry = self.face_table[(gen, j)]
             tau = entry.degeneracy.values
-            epi2, image = _factor([tau[v if v < j else v - 1] for v in image])
+            epi2, image = epi_mono_values([tau[v if v < j else v - 1] for v in image])
             epi = [epi2[v] for v in epi]
             gen, dim = entry.gen, entry.gen_dim
         return FormalSimplex(gen, Operator(op.src_dim, dim, tuple(epi)))

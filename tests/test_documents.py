@@ -1,5 +1,7 @@
 """Document round-trips and parse diagnostics."""
 
+import re
+
 import pytest
 
 from exitpath.construction import build_exit
@@ -109,6 +111,14 @@ def test_labels_with_line_separators_are_unprintable(label):
               SimplicialMap("g", P, X, {"c": nondeg(label, 0)})):
         with pytest.raises(ValueError, match="not representable"):
             print_smap(f)
+
+
+@pytest.mark.parametrize("note", ["x # y", " pad ", "", "a\nb", "a\rb"])
+def test_notes_that_would_not_read_back_are_unprintable(note):
+    X = SimplicialSet("X")
+    X.add_generator(0, "a", note=note)
+    with pytest.raises(ValueError, match=re.escape(f"note {note!r} not representable")):
+        print_sset(X)
 
 
 def parse_err(text):
@@ -278,11 +288,12 @@ def test_cli_names_the_document_line(tmp_path, capsys):
     ("sset x\nmaxdim 0\ndim 0\ngen :: a note\n", 4, "label '' not representable"),
     ("sset x\nmaxdim 0\ndim 0\ngen a b\n", 4, "label 'a b' not representable"),
     ("sset x\nmaxdim 0\ndim 0\ngen a=b\n", 4, "label 'a=b' not representable"),
+    ("sset x\nmaxdim 0\ndim 0\ngen a ::\n", 4, "note '' not representable"),
     ("# heading\nsset\nmaxdim 0\ndim 0\ngen a\n", 2, "name '' not representable"),
     ("sset x\nmaxdim 0\nmaxdim 0\ndim 0\ngen a\n", 3, "second maxdim header"),
     ("  bogus 1\nsset x\nmaxdim 0\n", 1, "unknown directive 'bogus'"),
-], ids=["gen-no-label", "gen-note-no-label", "gen-two-words", "gen-equals", "sset-no-name",
-        "maxdim-twice", "unknown-first-directive"])
+], ids=["gen-no-label", "gen-note-no-label", "gen-two-words", "gen-equals", "gen-empty-note",
+        "sset-no-name", "maxdim-twice", "unknown-first-directive"])
 def test_parse_sset_rejects_what_it_cannot_print(text, lineno, message):
     e = parse_err(text)
     assert e.lineno == lineno and message in str(e)

@@ -7,7 +7,7 @@ from exitpath.gallery import GALLERY, cone_span, load_span
 from exitpath.simplicial import standard_simplex
 from exitpath.verify import (
     check_fibration,
-    isomorphism_report,
+    comparison_report,
     verify_quasicategory,
     verify_simplicial_identities,
 )
@@ -55,11 +55,12 @@ def test_exit_complex_is_coherent(name):
     assert verify_simplicial_identities(ex, 3).ok
 
 
+@pytest.mark.parametrize("depth", range(6))
 @pytest.mark.parametrize("name", [n for n in sorted(GALLERY) if GALLERY[n].oracle])
-def test_oracles_match(name):
-    span = load_span(name)
-    ex = build_exit(span, 3)
-    assert isomorphism_report(ex, GALLERY[name].oracle(), 3).ok
+def test_oracles_match(name, depth):
+    ex = build_exit(load_span(name), depth)
+    report = comparison_report(GALLERY[name].oracle(ex), depth)
+    assert report.ok, report.to_text()
 
 
 def test_point_cone_counts():

@@ -20,14 +20,26 @@ from exitpath.shuffles import (
     flat,
     restriction_operator,
     sharp,
-    shuffle_after_coface,
-    shuffle_after_codegeneracy,
 )
 
 K_MAX = 10
 
 
 # -- oracles ------------------------------------------------------------------
+
+
+def shuffle_after_coface(k, j, i):
+    """Points of S_j . coface_i : [k-1] -> Delta[1] x Delta[k-1]."""
+    S = exit_shuffle(k, j)
+    op = face_op(k, i)
+    return tuple(S(op(m)) for m in range(k))
+
+
+def shuffle_after_codegeneracy(k, j, i):
+    """Points of S_j . codegeneracy_i : [k+1] -> Delta[1] x Delta[k-1]."""
+    S = exit_shuffle(k, j)
+    op = degeneracy_op(k, i)
+    return tuple(S(op(m)) for m in range(k + 2))
 
 
 def flat_oracle(k, j, i):

@@ -1,5 +1,5 @@
 """The verification engines: identity checking, horn filling, lifting,
-isomorphism search, budgets."""
+comparison maps, budgets."""
 
 import gc
 import json
@@ -25,11 +25,10 @@ from exitpath.verify import (
     Tables,
     VerificationReport,
     check_fibration,
+    comparison_report,
     enumerate_horns,
     find_filler,
-    find_isomorphism,
     horn_is_compatible,
-    isomorphism_report,
     verify_quasicategory,
     verify_simplicial_identities,
 )
@@ -501,30 +500,48 @@ def test_lift_searches_hitting_the_budget_are_counted():
         "f: X -> Y", 1, name, "pass", "6 squares lifted")
 
 
-# -- isomorphism -------------------------------------------------------------------------
+# -- comparison maps ---------------------------------------------------------------------
+
+
+def relabelling(X, Y, labels):
+    """The map X -> Y sending each generator g of X to Y's generator labels[g]."""
+    return SimplicialMap("f", X, Y, {g: nondeg(labels[g], d) for g, d in X.gen_dims.items()})
 
 
 def test_isomorphism_found_across_labellings():
     X = standard_simplex(2)
-    Y = nerve_of_poset(["a", "b", "c"], [("a", "b"), ("b", "c"), ("a", "c")])
-    mapping = find_isomorphism(X, Y, 2)
-    assert mapping is not None
-    assert mapping["0"] == "a" and mapping["0,1,2"] == "a,b,c"
-    report = isomorphism_report(X, Y, 3)
-    assert report.ok
+    Y = nerve_of_poset(["a", "b", "c"], [("a", "b"), ("b", "c"), ("a", "c")], "abc")
+    abc = str.maketrans("012", "abc")
+    report = comparison_report(relabelling(X, Y, {g: g.translate(abc) for g in X.gen_dims}), 3)
+    assert report.subject == "f: simplex2 -> abc"
+    assert [e.name for e in report.entries] == \
+        [f"simplex count at degree {n}" for n in range(4)] + ["levelwise injective"]
+    assert report.ok, report.to_text()
 
 
 def test_isomorphism_counts_mismatch():
-    report = isomorphism_report(standard_simplex(1), standard_simplex(2), 2)
-    assert report.failed
-    assert report.failed[0].name.startswith("simplex count")
+    X, Y = standard_simplex(1), standard_simplex(2)
+    report = comparison_report(relabelling(X, Y, {g: g for g in X.gen_dims}), 2)
+    assert [(e.name, e.witness) for e in report.failed] == \
+        [("simplex count at degree 0", "2 vs 3"), ("simplex count at degree 1", "3 vs 6"),
+         ("simplex count at degree 2", "4 vs 10")]
+    assert report.entries[-1].status == "pass"
+
+
+def test_comparison_fold_fails_counts_and_injectivity():
+    X, Y = discrete("two", ["p", "q"]), point()
+    report = comparison_report(relabelling(X, Y, {"p": "pt", "q": "pt"}), 1)
+    assert [(e.name, e.witness) for e in report.failed] == [
+        ("simplex count at degree 0", "2 vs 1"), ("simplex count at degree 1", "2 vs 1"),
+        ("levelwise injective", "degree 0: p and q both map to pt")]
 
 
 def test_isomorphism_rejects_orientation_flip():
     # one source with two sinks vs two sources with one sink: same counts
-    # in every degree, but no face-compatible bijection
+    # in every degree, but relabelling each edge by its ends reverses its
+    # faces, so the map is not natural and cannot be built
     X = nerve_of_poset(["m", "a", "b"], [("m", "a"), ("m", "b")], "out")
     Y = nerve_of_poset(["m", "a", "b"], [("a", "m"), ("b", "m")], "in")
-    assert find_isomorphism(X, Y, 2) is None
-    report = isomorphism_report(X, Y, 2)
-    assert report.failed and report.failed[0].name == "generator bijection"
+    flip = {"m": "m", "a": "a", "b": "b", "m,a": "a,m", "m,b": "b,m"}
+    with pytest.raises(ValueError, match="image of d_0 m,a"):
+        relabelling(X, Y, flip)
