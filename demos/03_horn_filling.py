@@ -39,7 +39,7 @@ print(f"  horn: {h.describe()}")
 print(f"  filler: {find_filler(ex, h)}")
 print()
 
-tables = Tables(ex)  # one numbered store, shared by the enumeration and the fillers
+tables = Tables(ex)  # face columns numbered by rank, shared by the enumeration and the fillers
 horns = enumerate_horns(ex, 2, 1, tables=tables)
 fillable = sum(find_filler(ex, horn, tables=tables) is not None for horn in horns)
 print(f"for scale: {fillable} of {len(horns)} inner 2-horns of Ex(broken) do fill")

@@ -12,21 +12,27 @@ scan in canonical order would inspect.  Exhaustion marks the
 surrounding check "inconclusive" rather than guessing.
 
 Every check reads one store per simplicial set, built once per call:
-Tables numbers X_n by canonical position and holds each degree's faces
-and degeneracies as tuples of numbers, with an index on (slot, face),
-so the checks compare ints.  Searches find their answers by lookup but
-charge the scan's nodes, so verdicts under any budget are those of the
-scan: horn enumeration charges each partial horn |X_{n-1}| nodes before
-its lookup, and the one filler and lift search, Tables.first, charges
-p + 1 nodes for a hit at position p and |X_n| for a miss.
+Tables numbers a simplex of X_n by its rank in canonical order (its
+generator's block offset plus its surjection's rank) and holds each
+face and degeneracy of a degree as one column of numbers over all of
+X_n, with an index on (slot, face), so the checks compare ints; the
+identity check compares a whole column per instance.  Searches find
+their answers by lookup but charge the scan's nodes, so verdicts under
+any budget are those of the scan: horn enumeration charges each partial
+horn |X_{n-1}| nodes before its lookup, and the one filler and lift
+search, Tables.first, charges p + 1 nodes for a hit at position p and
+|X_n| for a miss.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from functools import cache
+from itertools import repeat
+from typing import Callable, Iterable, Sequence
 
+from .operators import Operator, surjections
 from .simplicial import FormalSimplex, SimplicialMap, SimplicialSet
 
 
@@ -113,6 +119,12 @@ class VerificationReport:
 # -- the tables ----------------------------------------------------------------
 
 
+class NotASimplex(RuntimeError):
+    """A face, degeneracy or image that is not a simplex of the degree
+    the simplicial structure puts it in: the face action is broken, not
+    the input."""
+
+
 class _ByDegree(dict):
     """degree -> value, each built by build(n) on first use."""
 
@@ -124,60 +136,127 @@ class _ByDegree(dict):
         return self.setdefault(n, self.build(n))
 
 
-def _face_index(rows: list[tuple[int, ...]]) -> dict[tuple[int, int], list[int]]:
-    """(slot, face) -> the numbers of the rows with that face there."""
+@cache
+def _surjection_ranks(n: int, d: int) -> dict[tuple[int, ...], int]:
+    """The values of each surjection [n] ->> [d] -> its position in
+    surjections(n, d).  Every Tables in the process shares the dict, so
+    nothing writes to it."""
+    return {sigma.values: r for r, sigma in enumerate(surjections(n, d))}
+
+
+def _blocks(X: SimplicialSet, n: int) -> dict[str, tuple[int, dict]]:
+    """generator label -> (the number of its first simplex in X_n, the
+    ranks of its surjections), for the generators of dimension <= n.
+    X_n lists the generators in this order, each under every surjection
+    [n] ->> [d] in the order of surjections(n, d)."""
+    blocks, offset = {}, 0
+    for d in sorted(X.gens):
+        if d > n:
+            break
+        ranks = _surjection_ranks(n, d)
+        for label in X.gens[d]:
+            blocks[label] = (offset, ranks)
+            offset += len(ranks)
+    return blocks
+
+
+_NO_BLOCK = (0, {})
+
+
+def _number(blocks: dict, x: FormalSimplex) -> int | None:
+    """x's number in X_n (of blocks), or None when x is not an n-simplex
+    of X."""
+    offset, ranks = blocks.get(x.gen, _NO_BLOCK)
+    rank = ranks.get(x.degeneracy.values)
+    return None if rank is None else offset + rank
+
+
+def _numbers(blocks: dict, xs: Sequence[FormalSimplex], ys: Iterable[FormalSimplex],
+             n: int, letter: str) -> tuple[int, ...]:
+    """The numbers in X_n (of blocks) of ys, the images of xs under
+    letter.  A y that is not an n-simplex of X raises NotASimplex."""
+    out = []
+    for x, y in zip(xs, ys):
+        p = _number(blocks, y)
+        if p is None:
+            raise NotASimplex(f"{letter} {x!r} = {y!r} is not a simplex of degree {n}")
+        out.append(p)
+    return tuple(out)
+
+
+def _face_index(columns: Sequence[tuple[int, ...]]) -> dict[tuple[int, int], list[int]]:
+    """(slot, face) -> the numbers of the simplices with that face there."""
     index: dict[tuple[int, int], list[int]] = {}
-    for p, row in enumerate(rows):
-        for key in enumerate(row):
-            index.setdefault(key, []).append(p)
+    for a, column in enumerate(columns):
+        for p, g in enumerate(column):
+            index.setdefault((a, g), []).append(p)
     return index
 
 
 class Tables:
     """One simplicial set X in numbers, each degree built on first use.
 
-    simplices[n] lists X_n in canonical order; a simplex's number is its
-    position there, and numbers[n] maps it back.  faces[n][p] holds the
-    numbers of d_0 x, ..., d_n x for the x numbered p, and degens[n][p]
-    those of s_0 x, ..., s_n x, from one face or degeneracy call per
-    (x, i).  matching() and first() look simplices up by their faces.
-    One check call holds one Tables per simplicial set and frees it on
-    return, so nothing is kept on X.
+    A simplex's number in X_n is its position in canonical order: the
+    offset of its generator's block plus the rank of its surjection.
+    simplices[n] lists X_n; faces[n][a] is the column of the numbers of
+    d_a x over all x in X_n, in order, and degens[n][i] that of s_i x,
+    from one face or degeneracy call per (x, index).  A column is
+    numbered by rank, so X_{n+1} is never listed to number degens[n].
+    column() composes columns along a word; matching() and first() look
+    simplices up by their faces.  One check call holds one Tables per
+    simplicial set and frees it on return, so nothing is kept on X.
     """
 
     def __init__(self, X: SimplicialSet):
         # the builders close over the parts, never over self, so no
         # reference cycle keeps a Tables alive after its call
         simplices = self.simplices = _ByDegree(X.simplices_at)
-        numbers = self.numbers = _ByDegree(
-            lambda n: {x: p for p, x in enumerate(simplices[n])})
-        faces = self.faces = _ByDegree(lambda n: [
-            tuple(numbers[n - 1][X.face(x, a)] for a in range(n + 1)) if n else ()
-            for x in simplices[n]])
-        self.degens = _ByDegree(lambda n: [
-            tuple(numbers[n + 1][X.degeneracy(x, i)] for i in range(n + 1))
-            for x in simplices[n]])
+        blocks = self._blocks = _ByDegree(lambda n: _blocks(X, n))
+        faces = self.faces = _ByDegree(lambda n: tuple(
+            _numbers(blocks[n - 1], simplices[n], map(X.face, simplices[n], repeat(a)),
+                     n - 1, f"{X.name}: d_{a}")
+            for a in range(n + 1)) if n else ())
+        self.degens = _ByDegree(lambda n: tuple(
+            _numbers(blocks[n + 1], simplices[n], map(X.degeneracy, simplices[n], repeat(i)),
+                     n + 1, f"{X.name}: s_{i}")
+            for i in range(n + 1)))
         self._by_face = _ByDegree(lambda n: _face_index(faces[n]))
 
-    def apply(self, n: int, p: int, word: tuple[tuple[str, int], ...]) -> tuple[int, int]:
-        """(degree, number) of the simplex numbered p in X_n under a word
-        of ("d" or "s", index) letters, applied right to left."""
+    def number(self, n: int, x: FormalSimplex) -> int | None:
+        """x's number in X_n, or None when x is not an n-simplex of X."""
+        return _number(self._blocks[n], x)
+
+    def simplex(self, n: int, p: int) -> FormalSimplex:
+        """The simplex numbered p in X_n, listed or not."""
+        for label, (offset, ranks) in self._blocks[n].items():
+            if p < offset + len(ranks):
+                values = list(ranks)[p - offset]
+                # a surjection onto [d] ends at d
+                return FormalSimplex(label, Operator(n, values[-1], values))
+        raise IndexError(f"no simplex numbered {p} in degree {n}")
+
+    def column(self, n: int, word: tuple[tuple[str, int], ...]) -> tuple[int, ...]:
+        """The numbers of w x over all x in X_n, in order, for the word w
+        of ("d" or "s", index) letters, applied right to left; the empty
+        word gives X_n's own numbers."""
+        column = None
         for op, i in reversed(word):
             if op == "d":
-                n, p = n - 1, self.faces[n][p][i]
+                n, step = n - 1, self.faces[n][i]
             else:
-                n, p = n + 1, self.degens[n][p][i]
-        return n, p
+                n, step = n + 1, self.degens[n][i]
+            column = step if column is None else tuple(map(step.__getitem__, column))
+        return tuple(range(len(self.simplices[n]))) if column is None else column
 
     def matching(self, n: int, wanted: list[tuple[int, int | None]]) -> Sequence[int]:
         """The numbers, ascending, of the n-simplices whose face at slot a
         is numbered g for every (a, g) in wanted; g None matches none."""
         if not wanted:
             return range(len(self.simplices[n]))
-        rows = self.faces[n]
+        columns = self.faces[n]
         hits = self._by_face[n].get(wanted[0], [])
         rest = wanted[1:]
-        return [p for p in hits if all(rows[p][a] == g for a, g in rest)] if rest else hits
+        return [p for p in hits if all(columns[a][p] == g for a, g in rest)] if rest else hits
 
     def first(self, n: int, wanted: list[tuple[int, int | None]], budget: Budget,
               accept: Callable[[int], bool] | None = None) -> int | None:
@@ -194,14 +273,15 @@ class Tables:
     def image(self, f: SimplicialMap, target: Tables) -> _ByDegree:
         """f in numbers: image[n][p] is the number in target's degree n
         of f's image of the simplex numbered p in X_n."""
-        return _ByDegree(lambda n: [target.numbers[n][f(x)] for x in self.simplices[n]])
+        return _ByDegree(lambda n: _numbers(target._blocks[n], self.simplices[n],
+                                            map(f, self.simplices[n]), n, f.name))
 
 
 # -- simplicial identities -----------------------------------------------------
 
 
 # One row per family: its name, and its instances on an n-simplex in
-# checking order, each the two sides as words for Tables.apply; the
+# checking order, each the two sides as words for Tables.column; the
 # empty word is the simplex itself.
 _IDENTITIES = [
     ("d_i d_j = d_{j-1} d_i (i<j)",
@@ -225,34 +305,47 @@ def verify_simplicial_identities(X: SimplicialSet, depth: int) -> VerificationRe
     """Check the five simplicial identity families on every simplex of
     degree <= depth.
 
-    The two sides of each instance are compared as numbers, read off one
-    Tables of X: rows through degree depth + 1, numbers of depth + 2.
-    Each family gets one report entry; a fail entry carries its first
-    counterexample in (degree, simplex, instance) order and the family
-    is not checked further."""
+    Each instance is checked on a whole degree at once: its two sides
+    are columns of numbers over X_n, composed from one Tables of X that
+    lists X_n through degree depth + 1.  Each family gets one report
+    entry; a fail entry carries its first counterexample in (degree,
+    simplex, instance) order and the family is not checked further."""
     tables = Tables(X)
     report = VerificationReport(X.name, depth)
     for name, instances in _IDENTITIES:
-        per_degree = [instances(n) for n in range(depth + 1)]
-        failure = next(((n, p, lhs, rhs) for n, pairs in enumerate(per_degree)
-                        for p in range(len(tables.simplices[n])) for lhs, rhs in pairs
-                        if tables.apply(n, p, lhs) != tables.apply(n, p, rhs)), None)
-        if failure:
-            report.add(name, "fail", witness=_identity_witness(tables, *failure))
+        checked = 0
+        for n in range(depth + 1):
+            pairs = instances(n)
+            failure = _first_failure(tables, n, pairs)
+            if failure:
+                report.add(name, "fail", witness=_identity_witness(tables, n, *failure))
+                break
+            checked += len(pairs) * len(tables.simplices[n])
         else:
-            checked = sum(len(pairs) * len(tables.simplices[n])
-                          for n, pairs in enumerate(per_degree))
             report.add(name, "pass", detail=f"{checked} instances")
     return report
 
 
+def _first_failure(tables: Tables, n: int, pairs) -> tuple | None:
+    """(p, lhs, rhs) for the least (simplex number p, instance) of degree
+    n whose two sides differ, or None."""
+    least = None
+    for k, (lhs, rhs) in enumerate(pairs):
+        left, right = tables.column(n, lhs), tables.column(n, rhs)
+        if left != right:
+            p = next(p for p, (a, b) in enumerate(zip(left, right)) if a != b)
+            least = min(least or (p, k), (p, k))
+    return None if least is None else (least[0], *pairs[least[1]])
+
+
 def _identity_witness(tables: Tables, n: int, p: int, lhs, rhs) -> str:
-    (m, a), (_, b) = tables.apply(n, p, lhs), tables.apply(n, p, rhs)
+    m = n + sum(1 if op == "s" else -1 for op, _ in lhs)
+    a, b = tables.column(n, lhs)[p], tables.column(n, rhs)[p]
     lw, rw = (" ".join(f"{op}_{i}" for op, i in word) for word in (lhs, rhs))
-    head = f"{tables.simplices[n][p]!r}: {lw} = {tables.simplices[m][a]!r}"
+    head = f"{tables.simplex(n, p)!r}: {lw} = {tables.simplex(m, a)!r}"
     if not rhs:
         return f"{head} != the simplex itself"
-    return f"{head} != {tables.simplices[m][b]!r} = {rw}"
+    return f"{head} != {tables.simplex(m, b)!r} = {rw}"
 
 
 # -- horns ---------------------------------------------------------------------
@@ -324,7 +417,7 @@ def enumerate_horns(X: SimplicialSet, n: int, missing: int,
         b = slots[depth]
         budget.spend(len(simplices))
         # a < b always: slots ascend, and chosen keeps that order
-        wanted = [(a, faces[p][b - 1]) for a, p in chosen.items()]
+        wanted = [(a, faces[b - 1][p]) for a, p in chosen.items()]
         for p in tables.matching(n - 1, wanted):
             chosen[b] = p
             extend(chosen, depth + 1)
@@ -342,8 +435,7 @@ def find_filler(X: SimplicialSet, h: HornProblem, budget: Budget | None = None,
     default the call builds its own."""
     if tables is None:
         tables = Tables(X)
-    numbers = tables.numbers[h.n - 1]
-    p = tables.first(h.n, [(a, numbers.get(g)) for a, g in h.present()],
+    p = tables.first(h.n, [(a, tables.number(h.n - 1, g)) for a, g in h.present()],
                      budget or Budget(None))
     return None if p is None else tables.simplices[h.n][p]
 
@@ -426,10 +518,10 @@ def _lift_block(f: SimplicialMap, n: int, i: int, budget: int | None,
         horns = enumerate_horns(f.domain, n, i, Budget(budget), tables=x_tables)
     except BudgetExhausted:
         return CheckEntry(name, "inconclusive", detail="enumeration budget exhausted")
-    numbers, below, above = x_tables.numbers[n - 1], image[n - 1], image[n]
+    below, above = image[n - 1], image[n]
     squares = exhausted = 0
     for h in horns:
-        wanted = [(a, numbers[g]) for a, g in h.present()]
+        wanted = [(a, x_tables.number(n - 1, g)) for a, g in h.present()]
         for base in y_tables.matching(n, [(a, below[p]) for a, p in wanted]):
             squares += 1
             try:

@@ -3,6 +3,7 @@ comparison maps, budgets."""
 
 import gc
 import json
+import random
 import weakref
 
 import pytest
@@ -22,6 +23,7 @@ from exitpath.verify import (
     Budget,
     BudgetExhausted,
     HornProblem,
+    NotASimplex,
     Tables,
     VerificationReport,
     check_fibration,
@@ -152,6 +154,164 @@ def test_identity_report_pinned_on_a_wrong_degeneracy():
         "0: d_0 s_0 = 1 != the simplex itself",
         "0+s0: d_2 s_0 = 0+s0 != 0,1 = s_0 d_1",
         "0: s_0 s_0 = 0,1+s0 != 0,1+s1 = s_1 s_0"])
+
+
+
+def test_identity_check_fails_loudly_off_its_degree():
+    # s_0 of the vertex 0 answers the vertex itself, a simplex of the
+    # wrong degree: the check names it instead of numbering it elsewhere
+    X = standard_simplex(1)
+    vertex = nondeg("0", 0)
+    degeneracy = X.degeneracy
+    X.degeneracy = lambda s, i: vertex if (s, i) == (vertex, 0) else degeneracy(s, i)
+    with pytest.raises(NotASimplex) as caught:
+        verify_simplicial_identities(X, 1)
+    assert not isinstance(caught.value, ValueError)  # not an input error
+    assert str(caught.value) == "simplex1: s_0 0 = 0 is not a simplex of degree 1"
+    # a face with an unknown generator
+    Y = standard_simplex(2)
+    edge = nondeg("0,1", 1)
+    face = Y.face
+    Y.face = lambda s, i: nondeg("nope", 0) if (s, i) == (edge, 1) else face(s, i)
+    with pytest.raises(NotASimplex, match=r"simplex2: d_1 0,1 = nope is not a simplex "
+                                          r"of degree 0"):
+        verify_simplicial_identities(Y, 2)
+
+
+@pytest.mark.parametrize("depth", range(5))
+def test_identity_check_lists_no_degree_above_depth_plus_one(depth):
+    X = build_exit(cone_span(standard_simplex(2)), depth)
+    simplices_at = X.simplices_at
+
+    def bounded(n):
+        if n > depth + 1:
+            raise AssertionError(f"listed degree {n} for depth {depth}")
+        return simplices_at(n)
+
+    X.simplices_at = bounded
+    assert verify_simplicial_identities(X, depth).ok
+
+
+# -- the identity check against a per-simplex oracle --------------------------------
+
+
+ORACLE_FAMILIES = [
+    (IDENTITY_FAMILIES[0], lambda n: [(f"d_{i} d_{j}", f"d_{j - 1} d_{i}")
+                                      for j in range(1, n + 1) for i in range(j)] if n >= 2 else []),
+    (IDENTITY_FAMILIES[1], lambda n: [(f"d_{i} s_{j}", f"s_{j - 1} d_{i}")
+                                      for j in range(n + 1) for i in range(j)]),
+    (IDENTITY_FAMILIES[2], lambda n: [(f"d_{i} s_{j}", "")
+                                      for j in range(n + 1) for i in (j, j + 1)]),
+    (IDENTITY_FAMILIES[3], lambda n: [(f"d_{i} s_{j}", f"s_{j} d_{i - 1}")
+                                      for j in range(n + 1) for i in range(j + 2, n + 2)]),
+    (IDENTITY_FAMILIES[4], lambda n: [(f"s_{i} s_{j}", f"s_{j + 1} s_{i}")
+                                      for j in range(n + 1) for i in range(j + 1)]),
+]
+
+
+def walk(X, x, word):
+    """x under a word like "d_0 s_1", one letter at a time, right to left."""
+    for letter in reversed(word.split()):
+        op, i = letter.split("_")
+        x = X.face(x, int(i)) if op == "d" else X.degeneracy(x, int(i))
+    return x
+
+
+def oracle_failures(X, n, instances):
+    """Every (simplex number, instance number) of degree n whose two
+    sides differ, in (simplex, instance) order."""
+    return [(p, k) for p, x in enumerate(X.simplices_at(n))
+            for k, (lhs, rhs) in enumerate(instances(n))
+            if walk(X, x, lhs) != walk(X, x, rhs)]
+
+
+def oracle_identity_report(X, depth):
+    """The identity check as a walk over FormalSimplex values in
+    (degree, simplex, instance) order."""
+    report = VerificationReport(X.name, depth)
+    for name, instances in ORACLE_FAMILIES:
+        checked, witness = 0, None
+        for n in range(depth + 1):
+            simplices = X.simplices_at(n)
+            failures = oracle_failures(X, n, instances)
+            if failures:
+                p, k = failures[0]
+                lhs, rhs = instances(n)[k]
+                x = simplices[p]
+                witness = f"{x!r}: {lhs} = {walk(X, x, lhs)!r} != " + (
+                    f"{walk(X, x, rhs)!r} = {rhs}" if rhs else "the simplex itself")
+                break
+            checked += len(simplices) * len(instances(n))
+        if witness:
+            report.add(name, "fail", witness=witness)
+        else:
+            report.add(name, "pass", detail=f"{checked} instances")
+    return report
+
+
+def assert_matches_oracle(X, depth):
+    assert verify_simplicial_identities(X, depth).to_json() == \
+        oracle_identity_report(X, depth).to_json()
+
+
+@pytest.mark.parametrize("name", sorted(GALLERY))
+def test_identity_check_matches_the_oracle_on_the_gallery(name):
+    span = load_span(name)
+    for depth in range(6):
+        assert_matches_oracle(build_exit(span, depth), depth)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_identity_check_matches_the_oracle_on_cones(n):
+    assert_matches_oracle(build_exit(cone_span(standard_simplex(n)), 4), 4)
+
+
+def swapped_face(X, rng):
+    """X with two faces of one generator swapped in its face table."""
+    label = rng.choice([g for d in X.gens if d >= 1 for g in X.gens[d]])
+    a, b = rng.sample(range(X.gen_dims[label] + 1), 2)
+    table = X.face_table
+    table[(label, a)], table[(label, b)] = table[(label, b)], table[(label, a)]
+    return X
+
+
+def patched_degeneracy(X, rng):
+    """X whose s_i of one simplex answers another simplex of its degree."""
+    n = rng.randrange(3)
+    x, i = rng.choice(X.simplices_at(n)), rng.randrange(n + 1)
+    wrong = rng.choice(X.simplices_at(n + 1))
+    degeneracy = X.degeneracy
+    X.degeneracy = lambda s, j: wrong if (s, j) == (x, i) else degeneracy(s, j)
+    return X
+
+
+def swapped_degeneracies(X, rng):
+    """X whose s_a and s_b trade places on every simplex of one degree."""
+    n = rng.randrange(1, 3)
+    a, b = rng.sample(range(n + 1), 2)
+    swap = {a: b, b: a}
+    degeneracy = X.degeneracy
+    X.degeneracy = lambda s, j: degeneracy(s, swap.get(j, j) if s.dim == n else j)
+    return X
+
+
+def test_identity_check_matches_the_oracle_on_seeded_corruptions():
+    # many simplices fail under swapped degeneracies, so some degree's
+    # least failing (simplex, instance) is not on its first failing
+    # instance: that is where the tie-break shows
+    rng = random.Random(20231018)
+    failed, tie_breaks = set(), 0
+    for corrupt in [swapped_face, patched_degeneracy] * 10 + [swapped_degeneracies] * 40:
+        X = corrupt(build_exit(load_span(rng.choice(sorted(GALLERY))), 3), rng)
+        assert_matches_oracle(X, 3)
+        for _, instances in ORACLE_FAMILIES:
+            failures = next((f for n in range(4) if (f := oracle_failures(X, n, instances))),
+                            [])
+            if failures:
+                failed.add(corrupt)
+                tie_breaks += min(failures) != min(failures, key=lambda f: (f[1], f[0]))
+    assert len(failed) == 3
+    assert tie_breaks >= 3
 
 
 # -- horns ---------------------------------------------------------------------------
@@ -338,12 +498,19 @@ def test_tables_read_back_as_the_face_action():
         for n in range(5):
             simplices = tables.simplices[n]
             assert simplices == X.simplices_at(n)
-            assert list(tables.numbers[n].items()) == [(x, p) for p, x in enumerate(simplices)]
-            for x, faces, degens in zip(simplices, tables.faces[n], tables.degens[n]):
-                assert [tables.simplices[n - 1][q] for q in faces] == \
-                    [X.face(x, a) for a in range(n + 1) if n]
-                assert [tables.simplices[n + 1][q] for q in degens] == \
-                    [X.degeneracy(x, i) for i in range(n + 1)]
+            assert len(tables.faces[n]) == (n + 1 if n else 0)
+            assert len(tables.degens[n]) == n + 1
+            for a, column in enumerate(tables.faces[n]):
+                assert [tables.simplices[n - 1][q] for q in column] == \
+                    [X.face(x, a) for x in simplices]
+            for i, column in enumerate(tables.degens[n]):
+                assert [tables.simplex(n + 1, q) for q in column] == \
+                    [X.degeneracy(x, i) for x in simplices]
+        for n in range(6):
+            # a simplex's rank is its position in canonical order
+            simplices = X.simplices_at(n)
+            assert [tables.number(n, x) for x in simplices] == list(range(len(simplices)))
+            assert [tables.simplex(n, p) for p in range(len(simplices))] == simplices
     for span in spans:
         for f in (span.pi, span.iota):
             source, target = Tables(f.domain), Tables(f.codomain)
@@ -357,7 +524,8 @@ def test_tables_hold_no_reference_cycle():
     # a check's tables go when the check returns, without waiting for
     # the cycle collector
     tables = Tables(standard_simplex(2))
-    tables.apply(1, 0, (("d", 0), ("s", 1)))
+    tables.column(1, (("d", 0), ("s", 1)))
+    tables.number(2, tables.simplex(2, 0))
     tables.first(2, [(0, 0)], Budget(None))
     ref = weakref.ref(tables)
     gc.disable()
@@ -408,9 +576,9 @@ def test_indexed_lift_matches_linear_scan():
         for f in (span.pi, span.iota):
             tables = Tables(f.domain)
             for n, i, horns in all_horns(f.domain, 3):
-                simplices, numbers = tables.simplices[n], tables.numbers[n - 1]
+                simplices = tables.simplices[n]
                 for h in horns:
-                    wanted = [(a, numbers[g]) for a, g in h.present()]
+                    wanted = [(a, tables.number(n - 1, g)) for a, g in h.present()]
                     for base in f.codomain.simplices_at(n):
                         def indexed(b):
                             p = tables.first(n, wanted, b, lambda q: f(simplices[q]) == base)
