@@ -164,6 +164,5 @@ def restriction_operator(k: int, j: int) -> Operator:
     m to m for m < j and to j - 1 for m >= j.  Composing a k-simplex
     with it extracts the simplex whose lift through the link decides
     exit-path membership; at j = k it is the k-th coface."""
-    _check_exit_index(k, j)
-    return Operator(k - 1, k, tuple(m if m < j else j - 1 for m in range(k)))
+    return collapse(k, j).low
 

@@ -13,7 +13,9 @@ the contravariant action of an arbitrary operator is computed by
 peeling cofaces off the epi-mono factorization against the stored face
 tables.  The peeling runs on plain value tuples; only its result is
 built, and validated, as an Operator and a FormalSimplex.  Equality of
-simplices is equality of normal forms.
+simplices is equality of normal forms.  X_n has one canonical order,
+whose home is SimplicialSet.blocks: simplices_at lists it, and the
+verifier numbers simplices by it.
 """
 
 from __future__ import annotations
@@ -36,6 +38,15 @@ from .operators import (
 # the largest degree acted on.
 _face_op = cache(face_op)
 _degeneracy_op = cache(degeneracy_op)
+
+
+@cache
+def _surjections(n: int, d: int) -> tuple[tuple[Operator, ...], dict[tuple[int, ...], int]]:
+    """The surjections [n] ->> [d] in the order of surjections(n, d),
+    and their values -> rank.  Shared process-wide: nothing writes to
+    them."""
+    sigmas = tuple(surjections(n, d))
+    return sigmas, {sigma.values: r for r, sigma in enumerate(sigmas)}
 
 
 @dataclass(frozen=True)
@@ -175,18 +186,26 @@ class SimplicialSet:
 
     # -- enumeration ---------------------------------------------------
 
-    def simplices_at(self, n: int) -> list[FormalSimplex]:
-        """All n-simplices: generators of dimension d <= n, each under
-        every surjection [n] ->> [d].  Order: generators by (dimension,
-        insertion order), then degeneracy values lexicographic.  The
-        generators of one dimension share their surjections."""
-        out = []
+    def blocks(self, n: int) -> dict[str, tuple[int, tuple[Operator, ...], dict]]:
+        """The canonical order of X_n: generator label -> (offset,
+        surjections, ranks) for each generator of dimension d <= n, in
+        (dimension, insertion) order.  Its block lists it under every
+        surjection [n] ->> [d], lexicographic in values: the simplex at
+        offset + r has the r-th, and ranks maps values -> r."""
+        blocks, offset = {}, 0
         for d in sorted(self.gens):
             if d > n:
                 break
-            sigmas = list(surjections(n, d))
-            out += [FormalSimplex(label, sigma) for label in self.gens[d] for sigma in sigmas]
-        return out
+            sigmas, ranks = _surjections(n, d)
+            for label in self.gens[d]:
+                blocks[label] = (offset, sigmas, ranks)
+                offset += len(sigmas)
+        return blocks
+
+    def simplices_at(self, n: int) -> list[FormalSimplex]:
+        """All n-simplices, listed in the canonical order of blocks(n)."""
+        return [FormalSimplex(label, sigma)
+                for label, (_, sigmas, _) in self.blocks(n).items() for sigma in sigmas]
 
     def count_at(self, n: int) -> int:
         """|X_n| = sum over d <= n of |gens_d| * C(n, d): each
@@ -354,7 +373,7 @@ def standard_simplex(n: int, name: str | None = None) -> SimplicialSet:
 
 
 def nerve_of_poset(elements: list[str], relations: list[tuple[str, str]],
-                   name: str = "nerve", max_dim: int | None = None) -> SimplicialSet:
+                   name: str = "nerve") -> SimplicialSet:
     """Nerve of a finite poset, truncated at the longest strict chain.
 
     elements are labels; relations lists strict pairs (a, b) meaning
@@ -390,7 +409,7 @@ def nerve_of_poset(elements: list[str], relations: list[tuple[str, str]],
     for e in elements:
         X.add_generator(0, e)
     dim = 1
-    while chains and (max_dim is None or dim <= max_dim):
+    while chains:
         longer = []
         for chain in chains:
             last = chain[-1]

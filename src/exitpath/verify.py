@@ -12,8 +12,8 @@ scan in canonical order would inspect.  Exhaustion marks the
 surrounding check "inconclusive" rather than guessing.
 
 Every check reads one store per simplicial set, built once per call:
-Tables numbers a simplex of X_n by its rank in canonical order (its
-generator's block offset plus its surjection's rank) and holds each
+Tables numbers a simplex of X_n by its position in SimplicialSet.blocks
+(its generator's block offset plus its surjection's rank) and holds each
 face and degeneracy of a degree as one column of numbers over all of
 X_n, with an index on (slot, face), so the checks compare ints; the
 identity check compares a whole column per instance.  Searches find
@@ -28,11 +28,9 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from functools import cache
 from itertools import repeat
 from typing import Callable, Iterable, Sequence
 
-from .operators import Operator, surjections
 from .simplicial import FormalSimplex, SimplicialMap, SimplicialSet
 
 
@@ -136,37 +134,13 @@ class _ByDegree(dict):
         return self.setdefault(n, self.build(n))
 
 
-@cache
-def _surjection_ranks(n: int, d: int) -> dict[tuple[int, ...], int]:
-    """The values of each surjection [n] ->> [d] -> its position in
-    surjections(n, d).  Every Tables in the process shares the dict, so
-    nothing writes to it."""
-    return {sigma.values: r for r, sigma in enumerate(surjections(n, d))}
-
-
-def _blocks(X: SimplicialSet, n: int) -> dict[str, tuple[int, dict]]:
-    """generator label -> (the number of its first simplex in X_n, the
-    ranks of its surjections), for the generators of dimension <= n.
-    X_n lists the generators in this order, each under every surjection
-    [n] ->> [d] in the order of surjections(n, d)."""
-    blocks, offset = {}, 0
-    for d in sorted(X.gens):
-        if d > n:
-            break
-        ranks = _surjection_ranks(n, d)
-        for label in X.gens[d]:
-            blocks[label] = (offset, ranks)
-            offset += len(ranks)
-    return blocks
-
-
-_NO_BLOCK = (0, {})
+_NO_BLOCK = (0, (), {})
 
 
 def _number(blocks: dict, x: FormalSimplex) -> int | None:
-    """x's number in X_n (of blocks), or None when x is not an n-simplex
-    of X."""
-    offset, ranks = blocks.get(x.gen, _NO_BLOCK)
+    """x's number in X_n (of blocks = X.blocks(n)), or None when x is
+    not an n-simplex of X."""
+    offset, _, ranks = blocks.get(x.gen, _NO_BLOCK)
     rank = ranks.get(x.degeneracy.values)
     return None if rank is None else offset + rank
 
@@ -196,8 +170,8 @@ def _face_index(columns: Sequence[tuple[int, ...]]) -> dict[tuple[int, int], lis
 class Tables:
     """One simplicial set X in numbers, each degree built on first use.
 
-    A simplex's number in X_n is its position in canonical order: the
-    offset of its generator's block plus the rank of its surjection.
+    A simplex's number in X_n is its position in X.blocks(n): the offset
+    of its generator's block plus the rank of its surjection.
     simplices[n] lists X_n; faces[n][a] is the column of the numbers of
     d_a x over all x in X_n, in order, and degens[n][i] that of s_i x,
     from one face or degeneracy call per (x, index).  A column is
@@ -211,7 +185,7 @@ class Tables:
         # the builders close over the parts, never over self, so no
         # reference cycle keeps a Tables alive after its call
         simplices = self.simplices = _ByDegree(X.simplices_at)
-        blocks = self._blocks = _ByDegree(lambda n: _blocks(X, n))
+        blocks = self._blocks = _ByDegree(X.blocks)
         faces = self.faces = _ByDegree(lambda n: tuple(
             _numbers(blocks[n - 1], simplices[n], map(X.face, simplices[n], repeat(a)),
                      n - 1, f"{X.name}: d_{a}")
@@ -227,12 +201,11 @@ class Tables:
         return _number(self._blocks[n], x)
 
     def simplex(self, n: int, p: int) -> FormalSimplex:
-        """The simplex numbered p in X_n, listed or not."""
-        for label, (offset, ranks) in self._blocks[n].items():
-            if p < offset + len(ranks):
-                values = list(ranks)[p - offset]
-                # a surjection onto [d] ends at d
-                return FormalSimplex(label, Operator(n, values[-1], values))
+        """The simplex numbered p in X_n, listed or not; IndexError for
+        p outside 0..|X_n| - 1."""
+        for label, (offset, sigmas, _) in self._blocks[n].items():
+            if 0 <= p - offset < len(sigmas):
+                return FormalSimplex(label, sigmas[p - offset])
         raise IndexError(f"no simplex numbered {p} in degree {n}")
 
     def column(self, n: int, word: tuple[tuple[str, int], ...]) -> tuple[int, ...]:

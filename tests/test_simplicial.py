@@ -131,18 +131,31 @@ def test_nerve_rejects_cycles():
         nerve_of_poset(["a"], [("a", "b")])
 
 
-def test_nerve_truncation():
-    X = nerve_of_poset(["a", "b", "c"],
-                       [("a", "b"), ("b", "c"), ("a", "c")], max_dim=1)
-    assert X.max_gen_dim == 1
-    assert X.generators(1) == ["a,b", "a,c", "b,c"]
-
-
 def test_simplices_at_order_is_canonical():
     X = standard_simplex(1)
     assert [repr(s) for s in X.simplices_at(1)] == ["0+s0", "1+s0", "0,1"]
     assert [repr(s) for s in X.simplices_at(2)] == \
         ["0+s0s1", "1+s0s1", "0,1+s0", "0,1+s1"]
+
+
+def test_blocks_number_simplices_at():
+    # blocks(n) holds the order simplices_at(n) lists: a simplex sits at
+    # its generator's offset plus its surjection's rank
+    spans = [load_span(name) for name in sorted(GALLERY)]
+    spans += [cone_span(standard_simplex(k)) for k in range(4)]
+    sets = [build_exit(span, 6) for span in spans] + [chain3(), empty_sset()]
+    for X in sets:
+        for n in range(7):
+            blocks = X.blocks(n)
+            simplices = X.simplices_at(n)
+            positions = [blocks[x.gen][0] + blocks[x.gen][2][x.degeneracy.values]
+                         for x in simplices]
+            assert positions == list(range(len(simplices))), (X.name, n)
+            for offset, sigmas, ranks in blocks.values():
+                assert list(ranks) == [sigma.values for sigma in sigmas]
+            end = max((offset + len(sigmas) for offset, sigmas, _ in blocks.values()),
+                      default=0)
+            assert end == X.count_at(n), (X.name, n)
 
 
 def test_generator_validation():

@@ -520,6 +520,16 @@ def test_tables_read_back_as_the_face_action():
                     [f(x) for x in source.simplices[n]]
 
 
+def test_tables_simplex_numbers_only_the_degree():
+    X = standard_simplex(2)
+    tables = Tables(X)
+    count = X.count_at(2)
+    assert [tables.simplex(2, p) for p in range(count)] == X.simplices_at(2)
+    for p in (-1, -3, -count, count, count + 1):
+        with pytest.raises(IndexError, match=f"^no simplex numbered {p} in degree 2$"):
+            tables.simplex(2, p)
+
+
 def test_tables_hold_no_reference_cycle():
     # a check's tables go when the check returns, without waiting for
     # the cycle collector
