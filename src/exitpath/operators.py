@@ -66,19 +66,29 @@ def identity(n: int) -> Operator:
     return Operator(n, n, tuple(range(n + 1)))
 
 
-def face_op(n: int, i: int) -> Operator:
-    """The coface [n-1] -> [n] whose image misses i (0 <= i <= n, n >= 1)."""
+def check_face_index(n: int, i: int):
+    """Raise ValueError unless there is a coface [n-1] -> [n] missing i."""
     if n < 1:
         raise ValueError(f"no cofaces into [{n}]")
     if not 0 <= i <= n:
         raise ValueError(f"coface index {i} outside [{n}]")
+
+
+def check_degeneracy_index(n: int, i: int):
+    """Raise ValueError unless there is a codegeneracy [n+1] -> [n] hitting i twice."""
+    if not 0 <= i <= n:
+        raise ValueError(f"codegeneracy index {i} outside [{n}]")
+
+
+def face_op(n: int, i: int) -> Operator:
+    """The coface [n-1] -> [n] whose image misses i (0 <= i <= n, n >= 1)."""
+    check_face_index(n, i)
     return Operator(n - 1, n, tuple(v for v in range(n + 1) if v != i))
 
 
 def degeneracy_op(n: int, i: int) -> Operator:
     """The codegeneracy [n+1] -> [n] hitting i twice (0 <= i <= n)."""
-    if not 0 <= i <= n:
-        raise ValueError(f"codegeneracy index {i} outside [{n}]")
+    check_degeneracy_index(n, i)
     return Operator(n + 1, n, tuple(min(v, i) if v <= i + 1 else v - 1 for v in range(n + 2)))
 
 

@@ -16,6 +16,15 @@ built, and validated, as an Operator and a FormalSimplex.  Equality of
 simplices is equality of normal forms.  X_n has one canonical order,
 whose home is SimplicialSet.blocks: simplices_at lists it, and the
 verifier numbers simplices by it.
+
+A face or degeneracy of sigma^*g, with sigma: [n] ->> [d], is the same
+action, but its generator-free half is read from process-wide step
+tables, one per (n, d), indexed by sigma's rank and built by the
+factorization act runs: s_i(sigma^*g) = (sigma s^i)^*g, and
+d_i(sigma^*g) = (sigma delta^i)^*g when sigma hits sigma(i) twice, else
+rho^*(d_j g) with sigma delta^i = delta^j rho.  The call then does at
+most one face-table lookup and one composition, and returns the shared
+surjections of _surjections.
 """
 
 from __future__ import annotations
@@ -26,6 +35,8 @@ from math import comb, inf
 
 from .operators import (
     Operator,
+    check_degeneracy_index,
+    check_face_index,
     degeneracy_op,
     degeneracy_word,
     epi_mono_values,
@@ -47,6 +58,43 @@ def _surjections(n: int, d: int) -> tuple[tuple[Operator, ...], dict[tuple[int, 
     them."""
     sigmas = tuple(surjections(n, d))
     return sigmas, {sigma.values: r for r, sigma in enumerate(sigmas)}
+
+
+def _factor(sigma: tuple[int, ...], op: Operator) -> tuple[list[int], list[int]]:
+    """The epi-mono factorization of sigma . op, as value lists."""
+    return epi_mono_values([sigma[v] for v in op.values])
+
+
+# The step tables: the generator-free half of a face or degeneracy of
+# sigma^*g, per sigma in _surjections(n, d) by rank, then per index.
+# They hold sum over d of C(n, d) * (n + 1) entries per degree n.
+
+@cache
+def _face_steps(n: int, d: int) -> tuple[tuple[tuple[int | None, Operator], ...], ...]:
+    """(None, rho) when rho = sigma delta^i is surjective, so
+    d_i(sigma^*g) = rho^*g; else (j, rho) with sigma delta^i =
+    delta^j rho, so d_i(sigma^*g) = rho^*(d_j g)."""
+    rows = []
+    for sigma in _surjections(n, d)[0]:
+        row = []
+        for i in range(n + 1):
+            epi, image = _factor(sigma.values, _face_op(n, i))
+            sigmas, ranks = _surjections(n - 1, len(image) - 1)
+            # the image misses sigma(i) unless sigma hits it twice
+            j = None if len(image) == d + 1 else sigma.values[i]
+            row.append((j, sigmas[ranks[tuple(epi)]]))
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
+@cache
+def _degeneracy_steps(n: int, d: int) -> tuple[tuple[Operator, ...], ...]:
+    """sigma s^i, always surjective: s_i(sigma^*g) = (sigma s^i)^*g."""
+    sigmas, ranks = _surjections(n + 1, d)
+    return tuple(
+        tuple(sigmas[ranks[tuple(_factor(sigma.values, _degeneracy_op(n, i))[0])]]
+              for i in range(n + 1))
+        for sigma in _surjections(n, d)[0])
 
 
 @dataclass(frozen=True)
@@ -157,8 +205,7 @@ class SimplicialSet:
         if op.dst_dim != s.dim:
             raise ValueError(f"operator {op!r} does not match simplex of dimension {s.dim}")
         gen, dim = s.gen, s.gen_dim
-        sigma = s.degeneracy.values
-        epi, image = epi_mono_values([sigma[v] for v in op.values])
+        epi, image = _factor(s.degeneracy.values, op)
         while len(image) <= dim:
             # the highest value the image misses: it factors through
             # that coface, so drop it from the codomain
@@ -174,15 +221,30 @@ class SimplicialSet:
         return FormalSimplex(gen, Operator(op.src_dim, dim, tuple(epi)))
 
     def face(self, s: FormalSimplex, i: int) -> FormalSimplex:
-        """d_i s.  A face of a generator is its stored entry, the value
-        act would peel out; everything else goes through act."""
-        n = s.degeneracy.src_dim
-        if n == s.degeneracy.dst_dim and n >= 1 and 0 <= i <= n:
+        """d_i s, the value act(s, face_op(s.dim, i)) would give.  A face
+        of a generator is its stored entry; for s = sigma^*g it is read
+        from the step of _face_steps: rho^*g, or rho^*(d_j g) by one
+        face-table lookup and one composition."""
+        sigma = s.degeneracy
+        n, d = sigma.src_dim, sigma.dst_dim
+        check_face_index(n, i)
+        if n == d:
             return self.face_table[(s.gen, i)]
-        return self.act(s, _face_op(s.dim, i))
+        j, rho = _face_steps(n, d)[_surjections(n, d)[1][sigma.values]][i]
+        if j is None:
+            return FormalSimplex(s.gen, rho)
+        entry = self.face_table[(s.gen, j)]
+        tau = entry.degeneracy.values
+        sigmas, ranks = _surjections(n - 1, entry.gen_dim)
+        return FormalSimplex(entry.gen, sigmas[ranks[tuple(map(tau.__getitem__, rho.values))]])
 
     def degeneracy(self, s: FormalSimplex, i: int) -> FormalSimplex:
-        return self.act(s, _degeneracy_op(s.dim, i))
+        """s_i s, the value act(s, degeneracy_op(s.dim, i)) would give:
+        for s = sigma^*g, (sigma s^i)^*g from _degeneracy_steps."""
+        sigma = s.degeneracy
+        n, d = sigma.src_dim, sigma.dst_dim
+        check_degeneracy_index(n, i)
+        return FormalSimplex(s.gen, _degeneracy_steps(n, d)[_surjections(n, d)[1][sigma.values]][i])
 
     # -- enumeration ---------------------------------------------------
 

@@ -208,9 +208,12 @@ def test_classification_pinned():
 
 
 def test_restriction_is_level0_collapse():
+    # C_j at level 0 keeps m < j and sends m >= j to j - 1
     for k in range(1, K_MAX + 1):
         for j in range(1, k + 1):
-            assert restriction_operator(k, j) == collapse(k, j).low
+            pointwise = tuple(m if m < j else j - 1 for m in range(k))
+            assert collapse(k, j).low.values == pointwise, (k, j)
+            assert restriction_operator(k, j).values == pointwise, (k, j)
 
 
 def test_restriction_at_top_is_last_coface():

@@ -10,6 +10,7 @@ from exitpath.gallery import GALLERY, cone_span, load_span
 from exitpath.operators import (
     Operator,
     compose,
+    degeneracy_op,
     epi_mono_factor,
     face_op,
     identity,
@@ -86,8 +87,8 @@ def operator_act(X, s, op):
 
 
 def exit_complex(name, depth):
-    span = (cone_span(standard_simplex(2)) if name == "cone-simplex2"
-            else load_span(name))
+    span = (cone_span(standard_simplex(int(name.removeprefix("cone-simplex"))))
+            if name.startswith("cone-simplex") else load_span(name))
     return build_exit(span, depth)
 
 
@@ -246,11 +247,35 @@ def test_face_agrees_with_act():
 
 
 def test_face_input_checks():
+    # the same ValueError as face_op / degeneracy_op, never a wrapped-around row
     X = chain3()
     top = nondeg("a,b,c", 2)
-    for s, i in ((top, 3), (top, -1), (X.degeneracy(top, 0), 4), (nondeg("a", 0), 0)):
-        with pytest.raises(ValueError):
-            X.face(s, i)
+    for s in (top, X.degeneracy(top, 1), X.degeneracy(nondeg("a,c", 1), 0)):
+        n = s.dim
+        for i in (-1, n + 1):
+            with pytest.raises(ValueError, match=rf"^coface index {i} outside \[{n}\]$"):
+                X.face(s, i)
+            with pytest.raises(ValueError, match=rf"^codegeneracy index {i} outside \[{n}\]$"):
+                X.degeneracy(s, i)
+    vertex = nondeg("a", 0)
+    for i in (-1, 0, 1):
+        with pytest.raises(ValueError, match=r"^no cofaces into \[0\]$"):
+            X.face(vertex, i)
+    for i in (-1, 1):
+        with pytest.raises(ValueError, match=rf"^codegeneracy index {i} outside \[0\]$"):
+            X.degeneracy(vertex, i)
+
+
+@pytest.mark.parametrize("name", sorted(GALLERY) + ["cone-simplex2", "cone-simplex3"])
+def test_face_and_degeneracy_are_the_action(name):
+    # face and degeneracy read step tables; act is the general action
+    X = exit_complex(name, 5)
+    for n in range(7):
+        for s in X.simplices_at(n):
+            for i in range(n + 1):
+                if n:
+                    assert X.face(s, i) == act_face(X, s, i), (s, i)
+                assert X.degeneracy(s, i) == X.act(s, degeneracy_op(n, i)), (s, i)
 
 
 @pytest.mark.parametrize("name", sorted(GALLERY))
