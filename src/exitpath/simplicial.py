@@ -8,23 +8,26 @@ finitely many nondegenerate simplices per degree is presented by
   * for each generator of dimension n >= 1, its n+1 faces, each written
     in normal form as (degeneracy operator, generator label).
 
-All simplices are FormalSimplex values (generator label, surjection);
-the contravariant action of an arbitrary operator is computed by
-peeling cofaces off the epi-mono factorization against the stored face
-tables.  The peeling runs on plain value tuples; only its result is
-built, and validated, as an Operator and a FormalSimplex.  Equality of
-simplices is equality of normal forms.  X_n has one canonical order,
-whose home is SimplicialSet.blocks: simplices_at lists it, and the
-verifier numbers simplices by it.
+All simplices are FormalSimplex values (generator label, surjection).
+Equality of simplices is equality of normal forms.  X_n has one
+canonical order, whose home is SimplicialSet.blocks: simplices_at lists
+it, and the verifier numbers simplices by it.
 
-A face or degeneracy of sigma^*g, with sigma: [n] ->> [d], is the same
-action, but its generator-free half is read from process-wide step
-tables, one per (n, d), indexed by sigma's rank and built by the
-factorization act runs: s_i(sigma^*g) = (sigma s^i)^*g, and
-d_i(sigma^*g) = (sigma delta^i)^*g when sigma hits sigma(i) twice, else
-rho^*(d_j g) with sigma delta^i = delta^j rho.  The call then does at
-most one face-table lookup and one composition, and returns the shared
-surjections of _surjections.
+The action of Delta has one closed form, written on value tuples.  For
+s = sigma^*g with sigma: [n] ->> [d]:
+
+  * s_i s = (sigma s^i)^*g: sigma with position i repeated;
+  * d_i s = (sigma delta^i)^*g, sigma with position i dropped, when
+    sigma hits j = sigma(i) twice; otherwise the rest misses j, and
+    d_i s = rho^*(d_j g), the one face-table entry d_j g with its
+    surjection composed after the rest shifted down past j;
+  * s . op, for any operator op, splits sigma . op into epi and mono,
+    takes the faces at the values the mono misses, highest first, and
+    composes epi into the degeneracy part of the result.
+
+A result is a stored face-table entry or carries one of the shared
+surjections of _surjections, looked up by its values: no Operator is
+built or validated.
 """
 
 from __future__ import annotations
@@ -37,18 +40,11 @@ from .operators import (
     Operator,
     check_degeneracy_index,
     check_face_index,
-    degeneracy_op,
     degeneracy_word,
     epi_mono_values,
-    face_op,
     identity,
     surjections,
 )
-
-# The elementary operators, one per (n, i): bounded by the square of
-# the largest degree acted on.
-_face_op = cache(face_op)
-_degeneracy_op = cache(degeneracy_op)
 
 
 @cache
@@ -58,43 +54,6 @@ def _surjections(n: int, d: int) -> tuple[tuple[Operator, ...], dict[tuple[int, 
     them."""
     sigmas = tuple(surjections(n, d))
     return sigmas, {sigma.values: r for r, sigma in enumerate(sigmas)}
-
-
-def _factor(sigma: tuple[int, ...], op: Operator) -> tuple[list[int], list[int]]:
-    """The epi-mono factorization of sigma . op, as value lists."""
-    return epi_mono_values([sigma[v] for v in op.values])
-
-
-# The step tables: the generator-free half of a face or degeneracy of
-# sigma^*g, per sigma in _surjections(n, d) by rank, then per index.
-# They hold sum over d of C(n, d) * (n + 1) entries per degree n.
-
-@cache
-def _face_steps(n: int, d: int) -> tuple[tuple[tuple[int | None, Operator], ...], ...]:
-    """(None, rho) when rho = sigma delta^i is surjective, so
-    d_i(sigma^*g) = rho^*g; else (j, rho) with sigma delta^i =
-    delta^j rho, so d_i(sigma^*g) = rho^*(d_j g)."""
-    rows = []
-    for sigma in _surjections(n, d)[0]:
-        row = []
-        for i in range(n + 1):
-            epi, image = _factor(sigma.values, _face_op(n, i))
-            sigmas, ranks = _surjections(n - 1, len(image) - 1)
-            # the image misses sigma(i) unless sigma hits it twice
-            j = None if len(image) == d + 1 else sigma.values[i]
-            row.append((j, sigmas[ranks[tuple(epi)]]))
-        rows.append(tuple(row))
-    return tuple(rows)
-
-
-@cache
-def _degeneracy_steps(n: int, d: int) -> tuple[tuple[Operator, ...], ...]:
-    """sigma s^i, always surjective: s_i(sigma^*g) = (sigma s^i)^*g."""
-    sigmas, ranks = _surjections(n + 1, d)
-    return tuple(
-        tuple(sigmas[ranks[tuple(_factor(sigma.values, _degeneracy_op(n, i))[0])]]
-              for i in range(n + 1))
-        for sigma in _surjections(n, d)[0])
 
 
 @dataclass(frozen=True)
@@ -196,55 +155,60 @@ class SimplicialSet:
     def act(self, s: FormalSimplex, op: Operator) -> FormalSimplex:
         """The simplex s . op, i.e. the contravariant action of op.
 
-        op is any operator [m] -> [s.dim].  The composite of op with
-        the degeneracy part is refactored as (epi, image), and the
-        image is resolved one top coface at a time against the face
-        table.  All of this runs on value lists; only the result is
-        built as a validated Operator and FormalSimplex.
+        op is any operator [m] -> [s.dim].  sigma . op, for s =
+        sigma^*g, splits as mono . epi; the faces of g at the values
+        the mono misses, taken highest first, give tau^*h, and the
+        result is (tau . epi)^*h.
         """
         if op.dst_dim != s.dim:
             raise ValueError(f"operator {op!r} does not match simplex of dimension {s.dim}")
-        gen, dim = s.gen, s.gen_dim
-        epi, image = _factor(s.degeneracy.values, op)
-        while len(image) <= dim:
-            # the highest value the image misses: it factors through
-            # that coface, so drop it from the codomain
-            j, k = dim, len(image) - 1
-            while k >= 0 and image[k] == j:
-                j -= 1
-                k -= 1
-            entry = self.face_table[(gen, j)]
-            tau = entry.degeneracy.values
-            epi2, image = epi_mono_values([tau[v if v < j else v - 1] for v in image])
-            epi = [epi2[v] for v in epi]
-            gen, dim = entry.gen, entry.gen_dim
-        return FormalSimplex(gen, Operator(op.src_dim, dim, tuple(epi)))
+        sigma, d = s.degeneracy.values, s.gen_dim
+        epi, image = epi_mono_values([sigma[v] for v in op.values])
+        if len(image) > d:
+            # the mono is the identity: no face to take
+            sigmas, ranks = _surjections(op.src_dim, d)
+            return FormalSimplex(s.gen, sigmas[ranks[tuple(epi)]])
+        # g itself, under the one surjection [d] ->> [d]
+        t = FormalSimplex(s.gen, _surjections(d, d)[0][0])
+        for j in range(d, -1, -1):
+            if j not in image:
+                t = self.face(t, j)
+        tau = t.degeneracy
+        sigmas, ranks = _surjections(op.src_dim, tau.dst_dim)
+        return FormalSimplex(t.gen, sigmas[ranks[tuple(map(tau.values.__getitem__, epi))]])
 
     def face(self, s: FormalSimplex, i: int) -> FormalSimplex:
-        """d_i s, the value act(s, face_op(s.dim, i)) would give.  A face
-        of a generator is its stored entry; for s = sigma^*g it is read
-        from the step of _face_steps: rho^*g, or rho^*(d_j g) by one
-        face-table lookup and one composition."""
+        """d_i s.  A face of a generator is its stored entry.  For s =
+        sigma^*g, drop position i of sigma: if sigma hits j = sigma(i)
+        twice, the rest is onto and the face is its pullback of g;
+        else the face is d_j g with its surjection composed after the
+        rest, shifted down past j."""
         sigma = s.degeneracy
         n, d = sigma.src_dim, sigma.dst_dim
         check_face_index(n, i)
         if n == d:
             return self.face_table[(s.gen, i)]
-        j, rho = _face_steps(n, d)[_surjections(n, d)[1][sigma.values]][i]
-        if j is None:
-            return FormalSimplex(s.gen, rho)
+        values = sigma.values
+        j = values[i]
+        rest = values[:i] + values[i + 1:]
+        if (i and values[i - 1] == j) or (i < n and values[i + 1] == j):
+            sigmas, ranks = _surjections(n - 1, d)
+            return FormalSimplex(s.gen, sigmas[ranks[rest]])
         entry = self.face_table[(s.gen, j)]
-        tau = entry.degeneracy.values
-        sigmas, ranks = _surjections(n - 1, entry.gen_dim)
-        return FormalSimplex(entry.gen, sigmas[ranks[tuple(map(tau.__getitem__, rho.values))]])
+        tau = entry.degeneracy
+        sigmas, ranks = _surjections(n - 1, tau.dst_dim)
+        tau = tau.values
+        tau_rho = tuple([tau[v if v < j else v - 1] for v in rest])
+        return FormalSimplex(entry.gen, sigmas[ranks[tau_rho]])
 
     def degeneracy(self, s: FormalSimplex, i: int) -> FormalSimplex:
-        """s_i s, the value act(s, degeneracy_op(s.dim, i)) would give:
-        for s = sigma^*g, (sigma s^i)^*g from _degeneracy_steps."""
+        """s_i s: for s = sigma^*g, sigma with position i repeated."""
         sigma = s.degeneracy
-        n, d = sigma.src_dim, sigma.dst_dim
+        n = sigma.src_dim
         check_degeneracy_index(n, i)
-        return FormalSimplex(s.gen, _degeneracy_steps(n, d)[_surjections(n, d)[1][sigma.values]][i])
+        sigmas, ranks = _surjections(n + 1, sigma.dst_dim)
+        values = sigma.values
+        return FormalSimplex(s.gen, sigmas[ranks[values[:i + 1] + values[i:]]])
 
     # -- enumeration ---------------------------------------------------
 
@@ -340,6 +304,10 @@ class SimplicialMap:
         missing = [g for g in domain.gen_dims if g not in self.assignment]
         if missing:
             raise ValueError(f"{name}: no image for generators {missing}")
+        unknown = [g for g in self.assignment if g not in domain.gen_dims]
+        if unknown:
+            raise ValueError(f"{name}: image given for generators {unknown} "
+                             f"not in {domain.name}")
         for g, t in self.assignment.items():
             if t.dim != domain.gen_dims[g]:
                 raise ValueError(f"{name}: image of {g!r} has dimension {t.dim}, "

@@ -51,7 +51,7 @@ def test_act_identity_and_functoriality():
     for n in range(3):
         for s in X.simplices_at(n):
             assert X.act(s, identity(n)) == s
-    # X(op2 . op1-after: act(act(s, f), g) == act(s, compose(f, g))
+    # functoriality: acting by f and then by g is acting by f . g
     for s in X.simplices_at(2):
         for f in monotone_maps(1, 2):
             mid = X.act(s, f)
@@ -213,10 +213,6 @@ def four_face_audit(X):
     return problems
 
 
-def act_face(X, s, i):
-    return X.act(s, face_op(s.dim, i))
-
-
 def corrupted_tetrahedron():
     # Q's last face is a degenerate triangle, so one of Q's two broken
     # identities reads a face of a degenerate entry
@@ -238,12 +234,14 @@ def test_audit_agrees_with_four_face_audit():
     assert corrupted_tetrahedron().audit()[1] == "corrupt3: d_2 d_3 Q = 0+s0 but d_2 d_2 Q = 0,1"
 
 
-def test_face_agrees_with_act():
+def test_face_agrees_with_operator_algebra():
+    # face against the Operator-algebra oracle, on face tables that break
+    # the simplicial identities too
     for X in [corrupted_triangle(), corrupted_tetrahedron(), *gallery_complexes()]:
         for n in range(1, 4):
             for s in X.simplices_at(n):
                 for i in range(n + 1):
-                    assert X.face(s, i) == act_face(X, s, i), (X.name, s, i)
+                    assert X.face(s, i) == operator_act(X, s, face_op(n, i)), (X.name, s, i)
 
 
 def test_face_input_checks():
@@ -268,14 +266,15 @@ def test_face_input_checks():
 
 @pytest.mark.parametrize("name", sorted(GALLERY) + ["cone-simplex2", "cone-simplex3"])
 def test_face_and_degeneracy_are_the_action(name):
-    # face and degeneracy read step tables; act is the general action
+    # face and degeneracy, whose closed form act also runs, against the
+    # Operator-algebra oracle on every simplex and index through degree 6
     X = exit_complex(name, 5)
     for n in range(7):
         for s in X.simplices_at(n):
             for i in range(n + 1):
                 if n:
-                    assert X.face(s, i) == act_face(X, s, i), (s, i)
-                assert X.degeneracy(s, i) == X.act(s, degeneracy_op(n, i)), (s, i)
+                    assert X.face(s, i) == operator_act(X, s, face_op(n, i)), (s, i)
+                assert X.degeneracy(s, i) == operator_act(X, s, degeneracy_op(n, i)), (s, i)
 
 
 @pytest.mark.parametrize("name", sorted(GALLERY))
@@ -308,6 +307,10 @@ def test_map_naturality_enforced():
     with pytest.raises(ValueError):
         SimplicialMap("wrongdim", X, X, {"0": nondeg("0,1", 1), "1": nondeg("1", 0),
                                          "0,1": nondeg("0,1", 1)})
+    with pytest.raises(ValueError, match=r"^extra: image given for generators \['bogus'\] "
+                                         r"not in simplex1$"):
+        SimplicialMap("extra", X, X, {"0": nondeg("0", 0), "1": nondeg("1", 0),
+                                      "0,1": nondeg("0,1", 1), "bogus": nondeg("0", 0)})
 
 
 def test_map_action_by_naturality():
