@@ -156,10 +156,10 @@ def _parse_entry(rest: str, path: str, lineno: int, dim: int) -> FormalSimplex:
         raise ParseError(path, lineno, f"expected one label after the word, got {tail}")
     try:
         word = tuple(int(w) for w in word_part)
-        sigma = surjection_from_word(dim, word)
-    except ValueError as e:
-        raise ParseError(path, lineno, str(e)) from None
-    return FormalSimplex(tail[0], sigma)
+    except ValueError:
+        raise ParseError(path, lineno, f"bad degeneracy word {rest[:close + 1]}: "
+                                       "entries must be integers") from None
+    return FormalSimplex(tail[0], _at_line(path, lineno, surjection_from_word, dim, word))
 
 
 def parse_sset(text: str, path: str = "<sset>") -> SimplicialSet:

@@ -13,21 +13,26 @@ Equality of simplices is equality of normal forms.  X_n has one
 canonical order, whose home is SimplicialSet.blocks: simplices_at lists
 it, and the verifier numbers simplices by it.
 
-The action of Delta has one closed form, written on value tuples.  For
-s = sigma^*g with sigma: [n] ->> [d]:
+The action of Delta has one closed form, written on plain (generator,
+values) pairs by face_values and degeneracy_values.  For s = sigma^*g
+with sigma: [n] ->> [d] (d is the last value):
 
   * s_i s = (sigma s^i)^*g: sigma with position i repeated;
-  * d_i s = (sigma delta^i)^*g, sigma with position i dropped, when
-    sigma hits j = sigma(i) twice; otherwise the rest misses j, and
-    d_i s = rho^*(d_j g), the one face-table entry d_j g with its
-    surjection composed after the rest shifted down past j;
+  * d_i s is the stored entry d_i g when sigma is the identity;
+    (sigma delta^i)^*g, sigma with position i dropped, when sigma hits
+    j = sigma(i) twice; otherwise the rest misses j, and d_i s =
+    rho^*(d_j g), the one face-table entry d_j g with its surjection
+    composed after the rest shifted down past j;
   * s . op, for any operator op, splits sigma . op into epi and mono,
     takes the faces at the values the mono misses, highest first, and
     composes epi into the degeneracy part of the result.
 
-A result is a stored face-table entry or carries one of the shared
-surjections of _surjections, looked up by its values: no Operator is
-built or validated.
+face and degeneracy check the index and wrap these two methods, and act
+runs face_values; each returns a stored face-table entry or a
+FormalSimplex over one of the shared surjections of _surjections,
+looked up by its values, so no Operator is built or validated.  The
+verifier's tables read the two methods directly and number each result
+by one rank lookup.
 """
 
 from __future__ import annotations
@@ -40,7 +45,6 @@ from .operators import (
     Operator,
     check_degeneracy_index,
     check_face_index,
-    degeneracy_word,
     epi_mono_values,
     identity,
     surjections,
@@ -54,6 +58,13 @@ def _surjections(n: int, d: int) -> tuple[tuple[Operator, ...], dict[tuple[int, 
     them."""
     sigmas = tuple(surjections(n, d))
     return sigmas, {sigma.values: r for r, sigma in enumerate(sigmas)}
+
+
+def simplex_repr(gen: str, values: tuple[int, ...]) -> str:
+    """How the simplex sigma^*gen prints, sigma given by its values: the
+    label, then s and each repeat position of sigma."""
+    word = [str(i) for i in range(len(values) - 1) if values[i] == values[i + 1]]
+    return f"{gen}+s{'s'.join(word)}" if word else gen
 
 
 @dataclass(frozen=True)
@@ -83,14 +94,17 @@ class FormalSimplex:
         return self.degeneracy.is_identity()
 
     def __repr__(self):
-        word = degeneracy_word(self.degeneracy)
-        if not word:
-            return self.gen
-        return f"{self.gen}+s{'s'.join(str(i) for i in word)}"
+        return simplex_repr(self.gen, self.degeneracy.values)
 
 
 def nondeg(gen: str, dim: int) -> FormalSimplex:
     return FormalSimplex(gen, identity(dim))
+
+
+def _simplex(gen: str, values: tuple[int, ...]) -> FormalSimplex:
+    """sigma^*gen over the shared surjection with these values."""
+    sigmas, ranks = _surjections(len(values) - 1, values[-1])
+    return FormalSimplex(gen, sigmas[ranks[values]])
 
 
 class SimplicialSet:
@@ -166,49 +180,53 @@ class SimplicialSet:
         epi, image = epi_mono_values([sigma[v] for v in op.values])
         if len(image) > d:
             # the mono is the identity: no face to take
-            sigmas, ranks = _surjections(op.src_dim, d)
-            return FormalSimplex(s.gen, sigmas[ranks[tuple(epi)]])
-        # g itself, under the one surjection [d] ->> [d]
-        t = FormalSimplex(s.gen, _surjections(d, d)[0][0])
+            return _simplex(s.gen, tuple(epi))
+        # g itself, under the identity of [d]
+        gen, tau = s.gen, tuple(range(d + 1))
         for j in range(d, -1, -1):
             if j not in image:
-                t = self.face(t, j)
-        tau = t.degeneracy
-        sigmas, ranks = _surjections(op.src_dim, tau.dst_dim)
-        return FormalSimplex(t.gen, sigmas[ranks[tuple(map(tau.values.__getitem__, epi))]])
+                gen, tau = self.face_values(gen, tau, j)
+        return _simplex(gen, tuple(map(tau.__getitem__, epi)))
 
     def face(self, s: FormalSimplex, i: int) -> FormalSimplex:
-        """d_i s.  A face of a generator is its stored entry.  For s =
-        sigma^*g, drop position i of sigma: if sigma hits j = sigma(i)
-        twice, the rest is onto and the face is its pullback of g;
-        else the face is d_j g with its surjection composed after the
-        rest, shifted down past j."""
+        """d_i s, by face_values.  A face of a generator is its stored
+        entry."""
         sigma = s.degeneracy
-        n, d = sigma.src_dim, sigma.dst_dim
+        n = sigma.src_dim
         check_face_index(n, i)
-        if n == d:
+        if n == sigma.dst_dim:
             return self.face_table[(s.gen, i)]
-        values = sigma.values
+        return _simplex(*self.face_values(s.gen, sigma.values, i))
+
+    def degeneracy(self, s: FormalSimplex, i: int) -> FormalSimplex:
+        """s_i s, by degeneracy_values."""
+        check_degeneracy_index(s.degeneracy.src_dim, i)
+        return _simplex(*self.degeneracy_values(s.gen, s.degeneracy.values, i))
+
+    def face_values(self, gen: str, values: tuple[int, ...],
+                    i: int) -> tuple[str, tuple[int, ...]]:
+        """d_i of sigma^*gen as (generator, values), sigma given by its
+        values: the stored entry when sigma is the identity; sigma with
+        position i dropped when it hits j = sigma(i) twice; else d_j gen
+        with its surjection composed after the rest, shifted down past
+        j.  The index is not checked."""
+        n = len(values) - 1
+        if values[-1] == n:
+            entry = self.face_table[(gen, i)]
+            return entry.gen, entry.degeneracy.values
         j = values[i]
         rest = values[:i] + values[i + 1:]
         if (i and values[i - 1] == j) or (i < n and values[i + 1] == j):
-            sigmas, ranks = _surjections(n - 1, d)
-            return FormalSimplex(s.gen, sigmas[ranks[rest]])
-        entry = self.face_table[(s.gen, j)]
-        tau = entry.degeneracy
-        sigmas, ranks = _surjections(n - 1, tau.dst_dim)
-        tau = tau.values
-        tau_rho = tuple([tau[v if v < j else v - 1] for v in rest])
-        return FormalSimplex(entry.gen, sigmas[ranks[tau_rho]])
+            return gen, rest
+        entry = self.face_table[(gen, j)]
+        tau = entry.degeneracy.values
+        return entry.gen, tuple([tau[v if v < j else v - 1] for v in rest])
 
-    def degeneracy(self, s: FormalSimplex, i: int) -> FormalSimplex:
-        """s_i s: for s = sigma^*g, sigma with position i repeated."""
-        sigma = s.degeneracy
-        n = sigma.src_dim
-        check_degeneracy_index(n, i)
-        sigmas, ranks = _surjections(n + 1, sigma.dst_dim)
-        values = sigma.values
-        return FormalSimplex(s.gen, sigmas[ranks[values[:i + 1] + values[i:]]])
+    def degeneracy_values(self, gen: str, values: tuple[int, ...],
+                          i: int) -> tuple[str, tuple[int, ...]]:
+        """s_i of sigma^*gen as (generator, values): sigma with position
+        i repeated.  The index is not checked."""
+        return gen, values[:i + 1] + values[i:]
 
     # -- enumeration ---------------------------------------------------
 

@@ -15,23 +15,25 @@ Every check reads one store per simplicial set, built once per call:
 Tables numbers a simplex of X_n by its position in SimplicialSet.blocks
 (its generator's block offset plus its surjection's rank) and holds each
 face and degeneracy of a degree as one column of numbers over all of
-X_n, with an index on (slot, face), so the checks compare ints; the
-identity check compares a whole column per instance.  Searches find
-their answers by lookup but charge the scan's nodes, so verdicts under
-any budget are those of the scan: horn enumeration charges each partial
-horn |X_{n-1}| nodes before its lookup, and the one filler and lift
-search, Tables.first, charges p + 1 nodes for a hit at position p and
-|X_n| for a miss.
+X_n, with an index on (slot, face), so the checks compare ints.  A
+column is filled from SimplicialSet.face_values and degeneracy_values
+on (generator, values) pairs, one rank lookup per entry, so the
+identity check, which compares a whole column per instance, lists no
+X_n and builds no FormalSimplex.  Searches find their answers by
+lookup but charge the scan's nodes, so verdicts under any budget are
+those of the scan: horn enumeration charges each partial horn |X_{n-1}|
+nodes before its lookup, and the one filler and lift search,
+Tables.first, charges p + 1 nodes for a hit at position p and |X_n|
+for a miss.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from itertools import repeat
 from typing import Callable, Iterable, Sequence
 
-from .simplicial import FormalSimplex, SimplicialMap, SimplicialSet
+from .simplicial import FormalSimplex, SimplicialMap, SimplicialSet, simplex_repr
 
 
 class BudgetExhausted(RuntimeError):
@@ -145,6 +147,10 @@ def _number(blocks: dict, x: FormalSimplex) -> int | None:
     return None if rank is None else offset + rank
 
 
+def _not_a_simplex(letter: str, x, y, n: int) -> NotASimplex:
+    return NotASimplex(f"{letter} {x} = {y} is not a simplex of degree {n}")
+
+
 def _numbers(blocks: dict, xs: Sequence[FormalSimplex], ys: Iterable[FormalSimplex],
              n: int, letter: str) -> tuple[int, ...]:
     """The numbers in X_n (of blocks) of ys, the images of xs under
@@ -153,8 +159,27 @@ def _numbers(blocks: dict, xs: Sequence[FormalSimplex], ys: Iterable[FormalSimpl
     for x, y in zip(xs, ys):
         p = _number(blocks, y)
         if p is None:
-            raise NotASimplex(f"{letter} {x!r} = {y!r} is not a simplex of degree {n}")
+            raise _not_a_simplex(letter, repr(x), repr(y), n)
         out.append(p)
+    return tuple(out)
+
+
+def _column(source: dict, target: dict, action: Callable, i: int, letter: str,
+            n: int) -> tuple[int, ...]:
+    """The numbers in X_n (of blocks target) of action(gen, values, i)
+    over every simplex (gen, values) of the degree of blocks source, in
+    order.  A result that is not an n-simplex of X raises NotASimplex."""
+    out = []
+    for label, (_, _, ranks) in source.items():
+        # ranks lists its block's values in rank order
+        for values in ranks:
+            gen, image = action(label, values, i)
+            offset, _, target_ranks = target.get(gen, _NO_BLOCK)
+            rank = target_ranks.get(image)
+            if rank is None:
+                raise _not_a_simplex(letter, simplex_repr(label, values),
+                                     simplex_repr(gen, image), n)
+            out.append(offset + rank)
     return tuple(out)
 
 
@@ -172,10 +197,12 @@ class Tables:
 
     A simplex's number in X_n is its position in X.blocks(n): the offset
     of its generator's block plus the rank of its surjection.
-    simplices[n] lists X_n; faces[n][a] is the column of the numbers of
-    d_a x over all x in X_n, in order, and degens[n][i] that of s_i x,
-    from one face or degeneracy call per (x, index).  A column is
-    numbered by rank, so X_{n+1} is never listed to number degens[n].
+    sizes[n] is |X_n| and simplices[n] lists X_n; faces[n][a] is the
+    column of the numbers of d_a x over all x in X_n, in order, and
+    degens[n][i] that of s_i x.  A column walks blocks(n) and numbers
+    X.face_values or X.degeneracy_values of each (generator, values) by
+    one rank lookup in the neighbouring degree's block, so no column
+    lists a degree or builds a FormalSimplex.
     column() composes columns along a word; matching() and first() look
     simplices up by their faces.  One check call holds one Tables per
     simplicial set and frees it on return, so nothing is kept on X.
@@ -184,15 +211,14 @@ class Tables:
     def __init__(self, X: SimplicialSet):
         # the builders close over the parts, never over self, so no
         # reference cycle keeps a Tables alive after its call
-        simplices = self.simplices = _ByDegree(X.simplices_at)
+        self.simplices = _ByDegree(X.simplices_at)
         blocks = self._blocks = _ByDegree(X.blocks)
+        self.sizes = _ByDegree(lambda n: sum(len(sigmas) for _, sigmas, _ in blocks[n].values()))
         faces = self.faces = _ByDegree(lambda n: tuple(
-            _numbers(blocks[n - 1], simplices[n], map(X.face, simplices[n], repeat(a)),
-                     n - 1, f"{X.name}: d_{a}")
+            _column(blocks[n], blocks[n - 1], X.face_values, a, f"{X.name}: d_{a}", n - 1)
             for a in range(n + 1)) if n else ())
         self.degens = _ByDegree(lambda n: tuple(
-            _numbers(blocks[n + 1], simplices[n], map(X.degeneracy, simplices[n], repeat(i)),
-                     n + 1, f"{X.name}: s_{i}")
+            _column(blocks[n], blocks[n + 1], X.degeneracy_values, i, f"{X.name}: s_{i}", n + 1)
             for i in range(n + 1)))
         self._by_face = _ByDegree(lambda n: _face_index(faces[n]))
 
@@ -219,13 +245,13 @@ class Tables:
             else:
                 n, step = n + 1, self.degens[n][i]
             column = step if column is None else tuple(map(step.__getitem__, column))
-        return tuple(range(len(self.simplices[n]))) if column is None else column
+        return tuple(range(self.sizes[n])) if column is None else column
 
     def matching(self, n: int, wanted: list[tuple[int, int | None]]) -> Sequence[int]:
         """The numbers, ascending, of the n-simplices whose face at slot a
         is numbered g for every (a, g) in wanted; g None matches none."""
         if not wanted:
-            return range(len(self.simplices[n]))
+            return range(self.sizes[n])
         columns = self.faces[n]
         hits = self._by_face[n].get(wanted[0], [])
         rest = wanted[1:]
@@ -240,7 +266,7 @@ class Tables:
             if accept is None or accept(p):
                 budget.spend(p + 1)
                 return p
-        budget.spend(len(self.simplices[n]))
+        budget.spend(self.sizes[n])
         return None
 
     def image(self, f: SimplicialMap, target: Tables) -> _ByDegree:
@@ -280,9 +306,10 @@ def verify_simplicial_identities(X: SimplicialSet, depth: int) -> VerificationRe
 
     Each instance is checked on a whole degree at once: its two sides
     are columns of numbers over X_n, composed from one Tables of X that
-    lists X_n through degree depth + 1.  Each family gets one report
-    entry; a fail entry carries its first counterexample in (degree,
-    simplex, instance) order and the family is not checked further."""
+    lists no X_n: s_i s_j reaches degree depth + 2, whose blocks number
+    it.  Each family gets one report entry; a fail entry carries its
+    first counterexample in (degree, simplex, instance) order and the
+    family is not checked further."""
     tables = Tables(X)
     report = VerificationReport(X.name, depth)
     for name, instances in _IDENTITIES:
@@ -293,7 +320,7 @@ def verify_simplicial_identities(X: SimplicialSet, depth: int) -> VerificationRe
             if failure:
                 report.add(name, "fail", witness=_identity_witness(tables, n, *failure))
                 break
-            checked += len(pairs) * len(tables.simplices[n])
+            checked += len(pairs) * tables.sizes[n]
         else:
             report.add(name, "pass", detail=f"{checked} instances")
     return report

@@ -167,6 +167,22 @@ def test_parse_error_descending_degeneracy_word():
     assert e.lineno == 7 and "bad degeneracy word (1, 0)" in str(e)
 
 
+@pytest.mark.parametrize("doc, old, new, lineno", [
+    ("boundary-collar.N.sset", "face 0 = () 1", "face 0 = (x) 1", 8),
+    ("boundary-collar.iota.smap", "map l = () 0", "map l = (x) 0", 4),
+], ids=["sset", "smap"])
+def test_cli_names_a_non_integer_degeneracy_word(tmp_path, capsys, doc, old, new, lineno):
+    from exitpath.cli import INPUT_ERROR, main
+
+    span_path = write_span_documents(load_span("boundary-collar"), str(tmp_path))
+    path = tmp_path / doc
+    assert old in path.read_text()
+    path.write_text(path.read_text().replace(old, new))
+    assert main(["check-mono", "--span", span_path]) == INPUT_ERROR
+    assert capsys.readouterr().err.endswith(
+        f"{doc}:{lineno}: bad degeneracy word (x): entries must be integers\n")
+
+
 def test_parse_error_maxdim_mismatch():
     e = parse_err("sset x\nmaxdim 3\ndim 0\ngen a\n")
     assert "maxdim says 3" in str(e) and e.lineno == 2

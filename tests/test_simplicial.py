@@ -266,15 +266,23 @@ def test_face_input_checks():
 
 @pytest.mark.parametrize("name", sorted(GALLERY) + ["cone-simplex2", "cone-simplex3"])
 def test_face_and_degeneracy_are_the_action(name):
-    # face and degeneracy, whose closed form act also runs, against the
-    # Operator-algebra oracle on every simplex and index through degree 6
+    # face and degeneracy, whose closed form act also runs, and the
+    # (generator, values) form they wrap, against the Operator-algebra
+    # oracle on every simplex and index through degree 6
     X = exit_complex(name, 5)
     for n in range(7):
         for s in X.simplices_at(n):
+            values = s.degeneracy.values
             for i in range(n + 1):
                 if n:
-                    assert X.face(s, i) == operator_act(X, s, face_op(n, i)), (s, i)
-                assert X.degeneracy(s, i) == operator_act(X, s, degeneracy_op(n, i)), (s, i)
+                    face = operator_act(X, s, face_op(n, i))
+                    assert X.face(s, i) == face, (s, i)
+                    assert X.face_values(s.gen, values, i) == \
+                        (face.gen, face.degeneracy.values), (s, i)
+                degeneracy = operator_act(X, s, degeneracy_op(n, i))
+                assert X.degeneracy(s, i) == degeneracy, (s, i)
+                assert X.degeneracy_values(s.gen, values, i) == \
+                    (degeneracy.gen, degeneracy.degeneracy.values), (s, i)
 
 
 @pytest.mark.parametrize("name", sorted(GALLERY))

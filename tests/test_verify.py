@@ -144,9 +144,9 @@ def test_identity_report_pinned_on_a_wrong_degeneracy():
     # s_0 of the vertex 0 answers the edge 0,1 instead of 0+s0: every
     # family with a degeneracy in it fails, each with its own witness
     X = standard_simplex(1)
-    vertex, edge = nondeg("0", 0), nondeg("0,1", 1)
-    degeneracy = X.degeneracy
-    X.degeneracy = lambda s, i: edge if (s, i) == (vertex, 0) else degeneracy(s, i)
+    degeneracy_values = X.degeneracy_values
+    X.degeneracy_values = lambda g, v, i: (
+        ("0,1", (0, 1)) if (g, v, i) == ("0", (0,), 0) else degeneracy_values(g, v, i))
     report = verify_simplicial_identities(X, 2)
     assert report.to_json() == identity_report_json("simplex1", 2, [
         12,
@@ -161,18 +161,18 @@ def test_identity_check_fails_loudly_off_its_degree():
     # s_0 of the vertex 0 answers the vertex itself, a simplex of the
     # wrong degree: the check names it instead of numbering it elsewhere
     X = standard_simplex(1)
-    vertex = nondeg("0", 0)
-    degeneracy = X.degeneracy
-    X.degeneracy = lambda s, i: vertex if (s, i) == (vertex, 0) else degeneracy(s, i)
+    degeneracy_values = X.degeneracy_values
+    X.degeneracy_values = lambda g, v, i: (
+        ("0", (0,)) if (g, v, i) == ("0", (0,), 0) else degeneracy_values(g, v, i))
     with pytest.raises(NotASimplex) as caught:
         verify_simplicial_identities(X, 1)
     assert not isinstance(caught.value, ValueError)  # not an input error
     assert str(caught.value) == "simplex1: s_0 0 = 0 is not a simplex of degree 1"
     # a face with an unknown generator
     Y = standard_simplex(2)
-    edge = nondeg("0,1", 1)
-    face = Y.face
-    Y.face = lambda s, i: nondeg("nope", 0) if (s, i) == (edge, 1) else face(s, i)
+    face_values = Y.face_values
+    Y.face_values = lambda g, v, i: (
+        ("nope", (0,)) if (g, v, i) == ("0,1", (0, 1), 1) else face_values(g, v, i))
     with pytest.raises(NotASimplex, match=r"simplex2: d_1 0,1 = nope is not a simplex "
                                           r"of degree 0"):
         verify_simplicial_identities(Y, 2)
@@ -180,16 +180,30 @@ def test_identity_check_fails_loudly_off_its_degree():
 
 @pytest.mark.parametrize("depth", range(5))
 def test_identity_check_lists_no_degree_above_depth_plus_one(depth):
+    # blocks, which lists no simplex, is read one degree higher: s_i s_j
+    # of an n-simplex is numbered in the block of degree n + 2
     X = build_exit(cone_span(standard_simplex(2)), depth)
-    simplices_at = X.simplices_at
+    for name, top in (("simplices_at", depth + 1), ("blocks", depth + 2)):
+        def bounded(n, read=getattr(X, name), name=name, top=top):
+            if n > top:
+                raise AssertionError(f"{name} read degree {n} for depth {depth}")
+            return read(n)
 
-    def bounded(n):
-        if n > depth + 1:
-            raise AssertionError(f"listed degree {n} for depth {depth}")
-        return simplices_at(n)
-
-    X.simplices_at = bounded
+        setattr(X, name, bounded)
     assert verify_simplicial_identities(X, depth).ok
+
+
+def test_identity_check_reads_only_the_values_action():
+    # the columns come from face_values and degeneracy_values: the check
+    # calls neither FormalSimplex wrapper and lists no degree
+    X = build_exit(cone_span(standard_simplex(2)), 4)
+
+    def refuse(*args):
+        raise AssertionError("the identity check called a FormalSimplex method")
+
+    X.face = X.degeneracy = X.simplices_at = refuse
+    report = verify_simplicial_identities(X, 4)
+    assert report.ok and len(report.entries) == 5
 
 
 # -- the identity check against a per-simplex oracle --------------------------------
@@ -280,8 +294,10 @@ def patched_degeneracy(X, rng):
     n = rng.randrange(3)
     x, i = rng.choice(X.simplices_at(n)), rng.randrange(n + 1)
     wrong = rng.choice(X.simplices_at(n + 1))
-    degeneracy = X.degeneracy
-    X.degeneracy = lambda s, j: wrong if (s, j) == (x, i) else degeneracy(s, j)
+    key, wrong = (x.gen, x.degeneracy.values, i), (wrong.gen, wrong.degeneracy.values)
+    degeneracy_values = X.degeneracy_values
+    X.degeneracy_values = lambda g, v, j: (
+        wrong if (g, v, j) == key else degeneracy_values(g, v, j))
     return X
 
 
@@ -290,8 +306,9 @@ def swapped_degeneracies(X, rng):
     n = rng.randrange(1, 3)
     a, b = rng.sample(range(n + 1), 2)
     swap = {a: b, b: a}
-    degeneracy = X.degeneracy
-    X.degeneracy = lambda s, j: degeneracy(s, swap.get(j, j) if s.dim == n else j)
+    degeneracy_values = X.degeneracy_values
+    X.degeneracy_values = lambda g, v, j: degeneracy_values(
+        g, v, swap.get(j, j) if len(v) == n + 1 else j)
     return X
 
 
