@@ -24,15 +24,17 @@ with sigma: [n] ->> [d] (d is the last value):
     rho^*(d_j g), the one face-table entry d_j g with its surjection
     composed after the rest shifted down past j;
   * s . op, for any operator op, splits sigma . op into epi and mono,
-    takes the faces at the values the mono misses, highest first, and
-    composes epi into the degeneracy part of the result.
+    takes the faces at the values the mono misses (none when it is
+    onto), highest first, and composes epi into the result's degeneracy;
+  * a map f with f(g) = tau^*h sends s to (tau sigma)^*h, by
+    SimplicialMap.image_values.
 
-face and degeneracy check the index and wrap these two methods, and act
-runs face_values; each returns a stored face-table entry or a
-FormalSimplex over one of the shared surjections of _surjections,
-looked up by its values, so no Operator is built or validated.  The
-verifier's tables read the two methods directly and number each result
-by one rank lookup.
+face, degeneracy and a map's __call__ check their input and wrap these
+three methods, and act runs face_values; each returns a stored
+face-table entry or a FormalSimplex over one of the shared surjections
+of _surjections, looked up by its values, so no Operator is built or
+validated.  The verifier's tables read the three methods directly and
+number each result by one rank lookup.
 """
 
 from __future__ import annotations
@@ -178,9 +180,6 @@ class SimplicialSet:
             raise ValueError(f"operator {op!r} does not match simplex of dimension {s.dim}")
         sigma, d = s.degeneracy.values, s.gen_dim
         epi, image = epi_mono_values([sigma[v] for v in op.values])
-        if len(image) > d:
-            # the mono is the identity: no face to take
-            return _simplex(s.gen, tuple(epi))
         # g itself, under the identity of [d]
         gen, tau = s.gen, tuple(range(d + 1))
         for j in range(d, -1, -1):
@@ -307,8 +306,8 @@ class SimplicialMap:
 
     assignment maps each domain generator label to a FormalSimplex of
     the codomain of the same dimension; the action on arbitrary
-    simplices follows by naturality.  audit() checks naturality on the
-    face tables, which is the whole condition.  Injectivity is likewise
+    simplices follows by naturality (image_values).  audit() checks
+    naturality on the face tables, which is the whole condition.  Injectivity is likewise
     read off the generators, once: mono_bound is the highest degree
     through which the map is injective (inf if it is mono).
     """
@@ -335,9 +334,9 @@ class SimplicialMap:
         problems = self.audit()
         if problems:
             raise ValueError("; ".join(problems))
-        # f(sigma^* g) = sigma^* f(g) is in normal form while f(g) is
-        # nondegenerate, so f is injective exactly below the first
-        # generator whose image is degenerate or already taken
+        # f(sigma^* g) = (tau . sigma)^* h (image_values) is sigma^* h
+        # while f(g) = h is nondegenerate, so f is injective exactly
+        # below the first generator whose image is degenerate or taken
         self.mono_bound: float = inf
         self._preimage_gens: dict[str, str] = {}
         for g in domain.generators():
@@ -348,7 +347,16 @@ class SimplicialMap:
                 self.mono_bound = min(self.mono_bound, domain.gen_dims[g] - 1)
 
     def __call__(self, s: FormalSimplex) -> FormalSimplex:
-        return self.codomain.act(self.assignment[s.gen], s.degeneracy)
+        d = self.domain.gen_dims[s.gen]
+        if d != s.gen_dim:
+            raise ValueError(f"operator {s.degeneracy!r} does not match simplex of dimension {d}")
+        return _simplex(*self.image_values(s.gen, s.degeneracy.values))
+
+    def image_values(self, gen: str, values: tuple[int, ...]) -> tuple[str, tuple[int, ...]]:
+        """f of sigma^*gen as (generator, values): with f(gen) = tau^*h,
+        (h, tau . sigma), onto as both are.  The input is not checked."""
+        t = self.assignment[gen]
+        return t.gen, tuple(map(t.degeneracy.values.__getitem__, values))
 
     def audit(self) -> list[str]:
         problems = []

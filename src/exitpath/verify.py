@@ -19,7 +19,9 @@ X_n, with an index on (slot, face), so the checks compare ints.  A
 column is filled from SimplicialSet.face_values and degeneracy_values
 on (generator, values) pairs, one rank lookup per entry, so the
 identity check, which compares a whole column per instance, lists no
-X_n and builds no FormalSimplex.  Searches find their answers by
+X_n and builds no FormalSimplex.  The image of a map is one more such
+column, filled from SimplicialMap.image_values, so the lift check
+numbers both sides without a map call.  Searches find their answers by
 lookup but charge the scan's nodes, so verdicts under any budget are
 those of the scan: horn enumeration charges each partial horn |X_{n-1}|
 nodes before its lookup, and the one filler and lift search,
@@ -31,7 +33,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 from .simplicial import FormalSimplex, SimplicialMap, SimplicialSet, simplex_repr
 
@@ -147,24 +149,7 @@ def _number(blocks: dict, x: FormalSimplex) -> int | None:
     return None if rank is None else offset + rank
 
 
-def _not_a_simplex(letter: str, x, y, n: int) -> NotASimplex:
-    return NotASimplex(f"{letter} {x} = {y} is not a simplex of degree {n}")
-
-
-def _numbers(blocks: dict, xs: Sequence[FormalSimplex], ys: Iterable[FormalSimplex],
-             n: int, letter: str) -> tuple[int, ...]:
-    """The numbers in X_n (of blocks) of ys, the images of xs under
-    letter.  A y that is not an n-simplex of X raises NotASimplex."""
-    out = []
-    for x, y in zip(xs, ys):
-        p = _number(blocks, y)
-        if p is None:
-            raise _not_a_simplex(letter, repr(x), repr(y), n)
-        out.append(p)
-    return tuple(out)
-
-
-def _column(source: dict, target: dict, action: Callable, i: int, letter: str,
+def _column(source: dict, target: dict, action: Callable, i: int | None, letter: str,
             n: int) -> tuple[int, ...]:
     """The numbers in X_n (of blocks target) of action(gen, values, i)
     over every simplex (gen, values) of the degree of blocks source, in
@@ -177,8 +162,8 @@ def _column(source: dict, target: dict, action: Callable, i: int, letter: str,
             offset, _, target_ranks = target.get(gen, _NO_BLOCK)
             rank = target_ranks.get(image)
             if rank is None:
-                raise _not_a_simplex(letter, simplex_repr(label, values),
-                                     simplex_repr(gen, image), n)
+                raise NotASimplex(f"{letter} {simplex_repr(label, values)} = "
+                                  f"{simplex_repr(gen, image)} is not a simplex of degree {n}")
             out.append(offset + rank)
     return tuple(out)
 
@@ -197,12 +182,12 @@ class Tables:
 
     A simplex's number in X_n is its position in X.blocks(n): the offset
     of its generator's block plus the rank of its surjection.
-    sizes[n] is |X_n| and simplices[n] lists X_n; faces[n][a] is the
-    column of the numbers of d_a x over all x in X_n, in order, and
-    degens[n][i] that of s_i x.  A column walks blocks(n) and numbers
-    X.face_values or X.degeneracy_values of each (generator, values) by
-    one rank lookup in the neighbouring degree's block, so no column
-    lists a degree or builds a FormalSimplex.
+    sizes[n] is X.count_at(n) and simplices[n] lists X_n; faces[n][a]
+    is the column of the numbers of d_a x over all x in X_n, in order,
+    and degens[n][i] that of s_i x.  A column walks blocks(n) and
+    numbers X.face_values, X.degeneracy_values or, for image(), a map's
+    image_values of each (generator, values) by one rank lookup, so no
+    column lists a degree or builds a FormalSimplex.
     column() composes columns along a word; matching() and first() look
     simplices up by their faces.  One check call holds one Tables per
     simplicial set and frees it on return, so nothing is kept on X.
@@ -213,7 +198,7 @@ class Tables:
         # reference cycle keeps a Tables alive after its call
         self.simplices = _ByDegree(X.simplices_at)
         blocks = self._blocks = _ByDegree(X.blocks)
-        self.sizes = _ByDegree(lambda n: sum(len(sigmas) for _, sigmas, _ in blocks[n].values()))
+        self.sizes = _ByDegree(X.count_at)
         faces = self.faces = _ByDegree(lambda n: tuple(
             _column(blocks[n], blocks[n - 1], X.face_values, a, f"{X.name}: d_{a}", n - 1)
             for a in range(n + 1)) if n else ())
@@ -271,9 +256,11 @@ class Tables:
 
     def image(self, f: SimplicialMap, target: Tables) -> _ByDegree:
         """f in numbers: image[n][p] is the number in target's degree n
-        of f's image of the simplex numbered p in X_n."""
-        return _ByDegree(lambda n: _numbers(target._blocks[n], self.simplices[n],
-                                            map(f, self.simplices[n]), n, f.name))
+        of f's image of the simplex numbered p in X_n, a column filled
+        from f.image_values like a face column."""
+        source, action = self._blocks, lambda gen, values, _: f.image_values(gen, values)
+        return _ByDegree(lambda n: _column(source[n], target._blocks[n], action, None,
+                                           f.name, n))
 
 
 # -- simplicial identities -----------------------------------------------------
@@ -361,6 +348,11 @@ class HornProblem:
     missing: int
     faces: tuple[FormalSimplex | None, ...]
 
+    def __post_init__(self):
+        if not (1 <= self.n == len(self.faces) - 1 and 0 <= self.missing <= self.n
+                and self.faces.count(None) == 1 and self.faces[self.missing] is None):
+            raise ValueError(f"not a horn of shape ({self.n}, {self.missing}): {self.faces!r}")
+
     def present(self):
         return [(a, f) for a, f in enumerate(self.faces) if a != self.missing]
 
@@ -371,7 +363,7 @@ class HornProblem:
 
 def horn_is_compatible(X: SimplicialSet, h: HornProblem) -> bool:
     for b in range(h.n + 1):
-        if b == h.missing or h.faces[b] is None:
+        if b == h.missing:
             continue
         for a in range(b):
             if a == h.missing:
@@ -529,7 +521,7 @@ def _lift_block(f: SimplicialMap, n: int, i: int, budget: int | None,
                                   lambda p: above[p] == base) is None:
                     return CheckEntry(
                         name, "fail", detail=f"{squares} squares",
-                        witness=f"no lift of {y_tables.simplices[n][base]!r} "
+                        witness=f"no lift of {y_tables.simplex(n, base)!r} "
                                 f"along {h.describe()}")
             except BudgetExhausted:
                 exhausted += 1

@@ -25,6 +25,7 @@ from exitpath.simplicial import (
     nondeg,
     standard_simplex,
 )
+from exitpath.verify import Tables
 
 
 def chain3():
@@ -329,6 +330,11 @@ def test_map_action_by_naturality():
     assert f.audit() == []
     s = X.degeneracy(nondeg("0,1", 1), 0)
     assert f(s) == Y.degeneracy(nondeg("a,c", 1), 0)
+    with pytest.raises(KeyError):
+        f(nondeg("a", 0))
+    with pytest.raises(ValueError, match=r"^operator \[1\]->\[1\]:\(0,1\) does not match "
+                                         r"simplex of dimension 0$"):
+        load_span("boundary-collar").iota(nondeg("l", 1))
 
 
 def test_is_mono_and_preimage():
@@ -383,6 +389,24 @@ def test_preimage_needs_no_is_mono_call():
         m.preimage(nondeg("0,1", 1))
     with pytest.raises(RuntimeError):
         m.preimage(m.codomain.degeneracy(nondeg("0", 0), 0))
+
+
+def test_map_action_agrees_with_operator_algebra():
+    # f(sigma^*g) and the image column of Tables, both read from
+    # image_values, against sigma acting on f(g) by Operator algebra;
+    # cone pi has degenerate images and parallel_map is not injective
+    spans = [load_span(name) for name in sorted(GALLERY)]
+    maps = [f for span in spans for f in (span.pi, span.iota)]
+    maps += [cone_span(standard_simplex(3)).pi, parallel_map()]
+    for f in maps:
+        source, target = Tables(f.domain), Tables(f.codomain)
+        image = source.image(f, target)
+        for n in range(5):
+            simplices = f.domain.simplices_at(n)
+            want = [operator_act(f.codomain, f.assignment[x.gen], x.degeneracy)
+                    for x in simplices]
+            assert [f(x) for x in simplices] == want, (f.name, n)
+            assert [target.simplex(n, q) for q in image[n]] == want, (f.name, n)
 
 
 # -- injectivity against the per-degree scan ------------------------------------

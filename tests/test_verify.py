@@ -366,6 +366,15 @@ def test_horn_input_checks():
         enumerate_horns(X, 0, 0)
     with pytest.raises(ValueError):
         enumerate_horns(X, 2, 3)
+    # a faces tuple that is not a horn of its shape: too short, a face
+    # at the missing slot, a missing index past n, a hole at a present slot
+    X = standard_simplex(2)
+    e12, e01 = nondeg("1,2", 1), nondeg("0,1", 1)
+    for n, missing, faces in [(2, 1, (e12, None)), (2, 1, (e12, e12, e01)),
+                              (2, 5, (e12, None, e01)), (2, 1, (None, None, e01))]:
+        with pytest.raises(ValueError, match=rf"^not a horn of shape \({n}, {missing}\)"):
+            find_filler(X, HornProblem(n, missing, faces))
+    assert find_filler(X, HornProblem(2, 1, (e12, None, e01))) == nondeg("0,1,2", 2)
 
 
 def test_filler_is_first_in_canonical_order():
@@ -528,13 +537,15 @@ def test_tables_read_back_as_the_face_action():
             simplices = X.simplices_at(n)
             assert [tables.number(n, x) for x in simplices] == list(range(len(simplices)))
             assert [tables.simplex(n, p) for p in range(len(simplices))] == simplices
-    for span in spans:
-        for f in (span.pi, span.iota):
-            source, target = Tables(f.domain), Tables(f.codomain)
-            image = source.image(f, target)
-            for n in range(5):
-                assert [target.simplices[n][q] for q in image[n]] == \
-                    [f(x) for x in source.simplices[n]]
+
+
+def test_image_column_names_a_non_simplex(monkeypatch):
+    f = load_span("boundary-collar").pi
+    monkeypatch.setattr(f, "image_values", lambda gen, values: ("nope", values + values))
+    image = Tables(f.domain).image(f, Tables(f.codomain))
+    with pytest.raises(NotASimplex) as err:
+        image[0]
+    assert str(err.value) == "pi l = nope+s0 is not a simplex of degree 0"
 
 
 def test_tables_simplex_numbers_only_the_degree():
@@ -631,6 +642,25 @@ def test_cone_search_verdicts():
     assert [(e.name, e.status) for e in report.entries] == [
         (f"lifts Lambda^{n}_{i}", "fail" if (n, i) in failing else "pass")
         for n in range(1, 5) for i in range(n + 1)]
+
+
+def test_lift_check_reads_both_sides_as_numbers(monkeypatch):
+    # once the maps are built, the lift check numbers pi's image by
+    # image_values and names a base by its number: no map call, no act,
+    # and no listing of the codomain
+    f = cone_span(standard_simplex(3)).pi
+    seen = []
+    for cls, name in ((SimplicialMap, "__call__"), (SimplicialSet, "act"),
+                      (SimplicialSet, "simplices_at")):
+        def spy(self, *args, name=name, method=getattr(cls, name)):
+            seen.append((name, self))
+            return method(self, *args)
+
+        monkeypatch.setattr(cls, name, spy)
+    report = check_fibration(f, 4, "kan")
+    assert [e.name for e in report.failed] == ["lifts Lambda^2_0", "lifts Lambda^2_2"]
+    assert [name for name, _ in seen if name != "simplices_at"] == []
+    assert not any(X is f.codomain for _, X in seen)
 
 
 # -- fibration checks ------------------------------------------------------------------
