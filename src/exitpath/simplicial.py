@@ -359,19 +359,23 @@ class SimplicialMap:
         return t.gen, tuple(map(t.degeneracy.values.__getitem__, values))
 
     def audit(self) -> list[str]:
+        """Naturality violations f(d_i g) != d_i f(g) on the generators
+        g of the domain, compared as (generator, values) pairs by
+        image_values and face_values; empty means natural."""
         problems = []
+        face, image = self.codomain.face_values, self.image_values
         for d in sorted(self.domain.gens):
             if d < 1:
                 continue
+            top = tuple(range(d + 1))
             for label in self.domain.gens[d]:
-                g = nondeg(label, d)
                 for i in range(d + 1):
-                    lhs = self(self.domain.face(g, i))
-                    rhs = self.codomain.face(self(g), i)
+                    lhs = image(*self.domain.face_values(label, top, i))
+                    rhs = face(*image(label, top), i)
                     if lhs != rhs:
                         problems.append(
-                            f"{self.name}: image of d_{i} {label} is {lhs!r} "
-                            f"but d_{i} of the image is {rhs!r}"
+                            f"{self.name}: image of d_{i} {label} is {simplex_repr(*lhs)} "
+                            f"but d_{i} of the image is {simplex_repr(*rhs)}"
                         )
         return problems
 

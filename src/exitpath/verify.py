@@ -15,25 +15,31 @@ Every check reads one store per simplicial set, built once per call:
 Tables numbers a simplex of X_n by its position in SimplicialSet.blocks
 (its generator's block offset plus its surjection's rank) and holds each
 face and degeneracy of a degree as one column of numbers over all of
-X_n, with an index on (slot, face), so the checks compare ints.  A
-column is filled from SimplicialSet.face_values and degeneracy_values
-on (generator, values) pairs, one rank lookup per entry, so the
-identity check, which compares a whole column per instance, lists no
-X_n and builds no FormalSimplex.  The image of a map is one more such
-column, filled from SimplicialMap.image_values, so the lift check
-numbers both sides without a map call.  Searches find their answers by
-lookup but charge the scan's nodes, so verdicts under any budget are
-those of the scan: horn enumeration charges each partial horn |X_{n-1}|
-nodes before its lookup, and the one filler and lift search,
-Tables.first, charges p + 1 nodes for a hit at position p and |X_n|
-for a miss.
+X_n, so the checks compare ints.  A column is filled from
+SimplicialSet.face_values and degeneracy_values on (generator, values)
+pairs, one rank lookup per entry, so the identity check, which compares
+a whole column per instance, lists no X_n and builds no FormalSimplex.
+The image of a map is one more such column, filled from
+SimplicialMap.image_values, so the lift check numbers both sides
+without a map call.
+
+Horn, filler and lift search share one lookup, Tables.face_keys: the
+simplices of a degree keyed by their faces at a fixed tuple of slots,
+optionally followed by one more column.  The checks keep each horn as
+the tuple of its face numbers, which is the key of its fillers; a
+HornProblem is built only for a witness or a reader of
+enumerate_horns' result.  Searches find their answers by lookup but
+charge the scan's nodes, so verdicts under any budget are those of the
+scan: horn enumeration charges each partial horn |X_{n-1}| nodes before
+its lookup, and a filler or lift search (first_hit) charges p + 1
+nodes for a hit at position p and |X_n| for a miss.
 """
 
 from __future__ import annotations
 
 import json
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
 
 from .simplicial import FormalSimplex, SimplicialMap, SimplicialSet, simplex_repr
 
@@ -168,15 +174,6 @@ def _column(source: dict, target: dict, action: Callable, i: int | None, letter:
     return tuple(out)
 
 
-def _face_index(columns: Sequence[tuple[int, ...]]) -> dict[tuple[int, int], list[int]]:
-    """(slot, face) -> the numbers of the simplices with that face there."""
-    index: dict[tuple[int, int], list[int]] = {}
-    for a, column in enumerate(columns):
-        for p, g in enumerate(column):
-            index.setdefault((a, g), []).append(p)
-    return index
-
-
 class Tables:
     """One simplicial set X in numbers, each degree built on first use.
 
@@ -188,9 +185,12 @@ class Tables:
     numbers X.face_values, X.degeneracy_values or, for image(), a map's
     image_values of each (generator, values) by one rank lookup, so no
     column lists a degree or builds a FormalSimplex.
-    column() composes columns along a word; matching() and first() look
-    simplices up by their faces.  One check call holds one Tables per
-    simplicial set and frees it on return, so nothing is kept on X.
+    column() composes columns along a word.  face_keys() is the one
+    lookup of the searches: per degree and tuple of slots, a dict from
+    the face numbers at those slots to the simplices that have them,
+    built by zipping those columns.  One check call holds one
+    Tables per simplicial set and frees it on return, so nothing is kept
+    on X.
     """
 
     def __init__(self, X: SimplicialSet):
@@ -199,13 +199,13 @@ class Tables:
         self.simplices = _ByDegree(X.simplices_at)
         blocks = self._blocks = _ByDegree(X.blocks)
         self.sizes = _ByDegree(X.count_at)
-        faces = self.faces = _ByDegree(lambda n: tuple(
+        self.faces = _ByDegree(lambda n: tuple(
             _column(blocks[n], blocks[n - 1], X.face_values, a, f"{X.name}: d_{a}", n - 1)
             for a in range(n + 1)) if n else ())
         self.degens = _ByDegree(lambda n: tuple(
             _column(blocks[n], blocks[n + 1], X.degeneracy_values, i, f"{X.name}: s_{i}", n + 1)
             for i in range(n + 1)))
-        self._by_face = _ByDegree(lambda n: _face_index(faces[n]))
+        self._last_keys: tuple = (None, None)
 
     def number(self, n: int, x: FormalSimplex) -> int | None:
         """x's number in X_n, or None when x is not an n-simplex of X."""
@@ -232,27 +232,34 @@ class Tables:
             column = step if column is None else tuple(map(step.__getitem__, column))
         return tuple(range(self.sizes[n])) if column is None else column
 
-    def matching(self, n: int, wanted: list[tuple[int, int | None]]) -> Sequence[int]:
-        """The numbers, ascending, of the n-simplices whose face at slot a
-        is numbered g for every (a, g) in wanted; g None matches none."""
-        if not wanted:
-            return range(self.sizes[n])
-        columns = self.faces[n]
-        hits = self._by_face[n].get(wanted[0], [])
-        rest = wanted[1:]
-        return [p for p in hits if all(columns[a][p] == g for a, g in rest)] if rest else hits
-
-    def first(self, n: int, wanted: list[tuple[int, int | None]], budget: Budget,
-              accept: Callable[[int], bool] | None = None) -> int | None:
-        """The first number of matching(n, wanted) that accept allows
-        (any, by default), at the node cost of a scan of X_n in canonical
-        order: a hit at position p spends p + 1 nodes, a miss |X_n|."""
-        for p in self.matching(n, wanted):
-            if accept is None or accept(p):
-                budget.spend(p + 1)
-                return p
-        budget.spend(self.sizes[n])
-        return None
+    def face_keys(self, n: int, slots: tuple[int, ...],
+                  extra: Sequence[int] | None = None) -> dict[tuple[int, ...], Sequence[int]]:
+        """The n-simplices by their faces at slots: the key of x is the
+        tuple of the numbers of d_a x for a in slots, in order, followed
+        by extra[x] when an extra column over X_n is given, and it maps
+        to the numbers, ascending, of the simplices with that key, built
+        by zipping the face columns.  The last index built without an
+        extra column is kept, so a run of lookups on one (n, slots)
+        builds it once; keeping every index would hold up to one dict
+        per horn shape and degree for the whole check."""
+        if extra is None and self._last_keys[0] == (n, slots):
+            return self._last_keys[1]
+        columns = [self.faces[n][a] for a in slots]
+        if extra is not None:
+            columns.append(extra)
+        if not columns:
+            index = {(): range(self.sizes[n])}
+        else:
+            index = {}
+            for p, key in enumerate(zip(*columns)):
+                hits = index.get(key)
+                if hits is None:
+                    index[key] = [p]
+                else:
+                    hits.append(p)
+        if extra is None:
+            self._last_keys = ((n, slots), index)
+        return index
 
     def image(self, f: SimplicialMap, target: Tables) -> _ByDegree:
         """f in numbers: image[n][p] is the number in target's degree n
@@ -373,16 +380,46 @@ def horn_is_compatible(X: SimplicialSet, h: HornProblem) -> bool:
     return True
 
 
+class Horns(Sequence):
+    """The horns of one shape (n, missing) of X, in enumeration order,
+    kept as numbers: numbers[k] holds horn k's faces at slots, the
+    indices other than missing in ascending order, each by its number
+    in X_{n-1}.  Reading horn k builds its HornProblem, so a Horns
+    equals any sequence of the same HornProblems."""
+
+    def __init__(self, tables: Tables, n: int, missing: int,
+                 numbers: list[tuple[int, ...]]):
+        self.n, self.missing, self.numbers = n, missing, numbers
+        self.slots = tuple(a for a in range(n + 1) if a != missing)
+        self._tables = tables
+
+    def __len__(self) -> int:
+        return len(self.numbers)
+
+    def __getitem__(self, k: int) -> HornProblem:
+        faces = list(map(self._tables.simplices[self.n - 1].__getitem__, self.numbers[k]))
+        faces.insert(self.missing, None)
+        return HornProblem(self.n, self.missing, tuple(faces))
+
+    def __eq__(self, other):
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+    __hash__ = None
+
+
 def enumerate_horns(X: SimplicialSet, n: int, missing: int,
                     budget: Budget | None = None,
-                    *, tables: Tables | None = None) -> list[HornProblem]:
-    """All horns of shape (n, missing) in X, by backtracking over the
-    face slots in ascending index order.
+                    *, tables: Tables | None = None) -> Horns:
+    """All horns of shape (n, missing) in X, in the order of a
+    backtracking over the face slots in ascending index order.
 
     Slot b of a partial horn takes the (n-1)-simplices whose face a
-    equals d_{b-1} of the simplex at every chosen slot a < b; they are
-    looked up by number through the (slot, face) index of X_{n-1} on
-    the first chosen slot and filtered on the others.
+    equals d_{b-1} of the simplex at every chosen slot a < b.  The
+    partial horns grow one slot at a time, and the candidates for slot
+    b are looked up in X_{n-1} keyed on its faces at the slots chosen
+    so far (Tables.face_keys), so each horn stays a tuple of numbers.
 
     A node is one candidate a scan of X_{n-1} in canonical order would
     try: each partial horn is charged |X_{n-1}| nodes before its lookup,
@@ -397,39 +434,42 @@ def enumerate_horns(X: SimplicialSet, n: int, missing: int,
     budget = budget or Budget(None)
     if tables is None:
         tables = Tables(X)
-    slots = [a for a in range(n + 1) if a != missing]
-    simplices, faces = tables.simplices[n - 1], tables.faces[n - 1]
-    out: list[HornProblem] = []
+    size = tables.sizes[n - 1]
+    horns = Horns(tables, n, missing, [()])  # the partial horns, one slot at a time
+    for depth, b in enumerate(horns.slots):
+        keys = tables.face_keys(n - 1, horns.slots[:depth])
+        # the key a candidate needs: d_{b-1} of each chosen face, a < b
+        up = tables.faces[n - 1][b - 1] if depth else ()
+        grown = []
+        for horn in horns.numbers:
+            budget.spend(size)
+            grown += [horn + (p,) for p in keys.get(tuple(map(up.__getitem__, horn)), ())]
+        horns.numbers = grown
+    return horns
 
-    def extend(chosen: dict[int, int], depth: int):
-        if depth == len(slots):
-            out.append(HornProblem(n, missing, tuple(
-                simplices[chosen[a]] if a in chosen else None for a in range(n + 1))))
-            return
-        b = slots[depth]
-        budget.spend(len(simplices))
-        # a < b always: slots ascend, and chosen keeps that order
-        wanted = [(a, faces[b - 1][p]) for a, p in chosen.items()]
-        for p in tables.matching(n - 1, wanted):
-            chosen[b] = p
-            extend(chosen, depth + 1)
-            del chosen[b]
 
-    extend({}, 0)
-    return out
+def first_hit(hits: Sequence[int] | None, size: int, budget: Budget) -> int | None:
+    """The first of hits, the ascending numbers of a search's matches in
+    X_n (None for none), at the node cost of a scan of X_n in canonical
+    order: a hit at position p spends p + 1 nodes, a miss size."""
+    p = hits[0] if hits else None
+    budget.spend(size if p is None else p + 1)
+    return p
 
 
 def find_filler(X: SimplicialSet, h: HornProblem, budget: Budget | None = None,
                 *, tables: Tables | None = None) -> FormalSimplex | None:
     """First n-simplex whose faces extend the horn, in canonical order,
-    at a scan's node cost (Tables.first); a face outside X_{n-1} matches
+    at a scan's node cost (first_hit); a face outside X_{n-1} matches
     nothing.  tables is a Tables of X to share with other horns; by
     default the call builds its own."""
     if tables is None:
         tables = Tables(X)
-    p = tables.first(h.n, [(a, tables.number(h.n - 1, g)) for a, g in h.present()],
-                     budget or Budget(None))
-    return None if p is None else tables.simplices[h.n][p]
+    present = h.present()
+    key = tuple(tables.number(h.n - 1, g) for _, g in present)
+    p = first_hit(tables.face_keys(h.n, tuple(a for a, _ in present)).get(key),
+                  tables.sizes[h.n], budget or Budget(None))
+    return None if p is None else tables.simplex(h.n, p)
 
 
 def verify_quasicategory(X: SimplicialSet, depth: int,
@@ -456,12 +496,14 @@ def _horn_block(X: SimplicialSet, n: int, i: int, budget: int | None,
         horns = enumerate_horns(X, n, i, Budget(budget), tables=tables)
     except BudgetExhausted:
         return CheckEntry(name, "inconclusive", detail="enumeration budget exhausted")
+    # a horn's numbers are the key of its fillers
+    fillers, size = tables.face_keys(n, horns.slots), tables.sizes[n]
     exhausted = 0
-    for h in horns:
+    for k, horn in enumerate(horns.numbers):
         try:
-            if find_filler(X, h, Budget(budget), tables=tables) is None:
+            if first_hit(fillers.get(horn), size, Budget(budget)) is None:
                 return CheckEntry(name, "fail", detail=f"{len(horns)} horns",
-                                  witness=f"no filler for {h.describe()}")
+                                  witness=f"no filler for {horns[k].describe()}")
         except BudgetExhausted:
             exhausted += 1
     if exhausted:
@@ -510,19 +552,21 @@ def _lift_block(f: SimplicialMap, n: int, i: int, budget: int | None,
         horns = enumerate_horns(f.domain, n, i, Budget(budget), tables=x_tables)
     except BudgetExhausted:
         return CheckEntry(name, "inconclusive", detail="enumeration budget exhausted")
-    below, above = image[n - 1], image[n]
+    # the bases of a horn are keyed on its image, its lifts on the horn
+    # and the base
+    below, size = image[n - 1], x_tables.sizes[n]
+    bases = y_tables.face_keys(n, horns.slots)
+    lifts = x_tables.face_keys(n, horns.slots, image[n])
     squares = exhausted = 0
-    for h in horns:
-        wanted = [(a, x_tables.number(n - 1, g)) for a, g in h.present()]
-        for base in y_tables.matching(n, [(a, below[p]) for a, p in wanted]):
+    for k, horn in enumerate(horns.numbers):
+        for base in bases.get(tuple(map(below.__getitem__, horn)), ()):
             squares += 1
             try:
-                if x_tables.first(n, wanted, Budget(budget),
-                                  lambda p: above[p] == base) is None:
+                if first_hit(lifts.get(horn + (base,)), size, Budget(budget)) is None:
                     return CheckEntry(
                         name, "fail", detail=f"{squares} squares",
                         witness=f"no lift of {y_tables.simplex(n, base)!r} "
-                                f"along {h.describe()}")
+                                f"along {horns[k].describe()}")
             except BudgetExhausted:
                 exhausted += 1
     if exhausted:

@@ -337,6 +337,19 @@ def test_map_action_by_naturality():
         load_span("boundary-collar").iota(nondeg("l", 1))
 
 
+def test_map_audit_names_each_unnatural_face():
+    # the triangle sent to s_0 of the edge 1,2: d_0 agrees, d_1 and d_2
+    # do not, and d_2 of the image is degenerate
+    X, Y = standard_simplex(2), standard_simplex(2)
+    f = SimplicialMap("f", X, Y, {g: nondeg(g, d) for g, d in X.gen_dims.items()})
+    f.assignment["0,1,2"] = FormalSimplex("1,2", Operator(2, 1, (0, 0, 1)))
+    assert f.audit() == ["f: image of d_1 0,1,2 is 0,2 but d_1 of the image is 1,2",
+                         "f: image of d_2 0,1,2 is 0,1 but d_2 of the image is 1+s0"]
+    # the same comparison on FormalSimplex values
+    g = nondeg("0,1,2", 2)
+    assert [i for i in range(3) if f(X.face(g, i)) != Y.face(f(g), i)] == [1, 2]
+
+
 def test_is_mono_and_preimage():
     X = standard_simplex(1)
     P = standard_simplex(0, "pt")

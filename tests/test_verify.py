@@ -30,6 +30,7 @@ from exitpath.verify import (
     comparison_report,
     enumerate_horns,
     find_filler,
+    first_hit,
     horn_is_compatible,
     verify_quasicategory,
     verify_simplicial_identities,
@@ -414,15 +415,22 @@ def test_quasicategory_budget_exhaustion_is_inconclusive():
     assert report.inconclusive and not report.failed
 
 
-def test_filler_searches_hitting_the_budget_are_counted():
-    # 29 triangles (a, a, a) come first, so the fillers of the horns
-    # (x, -, y) with x or y = b sit late in canonical order
+def late_fillers(labels="UVW"):
+    """A bouquet whose 29 triangles (a, a, a) come first, so the fillers
+    of the horns (x, -, y) with x or y = b sit late in canonical order;
+    without the triangle W the horn (b, -, a) has none."""
     Z = bouquet("Z", "v", ["a", "b"])
     a, b = nondeg("a", 1), nondeg("b", 1)
     for k in range(29):
         Z.add_generator(2, f"T{k}", [a, a, a])
     for label, (x, y) in zip("UVW", [(b, b), (a, b), (b, a)]):
-        Z.add_generator(2, label, [x, a, y])
+        if label in labels:
+            Z.add_generator(2, label, [x, a, y])
+    return Z
+
+
+def test_filler_searches_hitting_the_budget_are_counted():
+    Z = late_fillers()
     name = "inner horns Lambda^2_1"
     assert verify_quasicategory(Z, 2, 12).to_json() == one_entry_json(
         "Z", 2, name, "inconclusive", "3/9 searches hit the budget")
@@ -451,7 +459,7 @@ def linear_filler(X, h, budget):
 
 
 def linear_enumerate(X, n, missing, budget):
-    """The candidate scan the (slot, face) lookup replaced in
+    """The candidate scan the face-key lookup replaced in
     enumerate_horns, kept as the oracle: every simplex of X_{n-1} is
     tried, at one node each, for every slot of every partial horn."""
     slots = [a for a in range(n + 1) if a != missing]
@@ -564,7 +572,7 @@ def test_tables_hold_no_reference_cycle():
     tables = Tables(standard_simplex(2))
     tables.column(1, (("d", 0), ("s", 1)))
     tables.number(2, tables.simplex(2, 0))
-    tables.first(2, [(0, 0)], Budget(None))
+    first_hit(tables.face_keys(2, (0,)).get((0,)), tables.sizes[2], Budget(None))
     ref = weakref.ref(tables)
     gc.disable()
     try:
@@ -612,19 +620,109 @@ def test_indexed_lift_matches_linear_scan():
     hits = misses = 0
     for span in search_spans():
         for f in (span.pi, span.iota):
-            tables = Tables(f.domain)
+            tables, y_tables = Tables(f.domain), Tables(f.codomain)
+            image = tables.image(f, y_tables)
             for n, i, horns in all_horns(f.domain, 3):
-                simplices = tables.simplices[n]
+                lifts = tables.face_keys(n, horns.slots, image[n])
                 for h in horns:
-                    wanted = [(a, tables.number(n - 1, g)) for a, g in h.present()]
+                    wanted = tuple(tables.number(n - 1, g) for _, g in h.present())
                     for base in f.codomain.simplices_at(n):
+                        key = wanted + (y_tables.number(n, base),)
+
                         def indexed(b):
-                            p = tables.first(n, wanted, b, lambda q: f(simplices[q]) == base)
-                            return None if p is None else simplices[p]
+                            p = first_hit(lifts.get(key), tables.sizes[n], b)
+                            return None if p is None else tables.simplex(n, p)
                         lift = assert_same_search(indexed, lambda b: linear_lift(f, h, base, b))
                         hits += lift is not None
                         misses += lift is None
     assert hits and misses
+
+
+def horn_searches(X, n, i):
+    """(enumeration nodes, [(nodes, found)] of each filler scan) of the
+    shape (n, i), by the linear scans."""
+    spent = Budget(None)
+    horns = linear_enumerate(X, n, i, spent)
+    searches = []
+    for h in horns:
+        cost = Budget(None)
+        found = linear_filler(X, h, cost) is not None
+        searches.append((cost.spent, found))
+    return spent.spent, searches
+
+
+def lift_searches(f, n, i):
+    """(enumeration nodes, [(nodes, found)] of each lift scan, one per
+    square in order) of the shape (n, i), by the linear scans."""
+    X, Y = f.domain, f.codomain
+    spent = Budget(None)
+    horns = linear_enumerate(X, n, i, spent)
+    searches = []
+    for h in horns:
+        images = [(a, f(g)) for a, g in h.present()]
+        for base in Y.simplices_at(n):
+            if all(Y.face(base, a) == g for a, g in images):
+                cost = Budget(None)
+                found = linear_lift(f, h, base, cost) is not None
+                searches.append((cost.spent, found))
+    return spent.spent, searches
+
+
+def oracle_entry(enumeration, searches, budget, fail_detail, pass_detail):
+    """(status, detail) of a check entry under a per-subproblem budget,
+    from the scans' charges."""
+    if enumeration > budget:
+        return "inconclusive", "enumeration budget exhausted"
+    exhausted = 0
+    for k, (nodes, found) in enumerate(searches, 1):
+        if nodes > budget:
+            exhausted += 1
+        elif not found:
+            return "fail", fail_detail(k)
+    if exhausted:
+        return "inconclusive", f"{exhausted}/{len(searches)} searches hit the budget"
+    return "pass", pass_detail
+
+
+def test_search_budgets_match_the_linear_scans():
+    # the checks charge each filler and lift search what its linear scan
+    # spends, so under a budget at the dearest scan's charge, one below
+    # it and half of it, each entry is the scans' entry; the bouquets
+    # have searches dearer than their enumeration, so some hit the
+    # budget, and a miss, charged |X_n|, decides fail or inconclusive
+    spans = search_spans()  # at depth 3; the bouquets at their own depth
+    bouquets = [(late_fillers(), 2), (late_fillers("UV"), 2)]
+    hit = set()
+    for X, depth in [(build_exit(span, 3), 3) for span in spans] + bouquets:
+        inner = [(n, i) for n in range(2, depth + 1) for i in range(1, n)]
+        runs = [horn_searches(X, n, i) for n, i in inner]
+        top = max((nodes for _, searches in runs for nodes, _ in searches), default=1)
+        for b in (top, top - 1, top // 2):
+            # one search per horn
+            want = [oracle_entry(e, searches, b, lambda k, m=len(searches): f"{m} horns",
+                                 f"{len(searches)} horns filled")
+                    for e, searches in runs]
+            got = verify_quasicategory(X, depth, b).entries
+            assert [(e.name, e.status, e.detail) for e in got] == \
+                [(f"inner horns Lambda^{n}_{i}", *w) for (n, i), w in zip(inner, want)]
+            hit.update(("horns", e.status, e.detail.endswith("searches hit the budget"))
+                       for e in got)
+    bouquets = [(late_lifts(), 1), (late_lifts(unlifted=1), 1)]
+    for f, depth in [(g, 3) for span in spans for g in (span.pi, span.iota)] + bouquets:
+        runs = [lift_searches(f, n, i) for n, i in shapes(depth)]
+        top = max((nodes for _, searches in runs for nodes, _ in searches), default=1)
+        for b in (top, top - 1, top // 2):
+            want = [oracle_entry(e, searches, b, lambda k: f"{k} squares",
+                                 f"{len(searches)} squares lifted")
+                    for e, searches in runs]
+            got = check_fibration(f, depth, "kan", b).entries
+            assert [(e.name, e.status, e.detail) for e in got] == \
+                [(f"lifts Lambda^{n}_{i}", *w) for (n, i), w in zip(shapes(depth), want)]
+            hit.update(("lifts", e.status, e.detail.endswith("searches hit the budget"))
+                       for e in got)
+    assert {(check, status, False) for check in ("horns", "lifts")
+            for status in ("pass", "fail", "inconclusive")} <= hit
+    assert ("horns", "inconclusive", True) in hit and ("lifts", "inconclusive", True) in hit
 
 
 def test_cone_search_verdicts():
@@ -712,12 +810,17 @@ def test_fibration_kind_validation():
         check_fibration(span.pi, 2, kind="left")
 
 
-def test_lift_searches_hitting_the_budget_are_counted():
-    # the lift of the base g_k sits at position k of X_1, after s_0 x
+def late_lifts(unlifted=0):
+    """A map of bouquets where the lift of the base g_k sits at position
+    k of X_1, after s_0 x; the last unlifted loops of Y have no lift."""
     X = bouquet("X", "x", [f"e{k}" for k in range(1, 6)])
-    Y = bouquet("Y", "y", [f"g{k}" for k in range(1, 6)])
-    f = SimplicialMap("f", X, Y, {"x": nondeg("y", 0),
-                                  **{f"e{k}": nondeg(f"g{k}", 1) for k in range(1, 6)}})
+    Y = bouquet("Y", "y", [f"g{k}" for k in range(1, 6 + unlifted)])
+    return SimplicialMap("f", X, Y, {"x": nondeg("y", 0),
+                                     **{f"e{k}": nondeg(f"g{k}", 1) for k in range(1, 6)}})
+
+
+def test_lift_searches_hitting_the_budget_are_counted():
+    f = late_lifts()
     name = "lifts Lambda^1_1"
     assert check_fibration(f, 1, "right", 3).to_json() == one_entry_json(
         "f: X -> Y", 1, name, "inconclusive", "3/6 searches hit the budget")
