@@ -21,12 +21,17 @@ Eilenberg-Zilber a degeneracy of x lies in it exactly when x does
 path iff F_r(g) has a preimage under iota, a lookup at degree
 r <= k - 1, which LinkedSpan.front_lifts answers and caches.
 
-Faces and degeneracies of exit paths are driven by the face
-classification: vertical faces stay exit paths with the flat index,
-the single low face (i = j = k) lands in M through pi after the unique
-lift, the single upper face (i = 0, j = 1) forgets down to N, and every
-degeneracy stays an exit path with the sharp index.  For k = 1 the same
-dispatch degenerates to d_1 low, d_0 upper.
+Faces of exit paths are driven by the face classification: vertical
+faces stay exit paths with the flat index, the single low face
+(i = j = k) lands in M through pi after the unique lift, and the single
+upper face (i = 0, j = 1) forgets down to N.  For k = 1 the same
+dispatch degenerates to d_1 low, d_0 upper.  Every degeneracy stays an
+exit path with the sharp index.  Faces are computed on plain
+(generator, values) pairs, like SimplicialSet.face_values: the face by
+exit_face_values and the normal form of an exit path by
+exit_core_values.  build_exit calls these two directly; the tagged
+exit_face and exit_normal_form wrap them and build Low, Exit and Upper
+values.
 
 Nondegenerate exit paths are the nondegenerate simplices of the prisms
 Delta^1 x Delta^d over the generators of N.  (sigma^* g, j) is s_i of an
@@ -35,7 +40,7 @@ j - 1; dropping that repeat keeps sigma(j - 1), hence membership.  So
 the nondegenerate exit paths of degree k are (g, j) for g in gens_k(N)
 and (s_{j-1}^* g, j) for g in gens_{k-1}(N), each where
 front_lifts(g, j - 1) holds; build_exit lists exactly these, and
-exit_normal_form drops every repeat but the crossing in one step.
+exit_core_values drops every repeat but the crossing in one step.
 """
 
 from __future__ import annotations
@@ -44,7 +49,14 @@ from dataclasses import dataclass
 
 from .operators import Operator, degeneracy_op, degeneracy_word, identity
 from .shuffles import FaceClass, classify_face, flat, sharp
-from .simplicial import FormalSimplex, SimplicialMap, SimplicialSet, nondeg
+from .simplicial import (
+    FormalSimplex,
+    SimplicialMap,
+    SimplicialSet,
+    _simplex,
+    nondeg,
+    simplex_repr,
+)
 
 
 class SpanIntegrityError(RuntimeError):
@@ -195,19 +207,45 @@ def all_exit_simplices(span: LinkedSpan, k: int) -> list[ExitSimplex]:
 # -- faces and degeneracies ---------------------------------------------------
 
 
-def _lift_low(span: LinkedSpan, simplex: FormalSimplex) -> FormalSimplex:
-    span.require_iota(simplex.dim)
-    lifted = span.iota.preimage(simplex)
+def exit_face_values(span: LinkedSpan, gen: str, values: tuple[int, ...], j: int,
+                     i: int) -> tuple[str, str, tuple[int, ...], int | None]:
+    """d_i of the exit path (sigma^*gen, j), sigma given by its values,
+    as (part, generator, values, index), from (h, tau) = d_i of
+    sigma^*gen in N: part "M" for the low face (i = j = k), whose
+    generator is lifted through iota and sent to M by pi; "N" for the
+    upper face (i = 0, j = 1); "P" with the flat index for a vertical
+    face.  The indices are not checked."""
+    k = len(values) - 1
+    h, tau = span.N.face_values(gen, values, i)
+    cls = classify_face(k, j, i)
+    if cls is FaceClass.VERTICAL:
+        return "P", h, tau, flat(k, j, i)
+    if cls is FaceClass.UPPER:
+        return "N", h, tau, None
+    span.require_iota(k - 1)
+    lifted = span.iota.preimage_values(h, tau)
     if lifted is None:
         raise SpanIntegrityError(
-            f"{span.name}: low face {simplex!r} has no lift through iota, "
+            f"{span.name}: low face {simplex_repr(h, tau)} has no lift through iota, "
             f"but membership of the ambient exit path was already established"
         )
-    return lifted
+    return ("M", *span.pi.image_values(*lifted), None)
+
+
+def exit_core_values(values: tuple[int, ...], j: int) -> tuple[int, int, tuple[int, ...]]:
+    """The normal form of the exit path (sigma^*gen, j), sigma given by
+    its values, as (r, c, values): with r = sigma(j - 1) and c =
+    [sigma(j) = r], the core is (s_r^* gen, r + 1) if c and (gen, r + 1)
+    otherwise, and the surjection is m -> sigma(m) + (c if m >= j)."""
+    r = values[j - 1]
+    if values[j] != r:
+        return r, 0, values
+    return r, 1, values[:j] + tuple([v + 1 for v in values[j:]])
 
 
 def exit_face(span: LinkedSpan, s: ExitSimplex, i: int) -> ExitSimplex:
-    """d_i of a tagged simplex of Ex."""
+    """d_i of a tagged simplex of Ex: face on Low and Upper, and
+    exit_face_values on an exit path."""
     if s.dim < 1:
         raise ValueError("vertices have no faces")
     if not 0 <= i <= s.dim:
@@ -216,13 +254,12 @@ def exit_face(span: LinkedSpan, s: ExitSimplex, i: int) -> ExitSimplex:
         return Low(span.M.face(s.simplex, i))
     if isinstance(s, Upper):
         return Upper(span.N.face(s.simplex, i))
-    gamma, j, k = s.gamma, s.index, s.dim
-    cls = classify_face(k, j, i)
-    if cls is FaceClass.VERTICAL:
-        return Exit(span.N.face(gamma, i), flat(k, j, i))
-    if cls is FaceClass.LOW:
-        return Low(span.pi(_lift_low(span, span.N.face(gamma, i))))
-    return Upper(span.N.face(gamma, i))
+    part, gen, values, j = exit_face_values(span, s.gamma.gen, s.gamma.degeneracy.values,
+                                            s.index, i)
+    face = FormalSimplex(gen, Operator(len(values) - 1, values[-1], values))
+    if part == "P":
+        return Exit(face, j)
+    return Low(face) if part == "M" else Upper(face)
 
 
 def exit_degeneracy(span: LinkedSpan, s: ExitSimplex, i: int) -> ExitSimplex:
@@ -259,23 +296,17 @@ def detect_degenerate_exit(span: LinkedSpan, p: Exit) -> tuple[Exit, int] | None
 def exit_normal_form(span: LinkedSpan, s: ExitSimplex) -> tuple[ExitSimplex, Operator]:
     """Write s as (nondegenerate core, surjection).
 
-    Low and Upper parts inherit normal forms from M and N.  An exit path
-    (sigma^* g, j) keeps only its crossing repeat: with r = sigma(j - 1)
-    and c = [sigma(j - 1) = sigma(j)], the core is (s_r^* g, r + 1) if c
-    and (g, r + 1) otherwise, and the surjection is
-    m -> sigma(m) + (c if m >= j else 0).
+    Low and Upper parts inherit normal forms from M and N; an exit path
+    takes its core and surjection from exit_core_values.
     """
     if isinstance(s, Low):
         return Low(nondeg(s.simplex.gen, s.simplex.gen_dim)), s.simplex.degeneracy
     if isinstance(s, Upper):
         return Upper(nondeg(s.simplex.gen, s.simplex.gen_dim)), s.simplex.degeneracy
-    gamma, j = s.gamma, s.index
-    sigma, d = gamma.degeneracy.values, gamma.gen_dim
-    r = sigma[j - 1]
-    c = int(sigma[j] == r)
+    gamma, d = s.gamma, s.gamma.gen_dim
+    r, c, values = exit_core_values(gamma.degeneracy.values, s.index)
     core = FormalSimplex(gamma.gen, degeneracy_op(d, r) if c else identity(d))
-    op = Operator(gamma.dim, d + c, tuple(v + c if m >= j else v for m, v in enumerate(sigma)))
-    return Exit(core, r + 1), op
+    return Exit(core, r + 1), Operator(gamma.dim, d + c, values)
 
 
 # -- materialization ----------------------------------------------------------
@@ -316,33 +347,60 @@ class ExitComplex(SimplicialSet):
 def build_exit(span: LinkedSpan, depth: int) -> ExitComplex:
     """Materialize Ex(span) up to dimension depth.
 
-    Requires iota mono through depth.  Generators per
-    dimension k are the generators of M, the nondegenerate exit paths
-    read off the prisms over N's generators (first (s_i^* g, i + 1) for
-    g in gens_{k-1}(N), then (g, j) for g in gens_k(N), where
-    front_lifts(g, j - 1) holds), then the generators of N; faces are
-    computed by exit_face and re-expressed in normal form.
+    Requires iota mono through depth.  Generators per dimension k are
+    the generators of M, the nondegenerate exit paths read off the
+    prisms over N's generators (first (s_i^* g, i + 1) for g in
+    gens_{k-1}(N), then (g, j) for g in gens_k(N), where
+    front_lifts(g, j - 1) holds), then the generators of N.  Faces are
+    computed on (generator, values) pairs: a low or upper generator
+    takes its face-table entries in M or N, relabelled; an exit path
+    takes exit_face_values, and a vertical face is written in normal
+    form by exit_core_values.  Each distinct face entry is built once
+    per call.
     """
     if depth < 0:
         raise ValueError("depth must be >= 0")
     span.require_iota(depth)
     ex = ExitComplex(span, depth)
-    lifts = span.front_lifts
+    M, N, lifts = span.M, span.N, span.front_lifts
+    entries: dict[tuple[str, tuple[int, ...]], FormalSimplex] = {}
 
-    def formal(s: ExitSimplex) -> FormalSimplex:
-        core, op = exit_normal_form(span, s)
-        return FormalSimplex(exit_label(core), op)
+    def entry(label: str, values: tuple[int, ...]) -> FormalSimplex:
+        s = entries.get((label, values))
+        if s is None:
+            s = entries[(label, values)] = FormalSimplex(
+                label, Operator(len(values) - 1, values[-1], values))
+        return s
+
+    def exit_faces(gen: str, sigma: tuple[int, ...], j: int) -> list[FormalSimplex]:
+        faces = []
+        for i in range(len(sigma)):
+            part, h, tau, e = exit_face_values(span, gen, sigma, j, i)
+            if part == "P":
+                # exit_label of the core, (s_r^* h, r + 1) or (h, r + 1)
+                r, c, tau = exit_core_values(tau, e)
+                faces.append(entry(f"P.{h}+s{r}@{r + 1}" if c else f"P.{h}@{r + 1}", tau))
+            else:
+                faces.append(entry(f"{part}.{h}", tau))
+        return faces
+
+    def relabelled(X: SimplicialSet, prefix: str, g: str, k: int) -> list[FormalSimplex] | None:
+        faces = (X.face_table[(g, i)] for i in range(k + 1))
+        return [FormalSimplex(prefix + f.gen, f.degeneracy) for f in faces] if k else None
 
     for k in range(depth + 1):
-        new = [(Low(nondeg(g, k)), "low") for g in span.M.generators(k)]
-        new += [(Exit(FormalSimplex(g, degeneracy_op(k - 1, i)), i + 1), f"exit@{i + 1}")
-                for g in span.N.generators(k - 1) for i in range(k) if lifts(g, i)]
-        new += [(Exit(nondeg(g, k), j), f"exit@{j}")
-                for g in span.N.generators(k) for j in range(1, k + 1) if lifts(g, j - 1)]
-        new += [(Upper(nondeg(g, k)), "upper") for g in span.N.generators(k)]
-        for tagged, note in new:
+        top = tuple(range(k + 1))
+        paths = [(g, top[:i + 1] + top[i:k], i + 1)
+                 for g in N.generators(k - 1) for i in range(k) if lifts(g, i)]
+        paths += [(g, top, j) for g in N.generators(k) for j in range(1, k + 1) if lifts(g, j - 1)]
+        new = [(Low(_simplex(g, top)), "low", relabelled(M, "M.", g, k))
+               for g in M.generators(k)]
+        new += [(Exit(_simplex(g, sigma), j), f"exit@{j}", exit_faces(g, sigma, j))
+                for g, sigma, j in paths]
+        new += [(Upper(_simplex(g, top)), "upper", relabelled(N, "N.", g, k))
+                for g in N.generators(k)]
+        for tagged, note, faces in new:
             label = exit_label(tagged)
-            faces = [formal(exit_face(span, tagged, i)) for i in range(k + 1)] if k else None
             ex.add_generator(k, label, faces, note=note)
             ex.payload[label] = tagged
     return ex

@@ -26,9 +26,10 @@ print_* and parse_* round-trip exactly; parse errors carry line numbers.
 from __future__ import annotations
 
 import os
+import re
 
 from .construction import LinkedSpan
-from .operators import degeneracy_word, surjection_from_word
+from .operators import surjection_from_word
 from .simplicial import FormalSimplex, SimplicialMap, SimplicialSet
 
 
@@ -39,14 +40,23 @@ class ParseError(ValueError):
         self.lineno = lineno
 
 
-_LABEL_BAD = set("()#=")
+# '=' and '::' separate the parts of map and gen lines; on every code
+# point \s agrees with str.isspace
+_LABEL_BAD = re.compile(r"[()#=\s]|::")
+_INTEGER = re.compile(r"-?[0-9]+")
 _SLOTS = ("M", "L", "N", "pi", "iota")
 
 
 def _check_label(label: str):
-    # '=' and '::' separate the parts of map and gen lines
-    if not label or "::" in label or any(c in _LABEL_BAD or c.isspace() for c in label):
+    if not label or _LABEL_BAD.search(label):
         raise ValueError(f"label {label!r} not representable in documents")
+
+
+def _integer(text: str) -> int | None:
+    """text as an integer if it is one in ASCII decimal digits, with an
+    optional '-'; else None.  int() also takes '+', '_' and other
+    scripts' digits, which would not print back as written."""
+    return int(text) if _INTEGER.fullmatch(text) else None
 
 
 def _check_name(name: str, noun: str = "name"):
@@ -65,12 +75,11 @@ def _at_line(path: str, lineno: int, call, *args):
         raise ParseError(path, lineno, str(e)) from None
 
 
-def _word_str(word: tuple[int, ...]) -> str:
-    return "(" + " ".join(str(i) for i in word) + ")"
-
-
 def _entry_str(s: FormalSimplex) -> str:
-    return f"{_word_str(degeneracy_word(s.degeneracy))} {s.gen}"
+    """'(word) label': the word is the repeat positions of the values."""
+    v = s.degeneracy.values
+    word = " ".join([str(i) for i in range(len(v) - 1) if v[i] == v[i + 1]])
+    return f"({word}) {s.gen}"
 
 
 # -- printing ---------------------------------------------------------------
@@ -143,8 +152,16 @@ def _directives(text: str, path: str, grammar: dict[str, str | None]):
         yield lineno, key, (parts[1] if len(parts) > 1 else "")
 
 
-def _parse_entry(rest: str, path: str, lineno: int, dim: int) -> FormalSimplex:
-    rest = rest.strip()
+def _parse_entry(text: str, path: str, lineno: int, dim: int,
+                 memo: dict[tuple[str, int], FormalSimplex]) -> FormalSimplex:
+    """The entry '(word) label' of dimension dim.  memo maps (text, dim)
+    to the entries one document has read so far, so a repeated entry is
+    read once; a bad entry is never stored, so it is reported at the
+    first line that holds it."""
+    hit = memo.get((text, dim))
+    if hit is not None:
+        return hit
+    rest = text.strip()
     if not rest.startswith("("):
         raise ParseError(path, lineno, f"expected '(word) label', got {rest!r}")
     close = rest.find(")")
@@ -154,12 +171,13 @@ def _parse_entry(rest: str, path: str, lineno: int, dim: int) -> FormalSimplex:
     tail = rest[close + 1:].split()
     if len(tail) != 1:
         raise ParseError(path, lineno, f"expected one label after the word, got {tail}")
-    try:
-        word = tuple(int(w) for w in word_part)
-    except ValueError:
+    word = tuple(map(_integer, word_part))
+    if None in word:
         raise ParseError(path, lineno, f"bad degeneracy word {rest[:close + 1]}: "
-                                       "entries must be integers") from None
-    return FormalSimplex(tail[0], _at_line(path, lineno, surjection_from_word, dim, word))
+                                       "entries must be integers")
+    hit = memo[(text, dim)] = FormalSimplex(
+        tail[0], _at_line(path, lineno, surjection_from_word, dim, word))
+    return hit
 
 
 def parse_sset(text: str, path: str = "<sset>") -> SimplicialSet:
@@ -168,12 +186,13 @@ def parse_sset(text: str, path: str = "<sset>") -> SimplicialSet:
     maxdim_line = 1
     cur_dim: int | None = None
     pending: tuple[str, int, list[FormalSimplex | None], str | None, int] | None = None
+    entries: dict[tuple[str, int], FormalSimplex] = {}
 
     def integer(lineno: int, key: str, rest: str) -> int:
-        try:
-            return int(rest)
-        except ValueError:
-            raise ParseError(path, lineno, f"{key} needs an integer, got {rest!r}") from None
+        value = _integer(rest)
+        if value is None:
+            raise ParseError(path, lineno, f"{key} needs an integer, got {rest!r}")
+        return value
 
     def flush():
         # the gen line answers for a duplicate label or a bad face entry
@@ -221,16 +240,15 @@ def parse_sset(text: str, path: str = "<sset>") -> SimplicialSet:
             eq = rest.split("=", 1)
             if len(eq) != 2:
                 raise ParseError(path, lineno, "face line needs '='")
-            try:
-                i = int(eq[0])
-            except ValueError:
-                raise ParseError(path, lineno, f"bad face index {eq[0].strip()!r}") from None
+            i = _integer(eq[0].strip())
+            if i is None:
+                raise ParseError(path, lineno, f"bad face index {eq[0].strip()!r}")
             label, d, faces, note, at = pending
             if not 0 <= i <= d:
                 raise ParseError(path, lineno, f"face index {i} outside 0..{d}")
             if faces[i] is not None:
                 raise ParseError(path, lineno, f"face {i} of {label!r} given twice")
-            faces[i] = _parse_entry(eq[1], path, lineno, d - 1)
+            faces[i] = _parse_entry(eq[1], path, lineno, d - 1, entries)
     if X is None:
         raise ParseError(path, 1, "empty document")
     flush()
@@ -247,6 +265,7 @@ def parse_smap(text: str, ssets: dict[str, SimplicialSet],
                path: str = "<smap>") -> SimplicialMap:
     head: dict[str, str] = {}
     assignment: dict[str, FormalSimplex] = {}
+    entries: dict[tuple[str, int], FormalSimplex] = {}
     for lineno, key, rest in _directives(text, path, _SMAP_GRAMMAR):
         if key != "map":
             _at_line(path, lineno, _check_name, rest)
@@ -266,7 +285,7 @@ def parse_smap(text: str, ssets: dict[str, SimplicialSet],
             raise ParseError(path, lineno, f"unknown domain generator {g!r}")
         if g in assignment:
             raise ParseError(path, lineno, f"second map line for {g!r}")
-        image = assignment[g] = _parse_entry(eq[1], path, lineno, dom.gen_dims[g])
+        image = assignment[g] = _parse_entry(eq[1], path, lineno, dom.gen_dims[g], entries)
         if not ssets[codomain].has_simplex(image):
             raise ParseError(path, lineno, f"image of {g!r} not in {codomain}")
     if len(head) < 3:

@@ -265,10 +265,12 @@ class SimplicialSet:
         generators, as human-readable strings; empty means coherent.
 
         The faces d_j g of a generator are its stored face-table
-        entries; the faces of each distinct entry are computed once,
-        in rows that live only for this call."""
+        entries.  Their faces are compared as (generator, values) pairs
+        from face_values, computed once for each distinct entry, in rows
+        that live only for this call."""
         problems = []
-        rows: dict[FormalSimplex, list[FormalSimplex]] = {}
+        rows: dict[tuple[str, tuple[int, ...]], list[tuple[str, tuple[int, ...]]]] = {}
+        face = self.face_values
         for d in sorted(self.gens):
             if d < 2:
                 continue
@@ -276,9 +278,10 @@ class SimplicialSet:
                 faces = []
                 for j in range(d + 1):
                     entry = self.face_table[(label, j)]
-                    row = rows.get(entry)
+                    key = (entry.gen, entry.degeneracy.values)
+                    row = rows.get(key)
                     if row is None:
-                        row = rows[entry] = [self.face(entry, i) for i in range(d)]
+                        row = rows[key] = [face(*key, i) for i in range(d)]
                     faces.append(row)
                 for j in range(1, d + 1):
                     for i in range(j):
@@ -286,8 +289,8 @@ class SimplicialSet:
                         rhs = faces[i][j - 1]
                         if lhs != rhs:
                             problems.append(
-                                f"{self.name}: d_{i} d_{j} {label} = {lhs!r} "
-                                f"but d_{j-1} d_{i} {label} = {rhs!r}"
+                                f"{self.name}: d_{i} d_{j} {label} = {simplex_repr(*lhs)} "
+                                f"but d_{j-1} d_{i} {label} = {simplex_repr(*rhs)}"
                             )
         return problems
 
@@ -411,8 +414,16 @@ class SimplicialMap:
         if s.dim > self.mono_bound:
             raise RuntimeError(f"{self.name}: preimage queried at degree {s.dim} but "
                                f"injectivity holds only through degree {self.mono_bound}")
-        g = self._preimage_gens.get(s.gen)
-        return None if g is None else FormalSimplex(g, s.degeneracy)
+        hit = self.preimage_values(s.gen, s.degeneracy.values)
+        return None if hit is None else FormalSimplex(hit[0], s.degeneracy)
+
+    def preimage_values(self, gen: str,
+                        values: tuple[int, ...]) -> tuple[str, tuple[int, ...]] | None:
+        """preimage on (generator, values) pairs: sigma^*gen comes from
+        sigma^*g for the generator g with f(g) = gen, if there is one.
+        The degree is not checked against mono_bound."""
+        g = self._preimage_gens.get(gen)
+        return None if g is None else (g, values)
 
     def __repr__(self):
         return f"SimplicialMap({self.name!r}: {self.domain.name} -> {self.codomain.name})"

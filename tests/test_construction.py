@@ -1,10 +1,13 @@
 """Exit paths: membership, the face/degeneracy dispatch, normal forms,
 and the simplicial identities at the tagged level."""
 
+import random
+
 import pytest
 
 from exitpath.construction import (
     Exit,
+    ExitComplex,
     LinkedSpan,
     Low,
     SpanIntegrityError,
@@ -19,6 +22,7 @@ from exitpath.construction import (
     exit_simplices,
     is_exit_path,
 )
+from exitpath.documents import print_sset
 from exitpath.gallery import (
     GALLERY,
     boundary_collar_span,
@@ -444,3 +448,102 @@ def test_low_lift_failure_is_span_integrity_error():
     span.iota._preimage_gens.clear()
     with pytest.raises(SpanIntegrityError):
         exit_face(span, e, 1)
+
+
+def test_low_lift_failure_in_build_exit_names_the_face():
+    # front_lifts answers from its cache once a first build has filled
+    # it, so only the low face finds the generator table empty
+    span = boundary_collar_span()
+    build_exit(span, 1)
+    span.iota._preimage_gens.clear()
+    with pytest.raises(SpanIntegrityError) as e:
+        build_exit(span, 1)
+    assert str(e.value) == ("boundary-collar: low face 0 has no lift through iota, but "
+                            "membership of the ambient exit path was already established")
+
+
+# -- build_exit against the tagged path ------------------------------------------------
+
+
+def tagged_build_exit(span, depth):
+    """build_exit as first written: each face of each tagged generator
+    by exit_face, re-expressed by exit_normal_form and exit_label."""
+    span.require_iota(depth)
+    ex = ExitComplex(span, depth)
+    lifts = span.front_lifts
+
+    def formal(s):
+        core, op = exit_normal_form(span, s)
+        return FormalSimplex(exit_label(core), op)
+
+    for k in range(depth + 1):
+        new = [(Low(nondeg(g, k)), "low") for g in span.M.generators(k)]
+        new += [(Exit(FormalSimplex(g, degeneracy_op(k - 1, i)), i + 1), f"exit@{i + 1}")
+                for g in span.N.generators(k - 1) for i in range(k) if lifts(g, i)]
+        new += [(Exit(nondeg(g, k), j), f"exit@{j}")
+                for g in span.N.generators(k) for j in range(1, k + 1) if lifts(g, j - 1)]
+        new += [(Upper(nondeg(g, k)), "upper") for g in span.N.generators(k)]
+        for tagged, note in new:
+            label = exit_label(tagged)
+            faces = [formal(exit_face(span, tagged, i)) for i in range(k + 1)] if k else None
+            ex.add_generator(k, label, faces, note=note)
+            ex.payload[label] = tagged
+    return ex
+
+
+def seeded_poset_span(rng, i):
+    """chain <- nerve(P') -> nerve(P): a random poset P on 3 to 5
+    elements, a down-closed prefix P' of it and a monotone map from P'
+    onto levels of a chain of 1 to 3 elements, with shuffled labels."""
+    n = 3 + i % 3
+    r, m = rng.randint(1, n - 1), rng.randint(1, 3)
+    labels = [f"q{e}" for e in range(n)]
+    rng.shuffle(labels)
+    rel = [(labels[a], labels[b]) for a in range(n) for b in range(a + 1, n)
+           if rng.random() < 0.5]
+    N = nerve_of_poset(labels, rel, f"seeded{i}-N")
+    prefix = labels[:r]
+    L = nerve_of_poset(prefix, [(a, b) for a, b in rel if b in prefix], f"seeded{i}-L")
+    chain = [f"c{v}" for v in range(m)]
+    M = nerve_of_poset(chain, [(chain[a], chain[b]) for a in range(m)
+                               for b in range(a + 1, m)], f"seeded{i}-M")
+    level = dict(zip(prefix, sorted(rng.randrange(m) for _ in prefix)))
+
+    def image(label, d):
+        xs = [level[x] for x in label.split(",")]
+        hit = sorted(set(xs))
+        return FormalSimplex(",".join(chain[v] for v in hit),
+                             Operator(d, len(hit) - 1, tuple(hit.index(v) for v in xs)))
+
+    pi = SimplicialMap("pi", L, M, {g: image(g, d) for g, d in L.gen_dims.items()})
+    iota = SimplicialMap("iota", L, N, {g: nondeg(g, d) for g, d in L.gen_dims.items()})
+    return LinkedSpan(f"seeded{i}", M, L, N, pi, iota)
+
+
+def seeded_poset_spans(rng, count):
+    spans = [seeded_poset_span(rng, i) for i in range(count)]
+    # the family reaches every part of Ex: low generators above the
+    # vertices, exit paths of both kinds and low faces of exit paths
+    assert any(span.M.generators(1) for span in spans)
+    assert any(g.startswith("P.") and "+s" in g and ex.face_table[(g, 2)].gen.startswith("M.")
+               for ex in (build_exit(span, 3) for span in spans) for g in ex.generators(2))
+    return spans
+
+
+ORACLE_SPANS = {
+    **{name: (lambda name=name: load_span(name)) for name in SPAN_NAMES},
+    **{f"cone-simplex{n}": (lambda n=n: cone_span(standard_simplex(n))) for n in range(1, 5)},
+    "seeded": lambda: seeded_poset_spans(random.Random(20240), 30),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_SPANS))
+def test_build_exit_matches_the_tagged_path(name):
+    spans = ORACLE_SPANS[name]()
+    for span in spans if isinstance(spans, list) else [spans]:
+        for depth in range(6):
+            got, want = build_exit(span, depth), tagged_build_exit(span, depth)
+            assert print_sset(got) == print_sset(want), (span.name, depth)
+            assert got.notes == want.notes, (span.name, depth)
+            assert [(g, repr(t)) for g, t in got.payload.items()] == \
+                [(g, repr(t)) for g, t in want.payload.items()], (span.name, depth)

@@ -7,6 +7,7 @@ import pytest
 from exitpath.construction import build_exit
 from exitpath.documents import (
     ParseError,
+    _check_label,
     parse_smap,
     parse_span_file,
     parse_sset,
@@ -16,7 +17,9 @@ from exitpath.documents import (
     write_span_documents,
 )
 from exitpath.gallery import GALLERY, load_span
+from exitpath.operators import Operator
 from exitpath.simplicial import (
+    FormalSimplex,
     SimplicialMap,
     SimplicialSet,
     nerve_of_poset,
@@ -404,3 +407,99 @@ def test_cli_names_the_slot_line_of_a_map_between_the_wrong_documents(tmp_path, 
     err = capsys.readouterr().err
     assert "trivial.span:5: pi must map the L document to the M document" in err
 
+
+
+# -- integers, labels and repeated entries -----------------------------------------------
+
+EDGE_DOC = ("sset x\nmaxdim {maxdim}\ndim {low}\ngen a\ndim {high}\ngen e\n"
+            "face {i} = () a\nface 1 = () a\n")
+TRIANGLE_DOC = ("sset x\nmaxdim 2\ndim 0\ngen a\ndim 1\ngen e\nface 0 = () a\n"
+                "face 1 = () a\ndim 2\ngen t\nface 0 = () e\nface 1 = () e\n"
+                "face 2 = ({word}) a\n")
+
+
+def edge_doc(maxdim="1", low="0", high="1", i="0"):
+    return EDGE_DOC.format(maxdim=maxdim, low=low, high=high, i=i)
+
+
+@pytest.mark.parametrize("text, lineno, message", [
+    (edge_doc(maxdim="0_1"), 2, "maxdim needs an integer, got '0_1'"),
+    (edge_doc(maxdim="+1"), 2, "maxdim needs an integer, got '+1'"),
+    (edge_doc(maxdim="\u0661"), 2, "maxdim needs an integer, got '\u0661'"),
+    (edge_doc(low="+0"), 3, "dim needs an integer, got '+0'"),
+    (edge_doc(low="0_0"), 3, "dim needs an integer, got '0_0'"),
+    (edge_doc(high="\u0661"), 5, "dim needs an integer, got '\u0661'"),
+    (edge_doc(i="0_0"), 7, "bad face index '0_0'"),
+    (edge_doc(i="+0"), 7, "bad face index '+0'"),
+    (edge_doc(i="\u0660"), 7, "bad face index '\u0660'"),
+    (TRIANGLE_DOC.format(word="0_0"), 13, "bad degeneracy word (0_0): entries must be integers"),
+    (TRIANGLE_DOC.format(word="+0"), 13, "bad degeneracy word (+0): entries must be integers"),
+    (TRIANGLE_DOC.format(word="\u0660"), 13,
+     "bad degeneracy word (\u0660): entries must be integers"),
+    (edge_doc(low="-1"), 3, "negative dimension"),
+], ids=["maxdim-underscore", "maxdim-plus", "maxdim-arabic-indic", "dim-plus",
+        "dim-underscore", "dim-arabic-indic", "face-underscore", "face-plus",
+        "face-arabic-indic", "word-underscore", "word-plus", "word-arabic-indic",
+        "dim-negative"])
+def test_integers_are_plain_decimal(text, lineno, message):
+    # int() reads each of these spellings, and the printer would write
+    # back a different one
+    e = parse_err(text)
+    assert e.lineno == lineno and str(e) == f"doc:{lineno}: {message}"
+
+
+def test_plain_decimal_documents_parse():
+    assert parse_sset(edge_doc()).generators(1) == ["e"]
+    X = parse_sset(TRIANGLE_DOC.format(word="0"))
+    assert print_sset(X) == print_sset(parse_sset(print_sset(X)))
+
+
+def per_character_label_rule(label):
+    """_check_label's rule as first written, one character at a time."""
+    return bool(label) and "::" not in label and \
+        not any(c in "()#=" or c.isspace() for c in label)
+
+
+def label_accepted(label):
+    try:
+        _check_label(label)
+    except ValueError:
+        return False
+    return True
+
+
+def test_check_label_agrees_with_the_per_character_rule():
+    disagree = [hex(cp) for cp in range(0x110000)
+                if label_accepted(chr(cp)) != per_character_label_rule(chr(cp))]
+    assert disagree == []
+    for label in ["", ":", "::", "a::b", ":a:", "a:b:c", "a:::", "a b", "a\u2028b", "ab"]:
+        assert label_accepted(label) == per_character_label_rule(label), label
+
+
+def test_a_bad_entry_is_reported_at_its_first_line():
+    doc = ("sset x\nmaxdim 2\ndim 0\ngen a\ndim 1\ngen e\nface 0 = (0) a\n"
+           "face 1 = (0) a\n")
+    e = parse_err(doc)
+    assert e.lineno == 7 and "bad degeneracy word (0,) for [0]" in str(e)
+
+
+def test_a_repeated_entry_parses_to_equal_simplices():
+    doc = ("sset x\nmaxdim 2\ndim 0\ngen a\ndim 1\ngen e\nface 0 = () a\n"
+           "face 1 = () a\ndim 2\ngen t\nface 0 = (0) a\nface 1 = (0) a\n"
+           "face 2 = (0) a\ngen u\nface 0 = () e\nface 1 = () e\nface 2 = (0) a\n")
+    X = parse_sset(doc)
+    degenerate = X.face_table[("t", 0)]
+    assert degenerate == FormalSimplex("a", Operator(1, 0, (0, 0)))
+    assert [X.face_table[("t", i)] for i in range(3)] == [degenerate] * 3
+    assert X.face_table[("u", 2)] == degenerate
+    assert X.face_table[("e", 0)] == X.face_table[("e", 1)] == nondeg("a", 0)
+
+
+def test_a_repeated_entry_text_is_read_again_at_another_dimension():
+    # "(0) a" is s_0 a in dimension 1, and in dimension 2 a degenerate
+    # edge on a generator that is a vertex
+    doc = ("sset x\nmaxdim 3\ndim 0\ngen a\ndim 2\ngen t\nface 0 = (0) a\nface 1 = (0) a\n"
+           "face 2 = (0) a\ndim 3\ngen T\nface 0 = (0) a\nface 1 = () t\nface 2 = () t\n"
+           "face 3 = () t\n")
+    e = parse_err(doc)
+    assert e.lineno == 11 and str(e) == "doc:11: face 0 of 'T': 'a' has wrong dimension"
