@@ -43,7 +43,7 @@ class ParseError(ValueError):
 # '=' and '::' separate the parts of map and gen lines; on every code
 # point \s agrees with str.isspace
 _LABEL_BAD = re.compile(r"[()#=\s]|::")
-_INTEGER = re.compile(r"-?[0-9]+")
+_INTEGER = re.compile(r"0|-?[1-9][0-9]*")
 _SLOTS = ("M", "L", "N", "pi", "iota")
 
 
@@ -53,9 +53,10 @@ def _check_label(label: str):
 
 
 def _integer(text: str) -> int | None:
-    """text as an integer if it is one in ASCII decimal digits, with an
-    optional '-'; else None.  int() also takes '+', '_' and other
-    scripts' digits, which would not print back as written."""
+    """text as an integer if it is one in canonical ASCII decimal: no
+    leading zero, and '-' only before a nonzero number; else None.
+    int() also takes '+', '_', '-0', leading zeros and other scripts'
+    digits, which would not print back as written."""
     return int(text) if _INTEGER.fullmatch(text) else None
 
 

@@ -460,17 +460,11 @@ def nerve_of_poset(elements: list[str], relations: list[tuple[str, str]],
         if a not in below or b not in below:
             raise ValueError(f"relation ({a!r}, {b!r}) uses unknown element")
         below[b].add(a)
-    # transitive closure
-    changed = True
-    while changed:
-        changed = False
+    # transitive closure, by Warshall's loop
+    for k in elements:
         for b in elements:
-            extra = set()
-            for a in below[b]:
-                extra |= below[a]
-            if not extra <= below[b]:
-                below[b] |= extra
-                changed = True
+            if k in below[b]:
+                below[b] |= below[k]
     for e in elements:
         if e in below[e]:
             raise ValueError(f"not a partial order: {e!r} < {e!r}")

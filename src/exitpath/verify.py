@@ -17,11 +17,11 @@ Tables numbers a simplex of X_n by its position in SimplicialSet.blocks
 face and degeneracy of a degree as one column of numbers over all of
 X_n, so the checks compare ints.  A column is filled from
 SimplicialSet.face_values and degeneracy_values on (generator, values)
-pairs, one rank lookup per entry, so the identity check, which compares
-a whole column per instance, lists no X_n and builds no FormalSimplex.
-The image of a map is one more such column, filled from
+pairs, one rank lookup per entry, and builds no FormalSimplex.  The
+image of a map is one more such column, filled from
 SimplicialMap.image_values, so the lift check numbers both sides
-without a map call.
+without a map call.  No check lists a degree: a witness unranks each
+simplex it names through Tables.simplex.
 
 Horn, filler and lift search share one lookup, Tables.face_keys: the
 simplices of a degree keyed by their faces at a fixed tuple of slots,
@@ -179,24 +179,23 @@ class Tables:
 
     A simplex's number in X_n is its position in X.blocks(n): the offset
     of its generator's block plus the rank of its surjection.
-    sizes[n] is X.count_at(n) and simplices[n] lists X_n; faces[n][a]
-    is the column of the numbers of d_a x over all x in X_n, in order,
-    and degens[n][i] that of s_i x.  A column walks blocks(n) and
-    numbers X.face_values, X.degeneracy_values or, for image(), a map's
-    image_values of each (generator, values) by one rank lookup, so no
-    column lists a degree or builds a FormalSimplex.
+    sizes[n] is X.count_at(n); faces[n][a] is the column of the numbers
+    of d_a x over all x in X_n, in order, and degens[n][i] that of
+    s_i x.  A column walks blocks(n) and numbers X.face_values,
+    X.degeneracy_values or, for image(), a map's image_values of each
+    (generator, values) by one rank lookup.  simplex() and number()
+    convert one simplex each way, so no Tables lists a degree.
     column() composes columns along a word.  face_keys() is the one
     lookup of the searches: per degree and tuple of slots, a dict from
     the face numbers at those slots to the simplices that have them,
-    built by zipping those columns.  One check call holds one
-    Tables per simplicial set and frees it on return, so nothing is kept
-    on X.
+    built by zipping those columns on each call.  One check call holds
+    one Tables per simplicial set and frees it on return, so nothing is
+    kept on X.
     """
 
     def __init__(self, X: SimplicialSet):
         # the builders close over the parts, never over self, so no
         # reference cycle keeps a Tables alive after its call
-        self.simplices = _ByDegree(X.simplices_at)
         blocks = self._blocks = _ByDegree(X.blocks)
         self.sizes = _ByDegree(X.count_at)
         self.faces = _ByDegree(lambda n: tuple(
@@ -205,7 +204,6 @@ class Tables:
         self.degens = _ByDegree(lambda n: tuple(
             _column(blocks[n], blocks[n + 1], X.degeneracy_values, i, f"{X.name}: s_{i}", n + 1)
             for i in range(n + 1)))
-        self._last_keys: tuple = (None, None)
 
     def number(self, n: int, x: FormalSimplex) -> int | None:
         """x's number in X_n, or None when x is not an n-simplex of X."""
@@ -238,12 +236,8 @@ class Tables:
         tuple of the numbers of d_a x for a in slots, in order, followed
         by extra[x] when an extra column over X_n is given, and it maps
         to the numbers, ascending, of the simplices with that key, built
-        by zipping the face columns.  The last index built without an
-        extra column is kept, so a run of lookups on one (n, slots)
-        builds it once; keeping every index would hold up to one dict
-        per horn shape and degree for the whole check."""
-        if extra is None and self._last_keys[0] == (n, slots):
-            return self._last_keys[1]
+        afresh by zipping the face columns; a caller that looks up many
+        keys of one (n, slots) holds on to the result."""
         columns = [self.faces[n][a] for a in slots]
         if extra is not None:
             columns.append(extra)
@@ -257,8 +251,6 @@ class Tables:
                     index[key] = [p]
                 else:
                     hits.append(p)
-        if extra is None:
-            self._last_keys = ((n, slots), index)
         return index
 
     def image(self, f: SimplicialMap, target: Tables) -> _ByDegree:
@@ -384,8 +376,9 @@ class Horns(Sequence):
     """The horns of one shape (n, missing) of X, in enumeration order,
     kept as numbers: numbers[k] holds horn k's faces at slots, the
     indices other than missing in ascending order, each by its number
-    in X_{n-1}.  Reading horn k builds its HornProblem, so a Horns
-    equals any sequence of the same HornProblems."""
+    in X_{n-1}.  Reading horn k builds its HornProblem, each face
+    unranked by Tables.simplex, so a Horns equals any sequence of the
+    same HornProblems."""
 
     def __init__(self, tables: Tables, n: int, missing: int,
                  numbers: list[tuple[int, ...]]):
@@ -397,7 +390,7 @@ class Horns(Sequence):
         return len(self.numbers)
 
     def __getitem__(self, k: int) -> HornProblem:
-        faces = list(map(self._tables.simplices[self.n - 1].__getitem__, self.numbers[k]))
+        faces = [self._tables.simplex(self.n - 1, p) for p in self.numbers[k]]
         faces.insert(self.missing, None)
         return HornProblem(self.n, self.missing, tuple(faces))
 
@@ -461,8 +454,9 @@ def find_filler(X: SimplicialSet, h: HornProblem, budget: Budget | None = None,
                 *, tables: Tables | None = None) -> FormalSimplex | None:
     """First n-simplex whose faces extend the horn, in canonical order,
     at a scan's node cost (first_hit); a face outside X_{n-1} matches
-    nothing.  tables is a Tables of X to share with other horns; by
-    default the call builds its own."""
+    nothing.  tables is a Tables of X whose face columns other horns
+    share; the call builds its own lookup, and by default its own
+    Tables."""
     if tables is None:
         tables = Tables(X)
     present = h.present()

@@ -1,4 +1,7 @@
-"""Each demo runs to completion with nothing on stderr."""
+"""Each demo runs to completion with nothing on stderr and prints
+exactly tests/golden/demo-<name>.txt, so a change to what a demo
+reads (horns, fillers over shared tables, documents) shows as a byte
+difference."""
 
 import os
 import pathlib
@@ -8,6 +11,7 @@ import sys
 import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
+GOLDEN = ROOT / "tests" / "golden"
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
@@ -22,3 +26,4 @@ def test_demo_runs(demo, tmp_path):
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == ""
+    assert proc.stdout == (GOLDEN / f"demo-{demo.stem}.txt").read_text(encoding="utf-8")

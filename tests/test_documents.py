@@ -437,13 +437,19 @@ def edge_doc(maxdim="1", low="0", high="1", i="0"):
     (TRIANGLE_DOC.format(word="\u0660"), 13,
      "bad degeneracy word (\u0660): entries must be integers"),
     (edge_doc(low="-1"), 3, "negative dimension"),
+    (edge_doc(maxdim="01"), 2, "maxdim needs an integer, got '01'"),
+    (edge_doc(low="-0"), 3, "dim needs an integer, got '-0'"),
+    (edge_doc(high="001"), 5, "dim needs an integer, got '001'"),
+    (edge_doc(i="00"), 7, "bad face index '00'"),
+    (TRIANGLE_DOC.format(word="01"), 13, "bad degeneracy word (01): entries must be integers"),
 ], ids=["maxdim-underscore", "maxdim-plus", "maxdim-arabic-indic", "dim-plus",
         "dim-underscore", "dim-arabic-indic", "face-underscore", "face-plus",
         "face-arabic-indic", "word-underscore", "word-plus", "word-arabic-indic",
-        "dim-negative"])
+        "dim-negative", "maxdim-leading-zero", "dim-minus-zero", "dim-leading-zeros",
+        "face-leading-zero", "word-leading-zero"])
 def test_integers_are_plain_decimal(text, lineno, message):
     # int() reads each of these spellings, and the printer would write
-    # back a different one
+    # back a different one; a canonical negative is out of range instead
     e = parse_err(text)
     assert e.lineno == lineno and str(e) == f"doc:{lineno}: {message}"
 

@@ -530,12 +530,12 @@ def test_tables_read_back_as_the_face_action():
     for X in [build_exit(span, 4) for span in spans[:-1]] + [spans[-1].L]:
         tables = Tables(X)
         for n in range(5):
-            simplices = tables.simplices[n]
-            assert simplices == X.simplices_at(n)
+            simplices = X.simplices_at(n)
+            assert [tables.simplex(n, p) for p in range(tables.sizes[n])] == simplices
             assert len(tables.faces[n]) == (n + 1 if n else 0)
             assert len(tables.degens[n]) == n + 1
             for a, column in enumerate(tables.faces[n]):
-                assert [tables.simplices[n - 1][q] for q in column] == \
+                assert [tables.simplex(n - 1, q) for q in column] == \
                     [X.face(x, a) for x in simplices]
             for i, column in enumerate(tables.degens[n]):
                 assert [tables.simplex(n + 1, q) for q in column] == \
@@ -759,6 +759,26 @@ def test_lift_check_reads_both_sides_as_numbers(monkeypatch):
     assert [e.name for e in report.failed] == ["lifts Lambda^2_0", "lifts Lambda^2_2"]
     assert [name for name, _ in seen if name != "simplices_at"] == []
     assert not any(X is f.codomain for _, X in seen)
+
+
+def test_no_check_lists_a_degree_even_for_its_witness(monkeypatch):
+    # a witness unranks the simplices it names one by one, so a failing
+    # check reads the same with simplices_at unavailable
+    ex = build_exit(load_span("broken"), 3)
+    f = cone_span(standard_simplex(3)).pi
+
+    def witnesses():
+        reports = [verify_quasicategory(ex, 3), check_fibration(f, 4, kind="kan")]
+        return [(e.name, e.witness) for report in reports for e in report.failed]
+
+    want = witnesses()
+    assert len(want) == 3 and all(witness for _, witness in want)
+
+    def listed(self, n):
+        raise AssertionError(f"listed degree {n} of {self.name}")
+
+    monkeypatch.setattr(SimplicialSet, "simplices_at", listed)
+    assert witnesses() == want
 
 
 # -- fibration checks ------------------------------------------------------------------
