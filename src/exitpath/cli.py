@@ -130,7 +130,8 @@ def cmd_flat_sharp_table(args) -> Output:
 
 def cmd_build_exit(args) -> Output:
     span, ex = _exit_complex(args)
-    doc = print_sset(ex)
+    # rendered only to be written or printed
+    doc = print_sset(ex) if args.out or not args.stats else None
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(doc)

@@ -198,12 +198,6 @@ def exit_simplices(span: LinkedSpan, k: int) -> list[Exit]:
             if lifts(gamma.gen, gamma.degeneracy.values[j - 1])]
 
 
-def all_exit_simplices(span: LinkedSpan, k: int) -> list[ExitSimplex]:
-    """Every k-simplex of Ex in tagged form, in M + P + N order."""
-    return ([Low(s) for s in span.M.simplices_at(k)] + exit_simplices(span, k)
-            + [Upper(s) for s in span.N.simplices_at(k)])
-
-
 # -- faces and degeneracies ---------------------------------------------------
 
 
@@ -214,7 +208,9 @@ def exit_face_values(span: LinkedSpan, gen: str, values: tuple[int, ...], j: int
     sigma^*gen in N: part "M" for the low face (i = j = k), whose
     generator is lifted through iota and sent to M by pi; "N" for the
     upper face (i = 0, j = 1); "P" with the flat index for a vertical
-    face.  The indices are not checked."""
+    face.  The indices are not checked here: a bad j raises ValueError
+    from classify_face, and a bad i KeyError or IndexError from
+    N.face_values or ValueError from classify_face."""
     k = len(values) - 1
     h, tau = span.N.face_values(gen, values, i)
     cls = classify_face(k, j, i)

@@ -29,7 +29,7 @@ import os
 import re
 
 from .construction import LinkedSpan
-from .operators import surjection_from_word
+from .operators import degeneracy_word_values, surjection_from_word
 from .simplicial import FormalSimplex, SimplicialMap, SimplicialSet
 
 
@@ -77,9 +77,8 @@ def _at_line(path: str, lineno: int, call, *args):
 
 
 def _entry_str(s: FormalSimplex) -> str:
-    """'(word) label': the word is the repeat positions of the values."""
-    v = s.degeneracy.values
-    word = " ".join([str(i) for i in range(len(v) - 1) if v[i] == v[i + 1]])
+    """'(word) label', the word read off the values."""
+    word = " ".join(map(str, degeneracy_word_values(s.degeneracy.values)))
     return f"({word}) {s.gen}"
 
 

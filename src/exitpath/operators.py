@@ -14,7 +14,7 @@ inner is applied first.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations
 
 
 @dataclass(frozen=True)
@@ -50,9 +50,6 @@ class Operator:
 
     def is_identity(self) -> bool:
         return self.src_dim == self.dst_dim and all(v == i for i, v in enumerate(self.values))
-
-    def is_injective(self) -> bool:
-        return all(a < b for a, b in zip(self.values, self.values[1:]))
 
     def is_surjective(self) -> bool:
         return len(set(self.values)) == self.dst_dim + 1
@@ -121,12 +118,6 @@ def epi_mono_factor(op: Operator) -> tuple[Operator, Operator]:
     return Operator(op.src_dim, rank, tuple(epi)), Operator(rank, op.dst_dim, tuple(image))
 
 
-def monotone_maps(src_dim: int, dst_dim: int):
-    """All operators [src_dim] -> [dst_dim] in lexicographic order of values."""
-    for values in combinations_with_replacement(range(dst_dim + 1), src_dim + 1):
-        yield Operator(src_dim, dst_dim, values)
-
-
 def _values_from_repeats(src_dim: int, repeats: set[int]) -> tuple[int, ...]:
     """Values of the surjection on [src_dim] with op(i) == op(i+1) exactly at repeats."""
     values = [0]
@@ -149,10 +140,13 @@ def surjections(src_dim: int, dst_dim: int):
         yield Operator(src_dim, dst_dim, _values_from_repeats(src_dim, set(repeats)))
 
 
-def injections(src_dim: int, dst_dim: int):
-    """All injective operators [src_dim] -> [dst_dim], lexicographic in values."""
-    for values in combinations(range(dst_dim + 1), src_dim + 1):
-        yield Operator(src_dim, dst_dim, values)
+def degeneracy_word_values(values) -> tuple[int, ...]:
+    """degeneracy_word of the surjection with these values, which is
+    not checked; onto [n] from [n] it is the identity, with no word."""
+    n = len(values) - 1
+    if values[-1] == n:
+        return ()
+    return tuple([i for i in range(n) if values[i] == values[i + 1]])
 
 
 def degeneracy_word(op: Operator) -> tuple[int, ...]:
@@ -165,7 +159,7 @@ def degeneracy_word(op: Operator) -> tuple[int, ...]:
     """
     if not op.is_surjective():
         raise ValueError(f"not a surjection: {op!r}")
-    return tuple(i for i in range(op.src_dim) if op.values[i] == op.values[i + 1])
+    return degeneracy_word_values(op.values)
 
 
 def surjection_from_word(src_dim: int, word: tuple[int, ...]) -> Operator:

@@ -26,7 +26,7 @@ is pure index arithmetic:
 flat is undefined at (j, i) = (k, k), where S_k . coface_k never leaves
 level 0; that combination is exactly the "low" face below.  The closed
 forms above are the production implementation; the defining
-smallest-index searches live in the test suite as oracles.
+smallest-index searches are the oracles of tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -61,14 +61,6 @@ class ExitShuffle:
 
     def __call__(self, i: int) -> tuple[int, int]:
         return self.points[i]
-
-    @property
-    def level(self) -> Operator:
-        return Operator(self.k, 1, tuple(p[0] for p in self.points))
-
-    @property
-    def position(self) -> Operator:
-        return Operator(self.k, max(self.k - 1, 0), tuple(p[1] for p in self.points))
 
 
 @dataclass(frozen=True)

@@ -47,6 +47,7 @@ from .operators import (
     Operator,
     check_degeneracy_index,
     check_face_index,
+    degeneracy_word_values,
     epi_mono_values,
     identity,
     surjections,
@@ -65,8 +66,8 @@ def _surjections(n: int, d: int) -> tuple[tuple[Operator, ...], dict[tuple[int, 
 def simplex_repr(gen: str, values: tuple[int, ...]) -> str:
     """How the simplex sigma^*gen prints, sigma given by its values: the
     label, then s and each repeat position of sigma."""
-    word = [str(i) for i in range(len(values) - 1) if values[i] == values[i + 1]]
-    return f"{gen}+s{'s'.join(word)}" if word else gen
+    word = degeneracy_word_values(values)
+    return f"{gen}+s{'s'.join(map(str, word))}" if word else gen
 
 
 @dataclass(frozen=True)

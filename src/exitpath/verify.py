@@ -120,9 +120,6 @@ class VerificationReport:
             ],
         }
 
-    def to_json(self) -> str:
-        return machine_json(self.payload())
-
 
 # -- the tables ----------------------------------------------------------------
 
@@ -360,25 +357,12 @@ class HornProblem:
         return f"Lambda^{self.n}_{self.missing}({parts})"
 
 
-def horn_is_compatible(X: SimplicialSet, h: HornProblem) -> bool:
-    for b in range(h.n + 1):
-        if b == h.missing:
-            continue
-        for a in range(b):
-            if a == h.missing:
-                continue
-            if X.face(h.faces[b], a) != X.face(h.faces[a], b - 1):
-                return False
-    return True
-
-
 class Horns(Sequence):
     """The horns of one shape (n, missing) of X, in enumeration order,
     kept as numbers: numbers[k] holds horn k's faces at slots, the
     indices other than missing in ascending order, each by its number
     in X_{n-1}.  Reading horn k builds its HornProblem, each face
-    unranked by Tables.simplex, so a Horns equals any sequence of the
-    same HornProblems."""
+    unranked by Tables.simplex."""
 
     def __init__(self, tables: Tables, n: int, missing: int,
                  numbers: list[tuple[int, ...]]):
@@ -393,13 +377,6 @@ class Horns(Sequence):
         faces = [self._tables.simplex(self.n - 1, p) for p in self.numbers[k]]
         faces.insert(self.missing, None)
         return HornProblem(self.n, self.missing, tuple(faces))
-
-    def __eq__(self, other):
-        if not isinstance(other, Sequence):
-            return NotImplemented
-        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
-
-    __hash__ = None
 
 
 def enumerate_horns(X: SimplicialSet, n: int, missing: int,

@@ -5,10 +5,11 @@ test function that prints a single [NN] PASS/FAIL line (visible with -s,
 and in the captured output on failure) and then asserts.  Criteria with
 a wall-clock tolerance state it in the line.
 
-The oracles here are deliberately self-contained: flat/sharp/class are
-recomputed from shuffle composites, the interval comparison for the
-point cone uses the 0/1 step-map encoding, and nothing below imports
-from the other test modules.
+The oracles are definitional: flat/sharp/class are recomputed from
+shuffle composites (flat and sharp by tests/oracles.py, which
+test_shuffles.py shares), the interval comparison for the point cone
+uses the 0/1 step-map encoding, and nothing below imports from the
+other test modules.
 """
 
 import time
@@ -19,7 +20,6 @@ from exitpath.construction import (
     Exit,
     Low,
     Upper,
-    all_exit_simplices,
     build_exit,
     exit_degeneracy,
     exit_face,
@@ -41,9 +41,15 @@ from exitpath.verify import (
     check_fibration,
     comparison_report,
     find_filler,
-    horn_is_compatible,
     verify_quasicategory,
     verify_simplicial_identities,
+)
+from oracles import (
+    all_exit_simplices,
+    flat_oracle,
+    horn_is_compatible,
+    sharp_oracle,
+    shuffle_level,
 )
 
 HYPOTHESIS_SPANS = [n for n in sorted(GALLERY) if GALLERY[n].hypotheses_hold]
@@ -53,21 +59,6 @@ BUDGET = 100000
 def conclude(num, label, ok):
     print(f"[{num:02d}] {'PASS' if ok else 'FAIL'}  {label}")
     assert ok, f"criterion {num:02d}: {label}"
-
-
-def levels_after(k, j, op, m_range):
-    S = exit_shuffle(k, j)
-    return [S(op(m))[0] for m in m_range]
-
-
-def flat_oracle(k, j, i):
-    levels = levels_after(k, j, face_op(k, i), range(k))
-    return levels.index(1) if 1 in levels else None
-
-
-def sharp_oracle(k, j, i):
-    levels = levels_after(k, j, degeneracy_op(k, i), range(k + 2))
-    return levels.index(1) if 1 in levels else None
 
 
 def test_c01_collapse_retracts_shuffle():
@@ -212,7 +203,7 @@ def test_c07_point_cone_is_interval():
             return (0,) * (s.dim + 1)
         if isinstance(s, Upper):
             return (1,) * (s.dim + 1)
-        return exit_shuffle(s.dim, s.index).level.values
+        return shuffle_level(exit_shuffle(s.dim, s.index)).values
 
     for k in range(6):
         seen = set()

@@ -62,6 +62,21 @@ def test_build_exit_document_output(capsys, tmp_path):
     parse_sset(doc)  # the emitted document is well formed and coherent
 
 
+def test_build_exit_renders_the_document_only_to_write_or_print(capsys, tmp_path,
+                                                                 monkeypatch):
+    from exitpath import cli
+
+    rendered = []
+    print_sset = cli.print_sset
+    monkeypatch.setattr(cli, "print_sset", lambda X: rendered.append(X) or print_sset(X))
+    out_file = str(tmp_path / "ex.sset")
+    for flags, renders in [((), 1), (("--stats",), 0), (("--out", out_file), 1),
+                           (("--stats", "--out", out_file), 1)]:
+        rendered.clear()
+        code, _, _ = run(capsys, "build-exit", "--span", "s0-defect", "--max-dim", "2", *flags)
+        assert (code, len(rendered)) == (PASS, renders), flags
+
+
 def test_build_exit_machine_deterministic(capsys):
     args = ("build-exit", "--span", "s0-defect", "--max-dim", "3",
             "--format", "machine")

@@ -12,11 +12,11 @@ from exitpath.construction import (
     Low,
     SpanIntegrityError,
     Upper,
-    all_exit_simplices,
     build_exit,
     detect_degenerate_exit,
     exit_degeneracy,
     exit_face,
+    exit_face_values,
     exit_label,
     exit_normal_form,
     exit_simplices,
@@ -41,6 +41,7 @@ from exitpath.simplicial import (
     nondeg,
     standard_simplex,
 )
+from oracles import all_exit_simplices, front_face_lifts
 
 SPAN_NAMES = sorted(GALLERY)
 
@@ -231,6 +232,12 @@ def test_face_index_bounds():
         exit_face(span, Low(nondeg("m", 0)), 0)
     with pytest.raises(ValueError):
         exit_degeneracy(span, e, 2)
+    # exit_face_values leaves its indices to the calls it makes, and
+    # each bad index raises there
+    for values, j, i, error in [((0, 1), 2, 0, ValueError), ((0, 1), 1, 2, KeyError),
+                                ((0, 1, 1), 1, 3, IndexError), ((0, 1, 1), 1, -1, ValueError)]:
+        with pytest.raises(error):
+            exit_face_values(span, "0,1", values, j, i)
 
 
 def test_membership_is_closed_under_faces_and_degeneracies():
@@ -547,3 +554,21 @@ def test_build_exit_matches_the_tagged_path(name):
             assert got.notes == want.notes, (span.name, depth)
             assert [(g, repr(t)) for g, t in got.payload.items()] == \
                 [(g, repr(t)) for g, t in want.payload.items()], (span.name, depth)
+
+
+# -- front_lifts against the face walk -------------------------------------------------
+
+
+def test_front_lifts_match_the_face_walk():
+    spans = [load_span(name) for name in SPAN_NAMES]
+    spans += [cone_span(standard_simplex(n)) for n in range(1, 5)]
+    spans += seeded_poset_spans(random.Random(20240), 30) + list(small_prefix_spans())
+    answers = []
+    for span in spans:
+        for g, d in span.N.gen_dims.items():
+            for r in range(d + 1):
+                got = span.front_lifts(g, r)
+                assert got == front_face_lifts(span, g, r), (span.name, g, r)
+                answers.append(got)
+    assert len(spans) == 150 and len(answers) == 1384
+    assert True in answers and False in answers

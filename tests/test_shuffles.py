@@ -1,9 +1,10 @@
 """Shuffle/collapse calculus: definitional oracles against the closed forms.
 
-The oracles below recompute every index from the composite points of
-shuffles with cofaces/codegeneracies; the library ships only the closed
-forms, so each closed form is checked against its defining search over
-the full range used anywhere in the package (k <= 10).
+The oracles (flat and sharp from tests/oracles.py, classify below)
+recompute every index from the composite points of shuffles with
+cofaces/codegeneracies; the library ships only the closed forms, so
+each closed form is checked against its defining search over the full
+range used anywhere in the package (k <= 10).
 """
 
 import pytest
@@ -21,43 +22,18 @@ from exitpath.shuffles import (
     restriction_operator,
     sharp,
 )
+from oracles import (
+    flat_oracle,
+    sharp_oracle,
+    shuffle_after_coface,
+    shuffle_level,
+    shuffle_position,
+)
 
 K_MAX = 10
 
 
 # -- oracles ------------------------------------------------------------------
-
-
-def shuffle_after_coface(k, j, i):
-    """Points of S_j . coface_i : [k-1] -> Delta[1] x Delta[k-1]."""
-    S = exit_shuffle(k, j)
-    op = face_op(k, i)
-    return tuple(S(op(m)) for m in range(k))
-
-
-def shuffle_after_codegeneracy(k, j, i):
-    """Points of S_j . codegeneracy_i : [k+1] -> Delta[1] x Delta[k-1]."""
-    S = exit_shuffle(k, j)
-    op = degeneracy_op(k, i)
-    return tuple(S(op(m)) for m in range(k + 2))
-
-
-def flat_oracle(k, j, i):
-    """Smallest m whose image under S_j . coface_i sits at level 1,
-    None when the composite never leaves level 0."""
-    pts = shuffle_after_coface(k, j, i)
-    for m, (level, _) in enumerate(pts):
-        if level == 1:
-            return m
-    return None
-
-
-def sharp_oracle(k, j, i):
-    pts = shuffle_after_codegeneracy(k, j, i)
-    for m, (level, _) in enumerate(pts):
-        if level == 1:
-            return m
-    return None
 
 
 def classify_oracle(k, j, i):
@@ -89,12 +65,13 @@ def test_shuffle_k1_identification():
 
 
 def test_shuffle_coordinates_are_operators():
-    # .level and .position both validate monotonicity on construction
+    # the level and position coordinates are operators: both validate
+    # monotonicity on construction
     for k in range(1, K_MAX + 1):
         for j in range(1, k + 1):
             S = exit_shuffle(k, j)
-            assert S.level.values == tuple(0 if i < j else 1 for i in range(k + 1))
-            assert S.position.dst_dim == max(k - 1, 0)
+            assert shuffle_level(S).values == tuple(0 if i < j else 1 for i in range(k + 1))
+            assert shuffle_position(S).dst_dim == max(k - 1, 0)
 
 
 def test_collapse_retracts_shuffle():

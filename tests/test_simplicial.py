@@ -14,7 +14,6 @@ from exitpath.operators import (
     epi_mono_factor,
     face_op,
     identity,
-    monotone_maps,
 )
 from exitpath.simplicial import (
     FormalSimplex,
@@ -26,10 +25,7 @@ from exitpath.simplicial import (
     standard_simplex,
 )
 from exitpath.verify import Tables
-
-
-def chain3():
-    return nerve_of_poset(["a", "b", "c"], [("a", "b"), ("b", "c"), ("a", "c")], "chain3")
+from oracles import chain3, corrupted_triangle, monotone_maps
 
 
 def test_formal_simplex_normal_form_only():
@@ -173,16 +169,6 @@ def test_generator_validation():
         X.add_generator(1, "e", [nondeg("a", 0), nondeg("zz", 0)])  # unknown face
     with pytest.raises(ValueError):
         X.add_generator(0, "v", [nondeg("a", 0)])  # vertex with faces
-
-
-def corrupted_triangle():
-    # T's face table breaks d_0 d_2 = d_1 d_0 on purpose
-    X = SimplicialSet("corrupt")
-    X.add_generator(0, "a")
-    X.add_generator(0, "b")
-    X.add_generator(1, "e", [nondeg("b", 0), nondeg("a", 0)])
-    X.add_generator(2, "T", [nondeg("e", 1), nondeg("e", 1), nondeg("e", 1)])
-    return X
 
 
 def test_audit_reports_broken_face_table():

@@ -31,23 +31,15 @@ from exitpath.verify import (
     enumerate_horns,
     find_filler,
     first_hit,
-    horn_is_compatible,
+    machine_json,
     verify_quasicategory,
     verify_simplicial_identities,
 )
-
-
-def corrupted_triangle():
-    X = SimplicialSet("corrupt")
-    X.add_generator(0, "a")
-    X.add_generator(0, "b")
-    X.add_generator(1, "e", [nondeg("b", 0), nondeg("a", 0)])
-    X.add_generator(2, "T", [nondeg("e", 1), nondeg("e", 1), nondeg("e", 1)])
-    return X
+from oracles import corrupted_triangle, horn_is_compatible
 
 
 def one_entry_json(subject, bound, name, status, detail):
-    """The to_json() of a report with one entry and no witness."""
+    """The machine JSON of a report with one entry and no witness."""
     entry = {"name": name, "status": status, "detail": detail, "witness": None}
     return json.dumps({"subject": subject, "bound": bound, "ok": status == "pass",
                        "entries": [entry]}, sort_keys=True, indent=2)
@@ -75,7 +67,7 @@ def test_report_structure():
     assert [e.name for e in r.inconclusive] == ["third"]
     text = r.to_text()
     assert "result: FAIL (3 checks)" in text and "[because]" in text
-    payload = json.loads(r.to_json())
+    payload = json.loads(machine_json(r.payload()))
     assert payload["ok"] is False and len(payload["entries"]) == 3
 
 
@@ -117,7 +109,7 @@ IDENTITY_FAMILIES = [
 
 
 def identity_report_json(subject, bound, outcomes):
-    """The to_json() of an identity report; outcomes[k] is an instance
+    """The machine JSON of an identity report; outcomes[k] is an instance
     count (pass) or a witness (fail) for family k."""
     entries = [{"name": name, "status": "pass", "detail": f"{o} instances", "witness": None}
                if isinstance(o, int) else
@@ -130,14 +122,14 @@ def identity_report_json(subject, bound, outcomes):
 
 def test_identity_report_pinned_on_corrupted_table():
     report = verify_simplicial_identities(corrupted_triangle(), 2)
-    assert report.to_json() == identity_report_json(
+    assert machine_json(report.payload()) == identity_report_json(
         "corrupt", 2, ["T: d_0 d_2 = b != a = d_1 d_0", 18, 46, 18, 41])
 
 
 def test_identity_report_pinned_on_gallery_exit_complex():
     ex = build_exit(load_span("broken"), 4)
     report = verify_simplicial_identities(ex, 4)
-    assert report.to_json() == identity_report_json(
+    assert machine_json(report.payload()) == identity_report_json(
         "Ex(broken)<=4", 4, [413, 421, 530, 421, 686])
 
 
@@ -149,7 +141,7 @@ def test_identity_report_pinned_on_a_wrong_degeneracy():
     X.degeneracy_values = lambda g, v, i: (
         ("0,1", (0, 1)) if (g, v, i) == ("0", (0,), 0) else degeneracy_values(g, v, i))
     report = verify_simplicial_identities(X, 2)
-    assert report.to_json() == identity_report_json("simplex1", 2, [
+    assert machine_json(report.payload()) == identity_report_json("simplex1", 2, [
         12,
         "0+s0: d_0 s_1 = 0+s0 != 0,1 = s_0 d_0",
         "0: d_0 s_0 = 1 != the simplex itself",
@@ -265,8 +257,8 @@ def oracle_identity_report(X, depth):
 
 
 def assert_matches_oracle(X, depth):
-    assert verify_simplicial_identities(X, depth).to_json() == \
-        oracle_identity_report(X, depth).to_json()
+    assert machine_json(verify_simplicial_identities(X, depth).payload()) == \
+        machine_json(oracle_identity_report(X, depth).payload())
 
 
 @pytest.mark.parametrize("name", sorted(GALLERY))
@@ -432,9 +424,9 @@ def late_fillers(labels="UVW"):
 def test_filler_searches_hitting_the_budget_are_counted():
     Z = late_fillers()
     name = "inner horns Lambda^2_1"
-    assert verify_quasicategory(Z, 2, 12).to_json() == one_entry_json(
+    assert machine_json(verify_quasicategory(Z, 2, 12).payload()) == one_entry_json(
         "Z", 2, name, "inconclusive", "3/9 searches hit the budget")
-    assert verify_quasicategory(Z, 2).to_json() == one_entry_json(
+    assert machine_json(verify_quasicategory(Z, 2).payload()) == one_entry_json(
         "Z", 2, name, "pass", "9 horns filled")
 
 
@@ -591,10 +583,10 @@ def test_indexed_enumeration_matches_linear_scan():
         tables = Tables(X)  # shared across shapes, as a check shares it
         for n, i in shapes(4):
             horns = assert_same_search(
-                lambda b: enumerate_horns(X, n, i, b, tables=tables),
+                lambda b: list(enumerate_horns(X, n, i, b, tables=tables)),
                 lambda b: linear_enumerate(X, n, i, b))
             spent = Budget(None)  # standalone, with rows of its own
-            assert enumerate_horns(X, n, i, spent) == horns
+            assert list(enumerate_horns(X, n, i, spent)) == horns
             accepted += len(horns)
             tried += spent.spent
     assert 0 < accepted < tried
@@ -842,9 +834,9 @@ def late_lifts(unlifted=0):
 def test_lift_searches_hitting_the_budget_are_counted():
     f = late_lifts()
     name = "lifts Lambda^1_1"
-    assert check_fibration(f, 1, "right", 3).to_json() == one_entry_json(
+    assert machine_json(check_fibration(f, 1, "right", 3).payload()) == one_entry_json(
         "f: X -> Y", 1, name, "inconclusive", "3/6 searches hit the budget")
-    assert check_fibration(f, 1, "right").to_json() == one_entry_json(
+    assert machine_json(check_fibration(f, 1, "right").payload()) == one_entry_json(
         "f: X -> Y", 1, name, "pass", "6 squares lifted")
 
 
