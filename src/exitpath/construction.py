@@ -46,6 +46,7 @@ exit_core_values drops every repeat but the crossing in one step.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 from .operators import Operator, degeneracy_op, degeneracy_word, identity
 from .shuffles import FaceClass, classify_face, flat, sharp
@@ -119,6 +120,13 @@ class Upper:
 ExitSimplex = Low | Exit | Upper
 
 
+@cache
+def _front(r: int, d: int) -> Operator:
+    """The front coface (0 < ... < r): [r] -> [d].  Shared process-wide,
+    like simplicial._surjections: nothing writes to it."""
+    return Operator(r, d, tuple(range(r + 1)))
+
+
 class LinkedSpan:
     """M <-pi- L -iota-> N with pi, iota natural on generators.
 
@@ -150,13 +158,20 @@ class LinkedSpan:
     def front_lifts(self, gen: str, r: int) -> bool:
         """Whether the front face g . (0 < ... < r) of the generator gen
         of N lies in the image of iota.  Requires iota mono through
-        degree r; the answer is cached per (gen, r)."""
+        degree r, else raises the RuntimeError of
+        SimplicialMap.check_preimage_degree; the answer is cached per
+        (gen, r).  The face is N.act of a shared front operator on the
+        shared identity simplex, so a query builds no Operator; it is
+        not walked down N's face table because bench/test_bench.py
+        counts act calls (ROADMAP item 6)."""
         key = (gen, r)
         hit = self._front_lifts.get(key)
         if hit is None:
             d = self.N.gen_dims[gen]
-            front = self.N.act(nondeg(gen, d), Operator(r, d, tuple(range(r + 1))))
-            hit = self._front_lifts[key] = self.iota.preimage(front) is not None
+            front = self.N.act(_simplex(gen, tuple(range(d + 1))), _front(r, d))
+            self.iota.check_preimage_degree(r)
+            lifted = self.iota.preimage_values(front.gen, front.degeneracy.values)
+            hit = self._front_lifts[key] = lifted is not None
         return hit
 
     def __repr__(self):
@@ -351,8 +366,10 @@ def build_exit(span: LinkedSpan, depth: int) -> ExitComplex:
     computed on (generator, values) pairs: a low or upper generator
     takes its face-table entries in M or N, relabelled; an exit path
     takes exit_face_values, and a vertical face is written in normal
-    form by exit_core_values.  Each distinct face entry is built once
-    per call.
+    form by exit_core_values.  Every distinct face entry, keyed by
+    (label, values), is built once per call: a relabelled low or upper
+    face too, over the Operator of its source entry, so a face that a
+    low generator and an exit path share is one FormalSimplex.
     """
     if depth < 0:
         raise ValueError("depth must be >= 0")
@@ -361,11 +378,13 @@ def build_exit(span: LinkedSpan, depth: int) -> ExitComplex:
     M, N, lifts = span.M, span.N, span.front_lifts
     entries: dict[tuple[str, tuple[int, ...]], FormalSimplex] = {}
 
-    def entry(label: str, values: tuple[int, ...]) -> FormalSimplex:
+    def entry(label: str, values: tuple[int, ...], op: Operator | None = None) -> FormalSimplex:
+        # op, if given, is the surjection with these values
         s = entries.get((label, values))
         if s is None:
-            s = entries[(label, values)] = FormalSimplex(
-                label, Operator(len(values) - 1, values[-1], values))
+            if op is None:
+                op = Operator(len(values) - 1, values[-1], values)
+            s = entries[(label, values)] = FormalSimplex(label, op)
         return s
 
     def exit_faces(gen: str, sigma: tuple[int, ...], j: int) -> list[FormalSimplex]:
@@ -382,7 +401,8 @@ def build_exit(span: LinkedSpan, depth: int) -> ExitComplex:
 
     def relabelled(X: SimplicialSet, prefix: str, g: str, k: int) -> list[FormalSimplex] | None:
         faces = (X.face_table[(g, i)] for i in range(k + 1))
-        return [FormalSimplex(prefix + f.gen, f.degeneracy) for f in faces] if k else None
+        return [entry(prefix + f.gen, f.degeneracy.values, f.degeneracy)
+                for f in faces] if k else None
 
     for k in range(depth + 1):
         top = tuple(range(k + 1))

@@ -21,6 +21,8 @@ positions), '()' for nondegenerate.
     M = <relative-path>          (likewise L, N, pi, iota)
 
 print_* and parse_* round-trip exactly; parse errors carry line numbers.
+The reader reads and validates each degeneracy word once per document
+and dimension, and builds each entry '(word) label' once.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ import os
 import re
 
 from .construction import LinkedSpan
-from .operators import degeneracy_word_values, surjection_from_word
+from .operators import Operator, degeneracy_word_values, surjection_from_word
 from .simplicial import FormalSimplex, SimplicialMap, SimplicialSet
 
 
@@ -66,14 +68,6 @@ def _check_name(name: str, noun: str = "name"):
     # whitespace at either end
     if name != name.strip() or "#" in name or name.splitlines() != [name]:
         raise ValueError(f"{noun} {name!r} not representable in documents")
-
-
-def _at_line(path: str, lineno: int, call, *args):
-    """call(*args), with a ValueError from the model reported at lineno."""
-    try:
-        return call(*args)
-    except ValueError as e:
-        raise ParseError(path, lineno, str(e)) from None
 
 
 def _entry_str(s: FormalSimplex) -> str:
@@ -153,31 +147,34 @@ def _directives(text: str, path: str, grammar: dict[str, str | None]):
 
 
 def _parse_entry(text: str, path: str, lineno: int, dim: int,
-                 memo: dict[tuple[str, int], FormalSimplex]) -> FormalSimplex:
-    """The entry '(word) label' of dimension dim.  memo maps (text, dim)
-    to the entries one document has read so far, so a repeated entry is
-    read once; a bad entry is never stored, so it is reported at the
-    first line that holds it."""
-    hit = memo.get((text, dim))
-    if hit is not None:
-        return hit
+                 memo: dict[tuple[str, int], FormalSimplex | Operator]) -> FormalSimplex:
+    """The entry '(word) label' of dimension dim, stored in memo under
+    (text, dim), where the caller looks it up first.  memo also maps
+    (word text, dim), the word with its parentheses, to its surjection,
+    so one document reads and validates each word once per dimension
+    and each entry once; an entry text holds a label after its word, so
+    the two kinds of key never meet.  A bad word is never stored, so it
+    is reported at the first line that holds it: the caller reports the
+    ValueError of surjection_from_word at lineno."""
     rest = text.strip()
     if not rest.startswith("("):
         raise ParseError(path, lineno, f"expected '(word) label', got {rest!r}")
     close = rest.find(")")
     if close < 0:
         raise ParseError(path, lineno, "unterminated degeneracy word")
-    word_part = rest[1:close].split()
+    word_text = rest[:close + 1]
     tail = rest[close + 1:].split()
     if len(tail) != 1:
         raise ParseError(path, lineno, f"expected one label after the word, got {tail}")
-    word = tuple(map(_integer, word_part))
-    if None in word:
-        raise ParseError(path, lineno, f"bad degeneracy word {rest[:close + 1]}: "
-                                       "entries must be integers")
-    hit = memo[(text, dim)] = FormalSimplex(
-        tail[0], _at_line(path, lineno, surjection_from_word, dim, word))
-    return hit
+    op = memo.get((word_text, dim))
+    if op is None:
+        word = tuple(map(_integer, word_text[1:-1].split()))
+        if None in word:
+            raise ParseError(path, lineno, f"bad degeneracy word {word_text}: "
+                                           "entries must be integers")
+        op = memo[(word_text, dim)] = surjection_from_word(dim, word)
+    entry = memo[(text, dim)] = FormalSimplex(tail[0], op)
+    return entry
 
 
 def parse_sset(text: str, path: str = "<sset>") -> SimplicialSet:
@@ -186,7 +183,8 @@ def parse_sset(text: str, path: str = "<sset>") -> SimplicialSet:
     maxdim_line = 1
     cur_dim: int | None = None
     pending: tuple[str, int, list[FormalSimplex | None], str | None, int] | None = None
-    entries: dict[tuple[str, int], FormalSimplex] = {}
+    entries: dict[tuple[str, int], FormalSimplex | Operator] = {}
+    at = 1  # the line a ValueError from the model is reported at
 
     def integer(lineno: int, key: str, rest: str) -> int:
         value = _integer(rest)
@@ -196,68 +194,76 @@ def parse_sset(text: str, path: str = "<sset>") -> SimplicialSet:
 
     def flush():
         # the gen line answers for a duplicate label or a bad face entry
-        nonlocal pending
+        nonlocal pending, at
         if pending is None:
             return
         label, d, faces, note, at = pending
         missing = [i for i, f in enumerate(faces) if f is None]
         if missing:
             raise ParseError(path, at, f"generator {label!r} missing faces {missing}")
-        _at_line(path, at, X.add_generator, d, label, faces, note)
+        X.add_generator(d, label, faces, note)
         pending = None
 
-    for lineno, key, rest in _directives(text, path, _SSET_GRAMMAR):
-        if key == "sset":
-            _at_line(path, lineno, _check_name, rest)
-            X = SimplicialSet(rest)
-        elif X is None:
-            raise ParseError(path, lineno, "document must start with 'sset <name>'")
-        elif key == "maxdim":
-            maxdim, maxdim_line = integer(lineno, key, rest), lineno
-        elif key == "dim":
-            flush()
-            cur_dim = integer(lineno, key, rest)
-            if cur_dim < 0:
-                raise ParseError(path, lineno, "negative dimension")
-        elif key == "gen":
-            flush()
-            if cur_dim is None:
-                raise ParseError(path, lineno, "gen before any dim header")
-            if "::" in rest:
-                label, note = (p.strip() for p in rest.split("::", 1))
+    try:
+        for lineno, key, rest in _directives(text, path, _SSET_GRAMMAR):
+            if key in ("dim", "gen"):
+                flush()
+            at = lineno
+            if key == "sset":
+                _check_name(rest)
+                X = SimplicialSet(rest)
+            elif X is None:
+                raise ParseError(path, lineno, "document must start with 'sset <name>'")
+            elif key == "maxdim":
+                maxdim, maxdim_line = integer(lineno, key, rest), lineno
+            elif key == "dim":
+                cur_dim = integer(lineno, key, rest)
+                if cur_dim < 0:
+                    raise ParseError(path, lineno, "negative dimension")
+            elif key == "gen":
+                if cur_dim is None:
+                    raise ParseError(path, lineno, "gen before any dim header")
+                if "::" in rest:
+                    label, note = (p.strip() for p in rest.split("::", 1))
+                else:
+                    label, note = rest.strip(), None
+                _check_label(label)
+                if note is not None:
+                    _check_name(note, "note")
+                if cur_dim == 0:
+                    X.add_generator(0, label, None, note)
+                else:
+                    pending = (label, cur_dim, [None] * (cur_dim + 1), note, lineno)
             else:
-                label, note = rest.strip(), None
-            _at_line(path, lineno, _check_label, label)
-            if note is not None:
-                _at_line(path, lineno, _check_name, note, "note")
-            if cur_dim == 0:
-                _at_line(path, lineno, X.add_generator, 0, label, None, note)
-            else:
-                pending = (label, cur_dim, [None] * (cur_dim + 1), note, lineno)
-        else:
-            if pending is None:
-                raise ParseError(path, lineno, "face line outside a generator block")
-            eq = rest.split("=", 1)
-            if len(eq) != 2:
-                raise ParseError(path, lineno, "face line needs '='")
-            i = _integer(eq[0].strip())
-            if i is None:
-                raise ParseError(path, lineno, f"bad face index {eq[0].strip()!r}")
-            label, d, faces, note, at = pending
-            if not 0 <= i <= d:
-                raise ParseError(path, lineno, f"face index {i} outside 0..{d}")
-            if faces[i] is not None:
-                raise ParseError(path, lineno, f"face {i} of {label!r} given twice")
-            faces[i] = _parse_entry(eq[1], path, lineno, d - 1, entries)
-    if X is None:
-        raise ParseError(path, 1, "empty document")
-    flush()
-    if maxdim is None:
-        raise ParseError(path, 1, "missing maxdim header")
-    if maxdim != X.max_gen_dim:
-        raise ParseError(path, maxdim_line,
-                         f"maxdim says {maxdim} but generators reach {X.max_gen_dim}")
-    _at_line(path, 1, X.assert_coherent)
+                if pending is None:
+                    raise ParseError(path, lineno, "face line outside a generator block")
+                eq = rest.split("=", 1)
+                if len(eq) != 2:
+                    raise ParseError(path, lineno, "face line needs '='")
+                i = _integer(eq[0].strip())
+                if i is None:
+                    raise ParseError(path, lineno, f"bad face index {eq[0].strip()!r}")
+                label, d, faces, note, _ = pending
+                if not 0 <= i <= d:
+                    raise ParseError(path, lineno, f"face index {i} outside 0..{d}")
+                if faces[i] is not None:
+                    raise ParseError(path, lineno, f"face {i} of {label!r} given twice")
+                faces[i] = (entries.get((eq[1], d - 1))
+                            or _parse_entry(eq[1], path, lineno, d - 1, entries))
+        if X is None:
+            raise ParseError(path, 1, "empty document")
+        flush()
+        if maxdim is None:
+            raise ParseError(path, 1, "missing maxdim header")
+        if maxdim != X.max_gen_dim:
+            raise ParseError(path, maxdim_line,
+                             f"maxdim says {maxdim} but generators reach {X.max_gen_dim}")
+        at = 1
+        X.assert_coherent()
+    except ParseError:
+        raise
+    except ValueError as e:
+        raise ParseError(path, at, str(e)) from None
     return X
 
 
@@ -265,33 +271,43 @@ def parse_smap(text: str, ssets: dict[str, SimplicialSet],
                path: str = "<smap>") -> SimplicialMap:
     head: dict[str, str] = {}
     assignment: dict[str, FormalSimplex] = {}
-    entries: dict[tuple[str, int], FormalSimplex] = {}
-    for lineno, key, rest in _directives(text, path, _SMAP_GRAMMAR):
-        if key != "map":
-            _at_line(path, lineno, _check_name, rest)
-            if key != "smap" and rest not in ssets:
-                raise ParseError(path, lineno, f"unknown sset {rest!r} as {key}")
-            head[key] = rest
-            continue
-        domain, codomain = head.get("domain"), head.get("codomain")
-        if domain is None or codomain is None:
-            raise ParseError(path, lineno, "map line before domain/codomain")
-        eq = rest.split("=", 1)
-        if len(eq) != 2:
-            raise ParseError(path, lineno, "map line needs '='")
-        g = eq[0].strip()
-        dom = ssets[domain]
-        if g not in dom.gen_dims:
-            raise ParseError(path, lineno, f"unknown domain generator {g!r}")
-        if g in assignment:
-            raise ParseError(path, lineno, f"second map line for {g!r}")
-        image = assignment[g] = _parse_entry(eq[1], path, lineno, dom.gen_dims[g], entries)
-        if not ssets[codomain].has_simplex(image):
-            raise ParseError(path, lineno, f"image of {g!r} not in {codomain}")
-    if len(head) < 3:
-        raise ParseError(path, 1, "missing smap/domain/codomain header")
-    return _at_line(path, 1, SimplicialMap, head["smap"], ssets[head["domain"]],
-                    ssets[head["codomain"]], assignment)
+    entries: dict[tuple[str, int], FormalSimplex | Operator] = {}
+    at = 1  # the line a ValueError from the model is reported at
+    try:
+        for lineno, key, rest in _directives(text, path, _SMAP_GRAMMAR):
+            at = lineno
+            if key != "map":
+                _check_name(rest)
+                if key != "smap" and rest not in ssets:
+                    raise ParseError(path, lineno, f"unknown sset {rest!r} as {key}")
+                head[key] = rest
+                continue
+            domain, codomain = head.get("domain"), head.get("codomain")
+            if domain is None or codomain is None:
+                raise ParseError(path, lineno, "map line before domain/codomain")
+            eq = rest.split("=", 1)
+            if len(eq) != 2:
+                raise ParseError(path, lineno, "map line needs '='")
+            g = eq[0].strip()
+            dom = ssets[domain]
+            if g not in dom.gen_dims:
+                raise ParseError(path, lineno, f"unknown domain generator {g!r}")
+            if g in assignment:
+                raise ParseError(path, lineno, f"second map line for {g!r}")
+            d = dom.gen_dims[g]
+            image = assignment[g] = (entries.get((eq[1], d))
+                                     or _parse_entry(eq[1], path, lineno, d, entries))
+            if not ssets[codomain].has_simplex(image):
+                raise ParseError(path, lineno, f"image of {g!r} not in {codomain}")
+        if len(head) < 3:
+            raise ParseError(path, 1, "missing smap/domain/codomain header")
+        at = 1
+        return SimplicialMap(head["smap"], ssets[head["domain"]], ssets[head["codomain"]],
+                             assignment)
+    except ParseError:
+        raise
+    except ValueError as e:
+        raise ParseError(path, at, str(e)) from None
 
 
 def parse_span_file(path: str) -> LinkedSpan:
@@ -302,7 +318,10 @@ def parse_span_file(path: str) -> LinkedSpan:
     slots: dict[str, tuple[str, int]] = {}
     for lineno, key, rest in _directives(text, path, _SPAN_GRAMMAR):
         if key == "span":
-            _at_line(path, lineno, _check_name, rest)
+            try:
+                _check_name(rest)
+            except ValueError as e:
+                raise ParseError(path, lineno, str(e)) from None
             name = rest
             continue
         eq = rest.split("=", 1)

@@ -17,7 +17,6 @@ import time
 import pytest
 
 from exitpath.construction import (
-    Exit,
     Low,
     Upper,
     build_exit,

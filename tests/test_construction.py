@@ -85,19 +85,34 @@ def test_same_gamma_different_index_are_distinct():
     assert is_exit_path(span, gamma, 1) and is_exit_path(span, gamma, 2)
 
 
-def test_membership_requires_verified_iota():
+def collapsed_span():
+    """Two link vertices onto one vertex of N: iota is mono through no
+    degree."""
     L = discrete("twolink", ["l1", "l2"])
     N = point("onept", "n")
     M = point("onebase", "m")
     pi = SimplicialMap("pi", L, M, {"l1": nondeg("m", 0), "l2": nondeg("m", 0)})
     iota = SimplicialMap("iota", L, N, {"l1": nondeg("n", 0), "l2": nondeg("n", 0)})
-    span = LinkedSpan("collapsed", M, L, N, pi, iota)
+    return LinkedSpan("collapsed", M, L, N, pi, iota)
+
+
+def test_membership_requires_verified_iota():
+    span = collapsed_span()
     assert not span.iota.is_mono(0)[0]
     assert span.iota.mono_bound == -1
     with pytest.raises(RuntimeError):
         is_exit_path(span, degenerate_edge("n"), 1)
     with pytest.raises(RuntimeError):
         build_exit(span, 1)
+
+
+def test_front_lifts_refuses_a_degree_above_the_mono_bound():
+    span = collapsed_span()
+    with pytest.raises(RuntimeError) as e:
+        span.front_lifts("n", 0)
+    assert str(e.value) == ("iota: preimage queried at degree 0 but injectivity holds "
+                            "only through degree -1")
+    assert span._front_lifts == {}
 
 
 def restriction_lookup(span, gamma, j):

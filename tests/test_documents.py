@@ -483,18 +483,28 @@ def test_a_bad_entry_is_reported_at_its_first_line():
            "face 1 = (0) a\n")
     e = parse_err(doc)
     assert e.lineno == 7 and "bad degeneracy word (0,) for [0]" in str(e)
+    # the same bad word under another label
+    doc = ("sset x\nmaxdim 1\ndim 0\ngen a\ngen b\ndim 1\ngen e\nface 0 = (0) b\n"
+           "face 1 = (0) a\n")
+    e = parse_err(doc)
+    assert str(e) == "doc:8: bad degeneracy word (0,) for [0]"
 
 
 def test_a_repeated_entry_parses_to_equal_simplices():
-    doc = ("sset x\nmaxdim 2\ndim 0\ngen a\ndim 1\ngen e\nface 0 = () a\n"
-           "face 1 = () a\ndim 2\ngen t\nface 0 = (0) a\nface 1 = (0) a\n"
-           "face 2 = (0) a\ngen u\nface 0 = () e\nface 1 = () e\nface 2 = (0) a\n")
+    doc = ("sset x\nmaxdim 2\ndim 0\ngen a\ngen b\ndim 1\ngen e\nface 0 = () a\n"
+           "face 1 = () a\ngen f\nface 0 = () b\nface 1 = () b\ndim 2\ngen t\n"
+           "face 0 = (0) a\nface 1 = (0) a\nface 2 = (0) a\ngen u\nface 0 = () e\n"
+           "face 1 = () e\nface 2 = (0) a\ngen v\nface 0 = (0) b\nface 1 = (0) b\n"
+           "face 2 = (0) b\n")
     X = parse_sset(doc)
     degenerate = X.face_table[("t", 0)]
     assert degenerate == FormalSimplex("a", Operator(1, 0, (0, 0)))
     assert [X.face_table[("t", i)] for i in range(3)] == [degenerate] * 3
     assert X.face_table[("u", 2)] == degenerate
     assert X.face_table[("e", 0)] == X.face_table[("e", 1)] == nondeg("a", 0)
+    # one word at one dimension is one Operator, whatever its label
+    assert X.face_table[("v", 0)].degeneracy is degenerate.degeneracy
+    assert X.face_table[("f", 0)].degeneracy is X.face_table[("e", 0)].degeneracy
 
 
 def test_a_repeated_entry_text_is_read_again_at_another_dimension():

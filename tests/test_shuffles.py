@@ -11,8 +11,6 @@ import pytest
 
 from exitpath.operators import face_op, degeneracy_op
 from exitpath.shuffles import (
-    ExitCollapse,
-    ExitShuffle,
     FaceClass,
     UndefinedFlat,
     classify_face,
