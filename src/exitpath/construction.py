@@ -158,20 +158,17 @@ class LinkedSpan:
     def front_lifts(self, gen: str, r: int) -> bool:
         """Whether the front face g . (0 < ... < r) of the generator gen
         of N lies in the image of iota.  Requires iota mono through
-        degree r, else raises the RuntimeError of
-        SimplicialMap.check_preimage_degree; the answer is cached per
-        (gen, r).  The face is N.act of a shared front operator on the
-        shared identity simplex, so a query builds no Operator; it is
-        not walked down N's face table because bench/test_bench.py
-        counts act calls (ROADMAP item 6)."""
+        degree r, else SimplicialMap.preimage raises RuntimeError; the
+        answer is cached per (gen, r).  The face is N.act of a shared
+        front operator on the shared identity simplex, so a query builds
+        no Operator; it is not walked down N's face table because
+        bench/test_bench.py counts act calls (ROADMAP item 6)."""
         key = (gen, r)
         hit = self._front_lifts.get(key)
         if hit is None:
             d = self.N.gen_dims[gen]
             front = self.N.act(_simplex(gen, tuple(range(d + 1))), _front(r, d))
-            self.iota.check_preimage_degree(r)
-            lifted = self.iota.preimage_values(front.gen, front.degeneracy.values)
-            hit = self._front_lifts[key] = lifted is not None
+            hit = self._front_lifts[key] = self.iota.preimage(front) is not None
         return hit
 
     def __repr__(self):
@@ -367,9 +364,9 @@ def build_exit(span: LinkedSpan, depth: int) -> ExitComplex:
     takes its face-table entries in M or N, relabelled; an exit path
     takes exit_face_values, and a vertical face is written in normal
     form by exit_core_values.  Every distinct face entry, keyed by
-    (label, values), is built once per call: a relabelled low or upper
-    face too, over the Operator of its source entry, so a face that a
-    low generator and an exit path share is one FormalSimplex.
+    (label, values), is built once per call over the shared surjection
+    with those values: a relabelled low or upper face too, so a face
+    that a low generator and an exit path share is one FormalSimplex.
     """
     if depth < 0:
         raise ValueError("depth must be >= 0")
@@ -378,13 +375,10 @@ def build_exit(span: LinkedSpan, depth: int) -> ExitComplex:
     M, N, lifts = span.M, span.N, span.front_lifts
     entries: dict[tuple[str, tuple[int, ...]], FormalSimplex] = {}
 
-    def entry(label: str, values: tuple[int, ...], op: Operator | None = None) -> FormalSimplex:
-        # op, if given, is the surjection with these values
+    def entry(label: str, values: tuple[int, ...]) -> FormalSimplex:
         s = entries.get((label, values))
         if s is None:
-            if op is None:
-                op = Operator(len(values) - 1, values[-1], values)
-            s = entries[(label, values)] = FormalSimplex(label, op)
+            s = entries[(label, values)] = _simplex(label, values)
         return s
 
     def exit_faces(gen: str, sigma: tuple[int, ...], j: int) -> list[FormalSimplex]:
@@ -401,8 +395,7 @@ def build_exit(span: LinkedSpan, depth: int) -> ExitComplex:
 
     def relabelled(X: SimplicialSet, prefix: str, g: str, k: int) -> list[FormalSimplex] | None:
         faces = (X.face_table[(g, i)] for i in range(k + 1))
-        return [entry(prefix + f.gen, f.degeneracy.values, f.degeneracy)
-                for f in faces] if k else None
+        return [entry(prefix + f.gen, f.degeneracy.values) for f in faces] if k else None
 
     for k in range(depth + 1):
         top = tuple(range(k + 1))

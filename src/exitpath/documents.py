@@ -147,15 +147,18 @@ def _directives(text: str, path: str, grammar: dict[str, str | None]):
 
 
 def _parse_entry(text: str, path: str, lineno: int, dim: int,
-                 memo: dict[tuple[str, int], FormalSimplex | Operator]) -> FormalSimplex:
-    """The entry '(word) label' of dimension dim, stored in memo under
-    (text, dim), where the caller looks it up first.  memo also maps
+                 entries: dict[tuple[str, int], FormalSimplex],
+                 words: dict[tuple[str, int], Operator]) -> FormalSimplex:
+    """The entry '(word) label' of dimension dim.  entries maps (text,
+    dim) to the entries one document has read so far, and words maps
     (word text, dim), the word with its parentheses, to its surjection,
-    so one document reads and validates each word once per dimension
-    and each entry once; an entry text holds a label after its word, so
-    the two kinds of key never meet.  A bad word is never stored, so it
-    is reported at the first line that holds it: the caller reports the
-    ValueError of surjection_from_word at lineno."""
+    so one document reads each entry once and validates each word once
+    per dimension.  A bad word is never stored, so it is reported at the
+    first line that holds it: the caller reports the ValueError of
+    surjection_from_word at lineno."""
+    hit = entries.get((text, dim))
+    if hit is not None:
+        return hit
     rest = text.strip()
     if not rest.startswith("("):
         raise ParseError(path, lineno, f"expected '(word) label', got {rest!r}")
@@ -166,15 +169,15 @@ def _parse_entry(text: str, path: str, lineno: int, dim: int,
     tail = rest[close + 1:].split()
     if len(tail) != 1:
         raise ParseError(path, lineno, f"expected one label after the word, got {tail}")
-    op = memo.get((word_text, dim))
+    op = words.get((word_text, dim))
     if op is None:
         word = tuple(map(_integer, word_text[1:-1].split()))
         if None in word:
             raise ParseError(path, lineno, f"bad degeneracy word {word_text}: "
                                            "entries must be integers")
-        op = memo[(word_text, dim)] = surjection_from_word(dim, word)
-    entry = memo[(text, dim)] = FormalSimplex(tail[0], op)
-    return entry
+        op = words[(word_text, dim)] = surjection_from_word(dim, word)
+    hit = entries[(text, dim)] = FormalSimplex(tail[0], op)
+    return hit
 
 
 def parse_sset(text: str, path: str = "<sset>") -> SimplicialSet:
@@ -183,7 +186,8 @@ def parse_sset(text: str, path: str = "<sset>") -> SimplicialSet:
     maxdim_line = 1
     cur_dim: int | None = None
     pending: tuple[str, int, list[FormalSimplex | None], str | None, int] | None = None
-    entries: dict[tuple[str, int], FormalSimplex | Operator] = {}
+    entries: dict[tuple[str, int], FormalSimplex] = {}
+    words: dict[tuple[str, int], Operator] = {}
     at = 1  # the line a ValueError from the model is reported at
 
     def integer(lineno: int, key: str, rest: str) -> int:
@@ -248,8 +252,7 @@ def parse_sset(text: str, path: str = "<sset>") -> SimplicialSet:
                     raise ParseError(path, lineno, f"face index {i} outside 0..{d}")
                 if faces[i] is not None:
                     raise ParseError(path, lineno, f"face {i} of {label!r} given twice")
-                faces[i] = (entries.get((eq[1], d - 1))
-                            or _parse_entry(eq[1], path, lineno, d - 1, entries))
+                faces[i] = _parse_entry(eq[1], path, lineno, d - 1, entries, words)
         if X is None:
             raise ParseError(path, 1, "empty document")
         flush()
@@ -271,7 +274,8 @@ def parse_smap(text: str, ssets: dict[str, SimplicialSet],
                path: str = "<smap>") -> SimplicialMap:
     head: dict[str, str] = {}
     assignment: dict[str, FormalSimplex] = {}
-    entries: dict[tuple[str, int], FormalSimplex | Operator] = {}
+    entries: dict[tuple[str, int], FormalSimplex] = {}
+    words: dict[tuple[str, int], Operator] = {}
     at = 1  # the line a ValueError from the model is reported at
     try:
         for lineno, key, rest in _directives(text, path, _SMAP_GRAMMAR):
@@ -294,9 +298,8 @@ def parse_smap(text: str, ssets: dict[str, SimplicialSet],
                 raise ParseError(path, lineno, f"unknown domain generator {g!r}")
             if g in assignment:
                 raise ParseError(path, lineno, f"second map line for {g!r}")
-            d = dom.gen_dims[g]
-            image = assignment[g] = (entries.get((eq[1], d))
-                                     or _parse_entry(eq[1], path, lineno, d, entries))
+            image = assignment[g] = _parse_entry(eq[1], path, lineno, dom.gen_dims[g],
+                                                 entries, words)
             if not ssets[codomain].has_simplex(image):
                 raise ParseError(path, lineno, f"image of {g!r} not in {codomain}")
         if len(head) < 3:

@@ -412,16 +412,11 @@ class SimplicialMap:
         """The unique preimage of s, or None if s is not in the image:
         s's generator relabelled, its degeneracy kept.  Defined through
         degree mono_bound."""
-        self.check_preimage_degree(s.dim)
+        if s.dim > self.mono_bound:
+            raise RuntimeError(f"{self.name}: preimage queried at degree {s.dim} but "
+                               f"injectivity holds only through degree {self.mono_bound}")
         hit = self.preimage_values(s.gen, s.degeneracy.values)
         return None if hit is None else FormalSimplex(hit[0], s.degeneracy)
-
-    def check_preimage_degree(self, n: int):
-        """Raise RuntimeError unless preimages are defined at degree n,
-        that is n <= mono_bound."""
-        if n > self.mono_bound:
-            raise RuntimeError(f"{self.name}: preimage queried at degree {n} but "
-                               f"injectivity holds only through degree {self.mono_bound}")
 
     def preimage_values(self, gen: str,
                         values: tuple[int, ...]) -> tuple[str, tuple[int, ...]] | None:

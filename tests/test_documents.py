@@ -490,6 +490,21 @@ def test_a_bad_entry_is_reported_at_its_first_line():
     assert str(e) == "doc:8: bad degeneracy word (0,) for [0]"
 
 
+def test_an_entry_with_no_label_is_reported_after_its_word_was_read():
+    # "(0)" is the text of a word already read at this dimension, but
+    # an entry needs a label after it
+    doc = ("sset x\nmaxdim 2\ndim 0\ngen a\ndim 2\ngen t\nface 0 = (0) a\n"
+           "face 1 =(0)\nface 2 = (0) a\n")
+    e = parse_err(doc)
+    assert str(e) == "doc:8: expected one label after the word, got []"
+    ssets = {"simplex2": standard_simplex(2)}
+    doc = ("smap f\ndomain simplex2\ncodomain simplex2\nmap 0,1 = (0) 0\n"
+           "map 0,2 =(0)\n")
+    with pytest.raises(ParseError) as e:
+        parse_smap(doc, ssets, "f.smap")
+    assert str(e.value) == "f.smap:5: expected one label after the word, got []"
+
+
 def test_a_repeated_entry_parses_to_equal_simplices():
     doc = ("sset x\nmaxdim 2\ndim 0\ngen a\ngen b\ndim 1\ngen e\nface 0 = () a\n"
            "face 1 = () a\ngen f\nface 0 = () b\nface 1 = () b\ndim 2\ngen t\n"
