@@ -18,6 +18,10 @@ sorted keys.
 
 Each cmd_* returns (status, payload, text) and prints nothing; main
 prints text, or the machine json of payload, and returns the status.
+COMMANDS holds each command's arguments.  When the command line starts
+with a command name, main builds the argument parser of that command
+alone; otherwise (-h, a typo, no command) it builds the full tree, whose
+usage lists every command.
 """
 
 from __future__ import annotations
@@ -222,78 +226,80 @@ def _at_least(minimum: int):
     return parse
 
 
+def _arg(*flags, **kwargs):
+    """One add_argument call, as its (flags, kwargs)."""
+    return flags, kwargs
+
+
+_FORMAT = _arg("--format", choices=["text", "machine"], default="text",
+               help="output style; machine is json with sorted keys")
+_SPAN_ARGS = (_FORMAT,
+              _arg("--span", required=True, help="gallery name or path to a .span document"),
+              _arg("--max-dim", type=_at_least(0), default=3,
+                   help="degree bound for the check (default 3)"))
+_BUDGET = _arg("--budget", type=_at_least(0), default=DEFAULT_BUDGET,
+               help=f"search nodes allowed per horn subproblem (default {DEFAULT_BUDGET})")
+
+# name -> (help, handler, arguments in the order their help lists them)
+COMMANDS = {
+    "shuffle-table": ("print exit shuffles and collapses", cmd_shuffle_table,
+                      (_arg("--k", type=_at_least(1), required=True), _FORMAT)),
+    "flat-sharp-table": ("print the flat/sharp index tables", cmd_flat_sharp_table,
+                         # flat needs k >= 2
+                         (_arg("--k", type=_at_least(2), required=True), _FORMAT)),
+    "build-exit": ("materialize the exit complex", cmd_build_exit,
+                   (*_SPAN_ARGS,
+                    _arg("--stats", action="store_true", help="print per-degree counts"),
+                    _arg("--out", help="write the sset document here"))),
+    "verify-identities": ("simplicial identities on the exit complex",
+                          cmd_verify_identities, _SPAN_ARGS),
+    "verify-qcat": ("inner-horn filling on the exit complex", cmd_verify_qcat,
+                    (*_SPAN_ARGS, _BUDGET)),
+    "check-fibration": ("horn-lifting checks for pi", cmd_check_fibration,
+                        (*_SPAN_ARGS, _BUDGET,
+                         _arg("--kind", choices=["right", "inner", "kan"], default="right"))),
+    "check-mono": ("levelwise injectivity of iota", cmd_check_mono, _SPAN_ARGS),
+    "examples": ("list or emit the gallery spans", cmd_examples,
+                 (_arg("action", choices=["list", "emit"]),
+                  _arg("name", nargs="?", help="span to emit"),
+                  _arg("--dir", default=".", help="directory for emitted documents"),
+                  _FORMAT)),
+    "stats": ("per-degree counts of the exit complex", cmd_stats, _SPAN_ARGS),
+}
+
+
+def _add_command(parser: argparse.ArgumentParser, name: str) -> argparse.ArgumentParser:
+    _, fn, arguments = COMMANDS[name]
+    for flags, kwargs in arguments:
+        parser.add_argument(*flags, **kwargs)
+    parser.set_defaults(fn=fn)
+    return parser
+
+
 @functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The argument parser; built once per process, since parse_args
-    leaves it unchanged."""
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of one command, for the arguments after its name; with
+    no command, the full tree: the top level and a subparser per command,
+    for a command line that does not start with a command name (-h, a
+    typo, nothing).  Each is built once per process, since parse_args
+    leaves a parser unchanged."""
+    if command is not None:
+        return _add_command(argparse.ArgumentParser(prog=f"exitpath {command}"), command)
     parser = argparse.ArgumentParser(
         prog="exitpath",
         description="exit-path simplicial sets of linked spans: build and verify")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, span=True, budget=False):
-        p.add_argument("--format", choices=["text", "machine"], default="text",
-                       help="output style; machine is json with sorted keys")
-        if span:
-            p.add_argument("--span", required=True,
-                           help="gallery name or path to a .span document")
-            p.add_argument("--max-dim", type=_at_least(0), default=3,
-                           help="degree bound for the check (default 3)")
-        if budget:
-            p.add_argument("--budget", type=_at_least(0), default=DEFAULT_BUDGET,
-                           help=f"search nodes allowed per horn subproblem "
-                                f"(default {DEFAULT_BUDGET})")
-
-    p = sub.add_parser("shuffle-table", help="print exit shuffles and collapses")
-    p.add_argument("--k", type=_at_least(1), required=True)
-    common(p, span=False)
-    p.set_defaults(fn=cmd_shuffle_table)
-
-    p = sub.add_parser("flat-sharp-table", help="print the flat/sharp index tables")
-    p.add_argument("--k", type=_at_least(2), required=True)  # flat needs k >= 2
-    common(p, span=False)
-    p.set_defaults(fn=cmd_flat_sharp_table)
-
-    p = sub.add_parser("build-exit", help="materialize the exit complex")
-    common(p)
-    p.add_argument("--stats", action="store_true", help="print per-degree counts")
-    p.add_argument("--out", help="write the sset document here")
-    p.set_defaults(fn=cmd_build_exit)
-
-    p = sub.add_parser("verify-identities",
-                       help="simplicial identities on the exit complex")
-    common(p)
-    p.set_defaults(fn=cmd_verify_identities)
-
-    p = sub.add_parser("verify-qcat", help="inner-horn filling on the exit complex")
-    common(p, budget=True)
-    p.set_defaults(fn=cmd_verify_qcat)
-
-    p = sub.add_parser("check-fibration", help="horn-lifting checks for pi")
-    common(p, budget=True)
-    p.add_argument("--kind", choices=["right", "inner", "kan"], default="right")
-    p.set_defaults(fn=cmd_check_fibration)
-
-    p = sub.add_parser("check-mono", help="levelwise injectivity of iota")
-    common(p)
-    p.set_defaults(fn=cmd_check_mono)
-
-    p = sub.add_parser("examples", help="list or emit the gallery spans")
-    p.add_argument("action", choices=["list", "emit"])
-    p.add_argument("name", nargs="?", help="span to emit")
-    p.add_argument("--dir", default=".", help="directory for emitted documents")
-    common(p, span=False)
-    p.set_defaults(fn=cmd_examples)
-
-    p = sub.add_parser("stats", help="per-degree counts of the exit complex")
-    common(p)
-    p.set_defaults(fn=cmd_stats)
-
+    for name, (summary, _, _) in COMMANDS.items():
+        _add_command(sub.add_parser(name, help=summary), name)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    if argv and argv[0] in COMMANDS:
+        args = build_parser(argv[0]).parse_args(argv[1:])
+    else:
+        args = build_parser().parse_args(argv)
     try:
         status, payload, text = args.fn(args)
         print(machine_json(payload) if args.format == "machine" else text)

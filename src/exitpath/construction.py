@@ -162,7 +162,7 @@ class LinkedSpan:
         answer is cached per (gen, r).  The face is N.act of a shared
         front operator on the shared identity simplex, so a query builds
         no Operator; it is not walked down N's face table because
-        bench/test_bench.py counts act calls (ROADMAP item 6)."""
+        bench/test_bench.py counts act calls (ROADMAP item 1)."""
         key = (gen, r)
         hit = self._front_lifts.get(key)
         if hit is None:

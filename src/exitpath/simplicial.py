@@ -49,7 +49,6 @@ from .operators import (
     check_face_index,
     degeneracy_word_values,
     epi_mono_values,
-    identity,
     surjections,
 )
 
@@ -101,7 +100,8 @@ class FormalSimplex:
 
 
 def nondeg(gen: str, dim: int) -> FormalSimplex:
-    return FormalSimplex(gen, identity(dim))
+    """gen itself, over the shared identity of its dimension."""
+    return _simplex(gen, tuple(range(dim + 1)))
 
 
 def _simplex(gen: str, values: tuple[int, ...]) -> FormalSimplex:

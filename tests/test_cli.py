@@ -317,3 +317,61 @@ def test_console_entry_point_is_wired():
 
     pyproject = pathlib.Path(__file__).resolve().parent.parent / "pyproject.toml"
     assert 'exitpath = "exitpath.cli:main"' in pyproject.read_text()
+
+
+COMMAND_NAMES = ("shuffle-table,flat-sharp-table,build-exit,verify-identities,verify-qcat,"
+                 "check-fibration,check-mono,examples,stats")
+
+
+@pytest.mark.parametrize("argv, err", [
+    (("verify-qcat", "--span", "trivial", "--foo"),
+     "usage: exitpath verify-qcat [-h] [--format {text,machine}] --span SPAN\n"
+     "                            [--max-dim MAX_DIM] [--budget BUDGET]\n"
+     "exitpath verify-qcat: error: unrecognized arguments: --foo\n"),
+    (("examples", "emit", "trivial", "extra"),
+     "usage: exitpath examples [-h] [--dir DIR] [--format {text,machine}]\n"
+     "                         {list,emit} [name]\n"
+     "exitpath examples: error: unrecognized arguments: extra\n"),
+], ids=["verify-qcat", "examples"])
+def test_an_unrecognized_argument_prints_its_command_usage(argv, err, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    assert capsys.readouterr() == ("", err)
+
+
+@pytest.mark.parametrize("argv, code, message", [
+    ((), 2, "exitpath: error: the following arguments are required: command\n"),
+    (("foo",), 2, "exitpath: error: argument command: invalid choice: 'foo'"),
+    (("-h",), 0, "exit-path simplicial sets of linked spans: build and verify"),
+], ids=["nothing", "foo", "-h"])
+def test_no_command_prints_the_usage_of_every_command(argv, code, message, capsys,
+                                                       monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == code
+    out, err = capsys.readouterr()
+    text = out if code == 0 else err
+    assert text.startswith("usage: exitpath [-h]\n")
+    assert "{" + COMMAND_NAMES + "}" in text and message in text
+
+
+def test_a_command_line_builds_only_the_parser_of_its_command(capsys, monkeypatch):
+    from exitpath import cli
+
+    built = []
+    init = cli.argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    cli.build_parser.cache_clear()
+    monkeypatch.setattr(cli.argparse.ArgumentParser, "__init__", counting_init)
+    argv = ("check-mono", "--span", "trivial", "--max-dim", "1")
+    assert run(capsys, *argv)[0] == PASS
+    assert built == ["exitpath check-mono"]
+    assert run(capsys, *argv)[0] == PASS
+    assert built == ["exitpath check-mono"]
