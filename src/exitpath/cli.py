@@ -32,7 +32,6 @@ import os
 import sys
 
 from .construction import (
-    ExitComplex,
     IotaNotMono,
     LinkedSpan,
     SpanIntegrityError,
@@ -47,6 +46,7 @@ from .shuffles import (
     flat,
     sharp,
 )
+from .simplicial import SimplicialSet
 from .verify import (
     check_fibration,
     machine_json,
@@ -68,7 +68,7 @@ def _resolve_span(ref: str) -> LinkedSpan:
                      f"gallery: {', '.join(sorted(GALLERY))}")
 
 
-def _exit_complex(args) -> tuple[LinkedSpan, ExitComplex]:
+def _exit_complex(args) -> tuple[LinkedSpan, SimplicialSet]:
     """The span named by --span and its exit complex through --max-dim;
     build_exit checks iota mono first."""
     span = _resolve_span(args.span)

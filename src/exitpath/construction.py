@@ -37,10 +37,13 @@ Nondegenerate exit paths are the nondegenerate simplices of the prisms
 Delta^1 x Delta^d over the generators of N.  (sigma^* g, j) is s_i of an
 exit path exactly when sigma repeats at some i other than the crossing
 j - 1; dropping that repeat keeps sigma(j - 1), hence membership.  So
-the nondegenerate exit paths of degree k are (g, j) for g in gens_k(N)
-and (s_{j-1}^* g, j) for g in gens_{k-1}(N), each where
-front_lifts(g, j - 1) holds; build_exit lists exactly these, and
+the nondegenerate exit paths of degree k are the cores (g, r, c): (s_r^*
+g, r + 1) for g in gens_{k-1}(N) if c, and (g, r + 1) for g in
+gens_k(N) otherwise, each where front_lifts(g, r) holds;
 exit_core_values drops every repeat but the crossing in one step.
+build_exit lists exactly these cores and returns a plain
+SimplicialSet: its generator labels, M.<g>, P.<core>@<index> and
+N.<g>, are the only tags it keeps.
 """
 
 from __future__ import annotations
@@ -48,7 +51,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 
-from .operators import Operator, degeneracy_op, degeneracy_word, identity
+from .operators import Operator, degeneracy_op, identity
 from .shuffles import FaceClass, classify_face, flat, sharp
 from .simplicial import (
     FormalSimplex,
@@ -329,66 +332,49 @@ def exit_label(s: ExitSimplex) -> str:
     return f"P.{s.gamma!r}@{s.index}"
 
 
-class ExitComplex(SimplicialSet):
-    """The exit complex of a span, materialized through a degree bound.
-
-    A SimplicialSet whose generators carry tag notes; payload maps each
-    generator label back to its tagged simplex, so simplices of the
-    complex can be re-read as Low/Exit/Upper values.
-    """
-
-    def __init__(self, span: LinkedSpan, depth: int):
-        super().__init__(f"Ex({span.name})<={depth}")
-        self.span = span
-        self.payload: dict[str, ExitSimplex] = {}
-
-    def tagged(self, s: FormalSimplex) -> ExitSimplex:
-        """The tagged simplex a formal simplex of the complex denotes."""
-        t = self.payload[s.gen]
-        # sigma = sigma_{i_1} . ... . sigma_{i_r} with ascending word acts
-        # contravariantly as s_{i_r} . ... . s_{i_1}, so s_{i_1} is applied first
-        for i in degeneracy_word(s.degeneracy):
-            t = exit_degeneracy(self.span, t, i)
-        return t
-
-
-def build_exit(span: LinkedSpan, depth: int) -> ExitComplex:
-    """Materialize Ex(span) up to dimension depth.
+def build_exit(span: LinkedSpan, depth: int) -> SimplicialSet:
+    """Materialize Ex(span) up to dimension depth as a plain
+    SimplicialSet, Ex(<span>)<=<depth>, whose generator labels are the
+    only tags: M.<g> low, N.<g> upper and P.<core>@<index> for an exit
+    path, the label exit_label gives the tagged simplex.
 
     Requires iota mono through depth.  Generators per dimension k are
-    the generators of M, the nondegenerate exit paths read off the
-    prisms over N's generators (first (s_i^* g, i + 1) for g in
-    gens_{k-1}(N), then (g, j) for g in gens_k(N), where
-    front_lifts(g, j - 1) holds), then the generators of N.  Faces are
-    computed on (generator, values) pairs: a low or upper generator
-    takes its face-table entries in M or N, relabelled; an exit path
-    takes exit_face_values, and a vertical face is written in normal
-    form by exit_core_values.  Every distinct face entry, keyed by
-    (label, values), is built once per call over the shared surjection
-    with those values: a relabelled low or upper face too, so a face
-    that a low generator and an exit path share is one FormalSimplex.
+    the generators of M, the nondegenerate exit paths listed by their
+    cores (g, r, c), then the generators of N.  The cores are first
+    (s_r^* g, r + 1) for g in gens_{k-1}(N), then (g, r + 1) for g in
+    gens_k(N), each where front_lifts(g, r) holds; label writes both
+    them and the vertical faces.  Faces are computed on (generator,
+    values) pairs: a low or upper generator takes its face-table entries
+    in M or N, relabelled; an exit path takes exit_face_values, and a
+    vertical face is written in normal form by exit_core_values.  Every
+    distinct face entry, keyed by (label, values), is built once per
+    call over the shared surjection with those values: a relabelled low
+    or upper face too, so a face that a low generator and an exit path
+    share is one FormalSimplex.
     """
     if depth < 0:
         raise ValueError("depth must be >= 0")
     span.require_iota(depth)
-    ex = ExitComplex(span, depth)
+    ex = SimplicialSet(f"Ex({span.name})<={depth}")
     M, N, lifts = span.M, span.N, span.front_lifts
     entries: dict[tuple[str, tuple[int, ...]], FormalSimplex] = {}
 
-    def entry(label: str, values: tuple[int, ...]) -> FormalSimplex:
-        s = entries.get((label, values))
+    def entry(gen: str, values: tuple[int, ...]) -> FormalSimplex:
+        s = entries.get((gen, values))
         if s is None:
-            s = entries[(label, values)] = _simplex(label, values)
+            s = entries[(gen, values)] = _simplex(gen, values)
         return s
+
+    def label(h: str, r: int, c: int) -> str:
+        return f"P.{h}+s{r}@{r + 1}" if c else f"P.{h}@{r + 1}"
 
     def exit_faces(gen: str, sigma: tuple[int, ...], j: int) -> list[FormalSimplex]:
         faces = []
         for i in range(len(sigma)):
             part, h, tau, e = exit_face_values(span, gen, sigma, j, i)
             if part == "P":
-                # exit_label of the core, (s_r^* h, r + 1) or (h, r + 1)
                 r, c, tau = exit_core_values(tau, e)
-                faces.append(entry(f"P.{h}+s{r}@{r + 1}" if c else f"P.{h}@{r + 1}", tau))
+                faces.append(entry(label(h, r, c), tau))
             else:
                 faces.append(entry(f"{part}.{h}", tau))
         return faces
@@ -399,17 +385,14 @@ def build_exit(span: LinkedSpan, depth: int) -> ExitComplex:
 
     for k in range(depth + 1):
         top = tuple(range(k + 1))
-        paths = [(g, top[:i + 1] + top[i:k], i + 1)
-                 for g in N.generators(k - 1) for i in range(k) if lifts(g, i)]
-        paths += [(g, top, j) for g in N.generators(k) for j in range(1, k + 1) if lifts(g, j - 1)]
-        new = [(Low(_simplex(g, top)), "low", relabelled(M, "M.", g, k))
-               for g in M.generators(k)]
-        new += [(Exit(_simplex(g, sigma), j), f"exit@{j}", exit_faces(g, sigma, j))
-                for g, sigma, j in paths]
-        new += [(Upper(_simplex(g, top)), "upper", relabelled(N, "N.", g, k))
-                for g in N.generators(k)]
-        for tagged, note, faces in new:
-            label = exit_label(tagged)
-            ex.add_generator(k, label, faces, note=note)
-            ex.payload[label] = tagged
+        for g in M.generators(k):
+            ex.add_generator(k, f"M.{g}", relabelled(M, "M.", g, k), note="low")
+        cores = [(g, r, 1) for g in N.generators(k - 1) for r in range(k) if lifts(g, r)]
+        cores += [(g, r, 0) for g in N.generators(k) for r in range(k) if lifts(g, r)]
+        for g, r, c in cores:
+            sigma = top[:r + 1] + top[r:k] if c else top
+            ex.add_generator(k, label(g, r, c), exit_faces(g, sigma, r + 1),
+                             note=f"exit@{r + 1}")
+        for g in N.generators(k):
+            ex.add_generator(k, f"N.{g}", relabelled(N, "N.", g, k), note="upper")
     return ex

@@ -144,14 +144,6 @@ class _ByDegree(dict):
 _NO_BLOCK = (0, (), {})
 
 
-def _number(blocks: dict, x: FormalSimplex) -> int | None:
-    """x's number in X_n (of blocks = X.blocks(n)), or None when x is
-    not an n-simplex of X."""
-    offset, _, ranks = blocks.get(x.gen, _NO_BLOCK)
-    rank = ranks.get(x.degeneracy.values)
-    return None if rank is None else offset + rank
-
-
 def _column(source: dict, target: dict, action: Callable, i: int | None, letter: str,
             n: int) -> tuple[int, ...]:
     """The numbers in X_n (of blocks target) of action(gen, values, i)
@@ -204,7 +196,9 @@ class Tables:
 
     def number(self, n: int, x: FormalSimplex) -> int | None:
         """x's number in X_n, or None when x is not an n-simplex of X."""
-        return _number(self._blocks[n], x)
+        offset, _, ranks = self._blocks[n].get(x.gen, _NO_BLOCK)
+        rank = ranks.get(x.degeneracy.values)
+        return None if rank is None else offset + rank
 
     def simplex(self, n: int, p: int) -> FormalSimplex:
         """The simplex numbered p in X_n, listed or not; IndexError for

@@ -230,6 +230,39 @@ def test_non_mono_iota_is_an_input_error(capsys, tmp_path, command):
     assert err.startswith("error: merged: iota is not mono: degree 0")
 
 
+def clash_span(tmp_path, link) -> str:
+    """A span document whose N has vertices x, y and an edge labelled
+    x+s0 from y to x; L = M holds the vertices named in link, and pi
+    and iota send each to itself."""
+    (tmp_path / "N.sset").write_text(
+        "sset N\nmaxdim 1\ndim 0\ngen x\ngen y\ndim 1\ngen x+s0\n"
+        "face 0 = () x\nface 1 = () y\n")
+    (tmp_path / "L.sset").write_text(
+        "sset L\nmaxdim 0\ndim 0\n" + "".join(f"gen {v}\n" for v in link))
+    for name, codomain in (("pi", "L"), ("iota", "N")):
+        (tmp_path / f"{name}.smap").write_text(
+            f"smap {name}\ndomain L\ncodomain {codomain}\n"
+            + "".join(f"map {v} = () {v}\n" for v in link))
+    span_file = tmp_path / "clash.span"
+    span_file.write_text("span clash\nM = L.sset\nL = L.sset\nN = N.sset\n"
+                         "pi = pi.smap\niota = iota.smap\n")
+    return str(span_file)
+
+
+def test_an_exit_label_clash_is_an_input_error(capsys, tmp_path):
+    # both s_0 x at index 1 and the edge x+s0 at index 1 are labelled
+    # P.x+s0@1 once the edge's vertex 0, y, lifts through iota
+    code, out, err = run(capsys, "build-exit", "--span", clash_span(tmp_path, "xy"),
+                         "--max-dim", "2")
+    assert (code, out, err) == (INPUT_ERROR, "",
+                                "error: Ex(clash)<=2: duplicate generator 'P.x+s0@1'\n")
+    code, out, _ = run(capsys, "build-exit", "--span", clash_span(tmp_path, "x"),
+                       "--max-dim", "2")
+    assert code == PASS
+    assert [line.split()[1] for line in out.splitlines()
+            if line.lstrip().startswith("gen P.")] == ["P.x+s0@1"]
+
+
 def test_span_integrity_error_is_an_input_error(capsys, monkeypatch):
     from exitpath import cli
     from exitpath.construction import SpanIntegrityError
