@@ -39,7 +39,10 @@ print(f"  horn: {h.describe()}")
 print(f"  filler: {find_filler(ex, h)}")
 print()
 
-tables = Tables(ex)  # face columns numbered by rank, shared by the enumeration and the fillers
+tables = Tables(ex)  # face columns numbered by rank, shared by the enumeration and the index
 horns = enumerate_horns(ex, 2, 1, tables=tables)
-fillable = sum(find_filler(ex, horn, tables=tables) is not None for horn in horns)
+# a horn fills when some 2-simplex has its faces: one index of X_2 by
+# the faces at the horn's slots answers every horn of the shape
+fillers = tables.face_keys(2, horns.slots)
+fillable = sum(key in fillers for key in horns.numbers)
 print(f"for scale: {fillable} of {len(horns)} inner 2-horns of Ex(broken) do fill")

@@ -12,6 +12,7 @@ from pathlib import Path
 from exitpath.construction import build_exit, exit_simplices
 from exitpath.documents import parse_span_file, print_smap, write_span_documents
 from exitpath.gallery import load_span
+from exitpath.simplicial import simplex_repr
 
 span = load_span("s0-defect")
 
@@ -39,5 +40,5 @@ with tempfile.TemporaryDirectory() as tmp:
     print()
 
     print("exit paths of the reparsed span at degree 1:")
-    for p in exit_simplices(copy, 1):
-        print(f"  {p!r}")
+    for gen, values, j in exit_simplices(copy, 1):
+        print(f"  exit({simplex_repr(gen, values)}@{j})")

@@ -6,10 +6,10 @@ injective).  Its exit complex Ex has
     Ex_0 = M_0 + N_0
     Ex_k = M_k + P_{k-1} + N_k        (k >= 1)
 
-where P_{k-1} consists of the exit paths, the Exit values: pairs
-(gamma, j) of a k-simplex gamma of N and an exit index 1 <= j <= k such
-that the restriction of gamma . C_j to level 0 of the prism factors
-through iota.  Since iota is mono the factorization is unique.
+where P_{k-1} consists of the exit paths: pairs (gamma, j) of a
+k-simplex gamma of N and an exit index 1 <= j <= k such that the
+restriction of gamma . C_j to level 0 of the prism factors through
+iota.  Since iota is mono the factorization is unique.
 
 Membership is decided once per generator of N and front face.  Write
 gamma = sigma^* g with sigma: [k] ->> [d] and g nondegenerate.  The
@@ -26,12 +26,12 @@ faces stay exit paths with the flat index, the single low face
 (i = j = k) lands in M through pi after the unique lift, and the single
 upper face (i = 0, j = 1) forgets down to N.  For k = 1 the same
 dispatch degenerates to d_1 low, d_0 upper.  Every degeneracy stays an
-exit path with the sharp index.  Faces are computed on plain
-(generator, values) pairs, like SimplicialSet.face_values: the face by
-exit_face_values and the normal form of an exit path by
-exit_core_values.  build_exit calls these two directly; the tagged
-exit_face and exit_normal_form wrap them and build Low, Exit and Upper
-values.
+exit path with the sharp index.  An exit path is one representation
+throughout: (gen, values, j), with gamma = sigma^* gen and sigma given
+by its values, like SimplicialSet.face_values.  is_exit_path,
+exit_simplices, exit_face, exit_degeneracy, detect_degenerate_exit and
+exit_normal_form all work on it, and build_exit takes its faces from
+exit_face, exit_normal_form and exit_label.
 
 Nondegenerate exit paths are the nondegenerate simplices of the prisms
 Delta^1 x Delta^d over the generators of N.  (sigma^* g, j) is s_i of an
@@ -40,25 +40,23 @@ j - 1; dropping that repeat keeps sigma(j - 1), hence membership.  So
 the nondegenerate exit paths of degree k are the cores (g, r, c): (s_r^*
 g, r + 1) for g in gens_{k-1}(N) if c, and (g, r + 1) for g in
 gens_k(N) otherwise, each where front_lifts(g, r) holds;
-exit_core_values drops every repeat but the crossing in one step.
-build_exit lists exactly these cores and returns a plain
-SimplicialSet: its generator labels, M.<g>, P.<core>@<index> and
-N.<g>, are the only tags it keeps.
+exit_normal_form drops every repeat but the crossing in one step, and
+exit_label names a core.  build_exit lists exactly these cores and
+returns a plain SimplicialSet: its generator labels, M.<g>,
+P.<core>@<index> and N.<g>, are the only tags it keeps.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 
-from .operators import Operator, degeneracy_op, identity
+from .operators import Operator
 from .shuffles import FaceClass, classify_face, flat, sharp
 from .simplicial import (
     FormalSimplex,
     SimplicialMap,
     SimplicialSet,
     _simplex,
-    nondeg,
     simplex_repr,
 )
 
@@ -71,56 +69,6 @@ class SpanIntegrityError(RuntimeError):
 class IotaNotMono(RuntimeError):
     """iota is not levelwise injective through a degree an operation
     needs; the message carries two simplices with one image."""
-
-
-@dataclass(frozen=True)
-class Low:
-    simplex: FormalSimplex
-
-    @property
-    def dim(self) -> int:
-        return self.simplex.dim
-
-    def __repr__(self):
-        return f"low[{self.simplex!r}]"
-
-
-@dataclass(frozen=True)
-class Exit:
-    """An exit path: a k-simplex gamma of N together with its exit index j.
-
-    Equality is equality of both coordinates; the same gamma with two
-    different indices gives two different simplices of Ex.
-    """
-
-    gamma: FormalSimplex
-    index: int
-
-    def __post_init__(self):
-        if not 1 <= self.index <= self.gamma.dim:
-            raise ValueError(f"exit index {self.index} outside 1..{self.gamma.dim}")
-
-    @property
-    def dim(self) -> int:
-        return self.gamma.dim
-
-    def __repr__(self):
-        return f"exit({self.gamma!r}@{self.index})"
-
-
-@dataclass(frozen=True)
-class Upper:
-    simplex: FormalSimplex
-
-    @property
-    def dim(self) -> int:
-        return self.simplex.dim
-
-    def __repr__(self):
-        return f"upper[{self.simplex!r}]"
-
-
-ExitSimplex = Low | Exit | Upper
 
 
 @cache
@@ -182,42 +130,44 @@ class LinkedSpan:
 # -- membership --------------------------------------------------------------
 
 
-def is_exit_path(span: LinkedSpan, gamma: FormalSimplex, j: int) -> bool:
-    """Whether (gamma, j) is an exit path: the level-0 restriction of
-    gamma . C_j lifts (necessarily uniquely) through iota.
+def is_exit_path(span: LinkedSpan, gen: str, values: tuple[int, ...], j: int) -> bool:
+    """Whether (sigma^*gen, j), sigma given by its values, is an exit
+    path: the level-0 restriction of (sigma^*gen) . C_j lifts
+    (necessarily uniquely) through iota.
 
-    That restriction is gamma . restriction_operator(k, j), a degeneracy
-    of the front face F_r(g) of gamma's generator at r = sigma(j - 1),
-    and a degeneracy lies in the simplicial subset im(iota) exactly
-    when its nondegenerate core does; so the answer is
-    span.front_lifts(g, r), with r <= k - 1 inside iota's mono bound.
+    That restriction is a degeneracy of the front face F_r(gen) at r =
+    sigma(j - 1), and a degeneracy lies in the simplicial subset
+    im(iota) exactly when its nondegenerate core does; so the answer is
+    span.front_lifts(gen, r), with r <= k - 1 inside iota's mono bound.
     """
-    k = gamma.dim
+    k = len(values) - 1
     if k < 1:
         raise ValueError("exit paths start in dimension 1")
     if not 1 <= j <= k:
         raise ValueError(f"exit index {j} outside 1..{k}")
     span.require_iota(k - 1)
-    return span.front_lifts(gamma.gen, gamma.degeneracy.values[j - 1])
+    return span.front_lifts(gen, values[j - 1])
 
 
-def exit_simplices(span: LinkedSpan, k: int) -> list[Exit]:
-    """All exit paths of dimension k, in (N-simplex order, index) order."""
+def exit_simplices(span: LinkedSpan, k: int) -> list[tuple[str, tuple[int, ...], int]]:
+    """All exit paths of dimension k as (generator, values, index), in
+    (N-simplex order, index) order: the order of N.blocks(k)."""
     if k < 1:
         return []
     span.require_iota(k - 1)
     lifts = span.front_lifts
-    return [Exit(gamma, j)
-            for gamma in span.N.simplices_at(k)
+    return [(gen, sigma.values, j)
+            for gen, (_, sigmas, _) in span.N.blocks(k).items()
+            for sigma in sigmas
             for j in range(1, k + 1)
-            if lifts(gamma.gen, gamma.degeneracy.values[j - 1])]
+            if lifts(gen, sigma.values[j - 1])]
 
 
-# -- faces and degeneracies ---------------------------------------------------
+# -- faces, degeneracies and normal forms --------------------------------------
 
 
-def exit_face_values(span: LinkedSpan, gen: str, values: tuple[int, ...], j: int,
-                     i: int) -> tuple[str, str, tuple[int, ...], int | None]:
+def exit_face(span: LinkedSpan, gen: str, values: tuple[int, ...], j: int,
+              i: int) -> tuple[str, str, tuple[int, ...], int | None]:
     """d_i of the exit path (sigma^*gen, j), sigma given by its values,
     as (part, generator, values, index), from (h, tau) = d_i of
     sigma^*gen in N: part "M" for the low face (i = j = k), whose
@@ -243,7 +193,34 @@ def exit_face_values(span: LinkedSpan, gen: str, values: tuple[int, ...], j: int
     return ("M", *span.pi.image_values(*lifted), None)
 
 
-def exit_core_values(values: tuple[int, ...], j: int) -> tuple[int, int, tuple[int, ...]]:
+def exit_degeneracy(gen: str, values: tuple[int, ...], j: int,
+                    i: int) -> tuple[str, tuple[int, ...], int]:
+    """s_i of the exit path (sigma^*gen, j) as (generator, values,
+    index): sigma with position i repeated, and the sharp index; a bad
+    j or i raises ValueError from sharp."""
+    return gen, values[:i + 1] + values[i:], sharp(len(values) - 1, j, i)
+
+
+def detect_degenerate_exit(span: LinkedSpan, gen: str, values: tuple[int, ...],
+                           j: int) -> tuple[tuple[str, tuple[int, ...], int], int] | None:
+    """Invert exit_degeneracy: find ((gen, values', j'), i) with s_i of
+    the exit path (gen, values', j') equal to (sigma^*gen, j), smallest i.
+
+    It is s_i of an exit path exactly when sigma repeats at some i other
+    than the crossing j - 1.  Take the smallest such i: values' is sigma
+    with position i deleted, j' is j if i >= j and j - 1 otherwise, and
+    (gen, values', j') is an exit path iff (sigma^*gen, j) is.  Returns
+    None for nondegenerate exit paths (every path of dimension 1) and
+    for pairs that are not exit paths.
+    """
+    i = next((i for i in range(len(values) - 1)
+              if i != j - 1 and values[i] == values[i + 1]), None)
+    if i is None or not is_exit_path(span, gen, values, j):
+        return None
+    return (gen, values[:i] + values[i + 1:], j if i >= j else j - 1), i
+
+
+def exit_normal_form(values: tuple[int, ...], j: int) -> tuple[int, int, tuple[int, ...]]:
     """The normal form of the exit path (sigma^*gen, j), sigma given by
     its values, as (r, c, values): with r = sigma(j - 1) and c =
     [sigma(j) = r], the core is (s_r^* gen, r + 1) if c and (gen, r + 1)
@@ -254,103 +231,34 @@ def exit_core_values(values: tuple[int, ...], j: int) -> tuple[int, int, tuple[i
     return r, 1, values[:j] + tuple([v + 1 for v in values[j:]])
 
 
-def exit_face(span: LinkedSpan, s: ExitSimplex, i: int) -> ExitSimplex:
-    """d_i of a tagged simplex of Ex: face on Low and Upper, and
-    exit_face_values on an exit path."""
-    if s.dim < 1:
-        raise ValueError("vertices have no faces")
-    if not 0 <= i <= s.dim:
-        raise ValueError(f"face index {i} outside 0..{s.dim}")
-    if isinstance(s, Low):
-        return Low(span.M.face(s.simplex, i))
-    if isinstance(s, Upper):
-        return Upper(span.N.face(s.simplex, i))
-    part, gen, values, j = exit_face_values(span, s.gamma.gen, s.gamma.degeneracy.values,
-                                            s.index, i)
-    face = FormalSimplex(gen, Operator(len(values) - 1, values[-1], values))
-    if part == "P":
-        return Exit(face, j)
-    return Low(face) if part == "M" else Upper(face)
-
-
-def exit_degeneracy(span: LinkedSpan, s: ExitSimplex, i: int) -> ExitSimplex:
-    """s_i of a tagged simplex of Ex; exit paths stay exit paths."""
-    if not 0 <= i <= s.dim:
-        raise ValueError(f"degeneracy index {i} outside 0..{s.dim}")
-    if isinstance(s, Low):
-        return Low(span.M.degeneracy(s.simplex, i))
-    if isinstance(s, Upper):
-        return Upper(span.N.degeneracy(s.simplex, i))
-    gamma, j, k = s.gamma, s.index, s.dim
-    return Exit(span.N.degeneracy(gamma, i), sharp(k, j, i))
-
-
-def detect_degenerate_exit(span: LinkedSpan, p: Exit) -> tuple[Exit, int] | None:
-    """Invert exit_degeneracy: find (q, i) with s_i q = p, smallest i.
-
-    p = (sigma^* g, j) is s_i of an exit path exactly when sigma repeats
-    at some i other than the crossing j - 1.  Take the smallest such i:
-    q is gamma with position i of sigma deleted, with index j if i >= j
-    and j - 1 otherwise, and is an exit path iff p is.  Returns None for
-    nondegenerate exit paths (every path of dimension 1) and for pairs
-    that are not exit paths.
-    """
-    gamma, j, k = p.gamma, p.index, p.dim
-    sigma = gamma.degeneracy.values
-    i = next((i for i in range(k) if i != j - 1 and sigma[i] == sigma[i + 1]), None)
-    if i is None or not is_exit_path(span, gamma, j):
-        return None
-    face = FormalSimplex(gamma.gen, Operator(k - 1, gamma.gen_dim, sigma[:i] + sigma[i + 1:]))
-    return Exit(face, j if i >= j else j - 1), i
-
-
-def exit_normal_form(span: LinkedSpan, s: ExitSimplex) -> tuple[ExitSimplex, Operator]:
-    """Write s as (nondegenerate core, surjection).
-
-    Low and Upper parts inherit normal forms from M and N; an exit path
-    takes its core and surjection from exit_core_values.
-    """
-    if isinstance(s, Low):
-        return Low(nondeg(s.simplex.gen, s.simplex.gen_dim)), s.simplex.degeneracy
-    if isinstance(s, Upper):
-        return Upper(nondeg(s.simplex.gen, s.simplex.gen_dim)), s.simplex.degeneracy
-    gamma, d = s.gamma, s.gamma.gen_dim
-    r, c, values = exit_core_values(gamma.degeneracy.values, s.index)
-    core = FormalSimplex(gamma.gen, degeneracy_op(d, r) if c else identity(d))
-    return Exit(core, r + 1), Operator(gamma.dim, d + c, values)
+def exit_label(gen: str, r: int, c: int) -> str:
+    """The generator label of the core (gen, r, c) of exit_normal_form:
+    P.<gen>+s<r>@<r+1> for (s_r^* gen, r + 1), P.<gen>@<r+1> for
+    (gen, r + 1)."""
+    return f"P.{gen}+s{r}@{r + 1}" if c else f"P.{gen}@{r + 1}"
 
 
 # -- materialization ----------------------------------------------------------
 
 
-def exit_label(s: ExitSimplex) -> str:
-    """Deterministic generator label for a nondegenerate tagged simplex."""
-    if isinstance(s, Low):
-        return f"M.{s.simplex.gen}"
-    if isinstance(s, Upper):
-        return f"N.{s.simplex.gen}"
-    return f"P.{s.gamma!r}@{s.index}"
-
-
 def build_exit(span: LinkedSpan, depth: int) -> SimplicialSet:
     """Materialize Ex(span) up to dimension depth as a plain
     SimplicialSet, Ex(<span>)<=<depth>, whose generator labels are the
-    only tags: M.<g> low, N.<g> upper and P.<core>@<index> for an exit
-    path, the label exit_label gives the tagged simplex.
+    only tags: M.<g> low, N.<g> upper and exit_label(g, r, c) for an
+    exit path.
 
     Requires iota mono through depth.  Generators per dimension k are
     the generators of M, the nondegenerate exit paths listed by their
     cores (g, r, c), then the generators of N.  The cores are first
     (s_r^* g, r + 1) for g in gens_{k-1}(N), then (g, r + 1) for g in
-    gens_k(N), each where front_lifts(g, r) holds; label writes both
-    them and the vertical faces.  Faces are computed on (generator,
-    values) pairs: a low or upper generator takes its face-table entries
-    in M or N, relabelled; an exit path takes exit_face_values, and a
-    vertical face is written in normal form by exit_core_values.  Every
-    distinct face entry, keyed by (label, values), is built once per
-    call over the shared surjection with those values: a relabelled low
-    or upper face too, so a face that a low generator and an exit path
-    share is one FormalSimplex.
+    gens_k(N), each where front_lifts(g, r) holds.  Faces are computed
+    on (generator, values) pairs: a low or upper generator takes its
+    face-table entries in M or N, relabelled; an exit path takes
+    exit_face, and a vertical face is labelled by exit_label from its
+    exit_normal_form.  Every distinct face entry, keyed by (label,
+    values), is built once per call over the shared surjection with
+    those values: a relabelled low or upper face too, so a face that a
+    low generator and an exit path share is one FormalSimplex.
     """
     if depth < 0:
         raise ValueError("depth must be >= 0")
@@ -365,16 +273,13 @@ def build_exit(span: LinkedSpan, depth: int) -> SimplicialSet:
             s = entries[(gen, values)] = _simplex(gen, values)
         return s
 
-    def label(h: str, r: int, c: int) -> str:
-        return f"P.{h}+s{r}@{r + 1}" if c else f"P.{h}@{r + 1}"
-
     def exit_faces(gen: str, sigma: tuple[int, ...], j: int) -> list[FormalSimplex]:
         faces = []
         for i in range(len(sigma)):
-            part, h, tau, e = exit_face_values(span, gen, sigma, j, i)
+            part, h, tau, e = exit_face(span, gen, sigma, j, i)
             if part == "P":
-                r, c, tau = exit_core_values(tau, e)
-                faces.append(entry(label(h, r, c), tau))
+                r, c, tau = exit_normal_form(tau, e)
+                faces.append(entry(exit_label(h, r, c), tau))
             else:
                 faces.append(entry(f"{part}.{h}", tau))
         return faces
@@ -391,7 +296,7 @@ def build_exit(span: LinkedSpan, depth: int) -> SimplicialSet:
         cores += [(g, r, 0) for g in N.generators(k) for r in range(k) if lifts(g, r)]
         for g, r, c in cores:
             sigma = top[:r + 1] + top[r:k] if c else top
-            ex.add_generator(k, label(g, r, c), exit_faces(g, sigma, r + 1),
+            ex.add_generator(k, exit_label(g, r, c), exit_faces(g, sigma, r + 1),
                              note=f"exit@{r + 1}")
         for g in N.generators(k):
             ex.add_generator(k, f"N.{g}", relabelled(N, "N.", g, k), note="upper")

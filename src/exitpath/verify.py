@@ -426,8 +426,10 @@ def find_filler(X: SimplicialSet, h: HornProblem, budget: Budget | None = None,
     """First n-simplex whose faces extend the horn, in canonical order,
     at a scan's node cost (first_hit); a face outside X_{n-1} matches
     nothing.  tables is a Tables of X whose face columns other horns
-    share; the call builds its own lookup, and by default its own
-    Tables."""
+    share, by default a new one.  Each call builds its shape's index,
+    Tables.face_keys(n, slots), one pass over X_n; to test many horns
+    of one shape, build that index once and look up each horn's
+    numbers in it."""
     if tables is None:
         tables = Tables(X)
     present = h.present()

@@ -6,12 +6,20 @@ predicates that no code in the package calls, and the fixtures that
 several test files build.
 """
 
+from dataclasses import dataclass
 from itertools import combinations, combinations_with_replacement
 
-from exitpath.construction import Low, Upper, exit_simplices
-from exitpath.operators import Operator, degeneracy_op, face_op
+from exitpath.construction import (
+    detect_degenerate_exit,
+    exit_degeneracy,
+    exit_face,
+    exit_label,
+    exit_normal_form,
+    exit_simplices,
+)
+from exitpath.operators import Operator, degeneracy_op, face_op, identity
 from exitpath.shuffles import exit_shuffle
-from exitpath.simplicial import SimplicialSet, nerve_of_poset, nondeg
+from exitpath.simplicial import FormalSimplex, SimplicialSet, nerve_of_poset, nondeg
 
 # -- operators -----------------------------------------------------------------
 
@@ -98,9 +106,134 @@ def corrupted_triangle():
 # -- exit complexes ------------------------------------------------------------
 
 
+# The tagged view: a simplex of Ex as a Low, Exit or Upper value, each
+# operation a thin layer over the (generator, values) functions of
+# exitpath.construction.
+
+
+def simplex(gen, values):
+    """sigma^*gen as a FormalSimplex, sigma given by its values."""
+    return FormalSimplex(gen, Operator(len(values) - 1, values[-1], values))
+
+
+def pair(s):
+    """A FormalSimplex as (generator, values)."""
+    return s.gen, s.degeneracy.values
+
+
+@dataclass(frozen=True)
+class Low:
+    simplex: FormalSimplex
+
+    @property
+    def dim(self):
+        return self.simplex.dim
+
+    def __repr__(self):
+        return f"low[{self.simplex!r}]"
+
+
+@dataclass(frozen=True)
+class Exit:
+    """An exit path: a k-simplex gamma of N together with its exit index j.
+
+    Equality is equality of both coordinates; the same gamma with two
+    different indices gives two different simplices of Ex.
+    """
+
+    gamma: FormalSimplex
+    index: int
+
+    def __post_init__(self):
+        if not 1 <= self.index <= self.gamma.dim:
+            raise ValueError(f"exit index {self.index} outside 1..{self.gamma.dim}")
+
+    @property
+    def dim(self):
+        return self.gamma.dim
+
+    def __repr__(self):
+        return f"exit({self.gamma!r}@{self.index})"
+
+
+@dataclass(frozen=True)
+class Upper:
+    simplex: FormalSimplex
+
+    @property
+    def dim(self):
+        return self.simplex.dim
+
+    def __repr__(self):
+        return f"upper[{self.simplex!r}]"
+
+
+def tagged_exit(gen, values, j):
+    """The exit path (gen, values, j) as an Exit."""
+    return Exit(simplex(gen, values), j)
+
+
+def tagged_face(span, s, i):
+    """d_i of a tagged simplex of Ex: face on Low and Upper, and
+    exit_face on an exit path."""
+    if s.dim < 1:
+        raise ValueError("vertices have no faces")
+    if not 0 <= i <= s.dim:
+        raise ValueError(f"face index {i} outside 0..{s.dim}")
+    if isinstance(s, Low):
+        return Low(span.M.face(s.simplex, i))
+    if isinstance(s, Upper):
+        return Upper(span.N.face(s.simplex, i))
+    part, gen, values, j = exit_face(span, *pair(s.gamma), s.index, i)
+    if part == "P":
+        return tagged_exit(gen, values, j)
+    return (Low if part == "M" else Upper)(simplex(gen, values))
+
+
+def tagged_degeneracy(span, s, i):
+    """s_i of a tagged simplex of Ex; exit paths stay exit paths."""
+    if not 0 <= i <= s.dim:
+        raise ValueError(f"degeneracy index {i} outside 0..{s.dim}")
+    if isinstance(s, Low):
+        return Low(span.M.degeneracy(s.simplex, i))
+    if isinstance(s, Upper):
+        return Upper(span.N.degeneracy(s.simplex, i))
+    return tagged_exit(*exit_degeneracy(*pair(s.gamma), s.index, i))
+
+
+def tagged_detect(span, p):
+    """detect_degenerate_exit on an Exit: (q, i) with s_i q = p, or None."""
+    hit = detect_degenerate_exit(span, *pair(p.gamma), p.index)
+    return None if hit is None else (tagged_exit(*hit[0]), hit[1])
+
+
+def tagged_normal_form(span, s):
+    """s as (nondegenerate core, surjection): Low and Upper parts
+    inherit normal forms from M and N, an exit path takes its core
+    (r, c) and surjection from exit_normal_form."""
+    if not isinstance(s, Exit):
+        return type(s)(nondeg(s.simplex.gen, s.simplex.gen_dim)), s.simplex.degeneracy
+    gamma, d = s.gamma, s.gamma.gen_dim
+    r, c, values = exit_normal_form(gamma.degeneracy.values, s.index)
+    core = FormalSimplex(gamma.gen, degeneracy_op(d, r) if c else identity(d))
+    return Exit(core, r + 1), Operator(gamma.dim, d + c, values)
+
+
+def tagged_label(s):
+    """The generator label of a nondegenerate tagged simplex; an exit
+    path's by exit_label from its core."""
+    if isinstance(s, Low):
+        return f"M.{s.simplex.gen}"
+    if isinstance(s, Upper):
+        return f"N.{s.simplex.gen}"
+    r, c, _ = exit_normal_form(s.gamma.degeneracy.values, s.index)
+    return exit_label(s.gamma.gen, r, c)
+
+
 def all_exit_simplices(span, k):
     """Every k-simplex of Ex in tagged form, in M + P + N order."""
-    return ([Low(s) for s in span.M.simplices_at(k)] + exit_simplices(span, k)
+    return ([Low(s) for s in span.M.simplices_at(k)]
+            + [tagged_exit(*p) for p in exit_simplices(span, k)]
             + [Upper(s) for s in span.N.simplices_at(k)])
 
 

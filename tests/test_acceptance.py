@@ -16,13 +16,7 @@ import time
 
 import pytest
 
-from exitpath.construction import (
-    Low,
-    Upper,
-    build_exit,
-    exit_degeneracy,
-    exit_face,
-)
+from exitpath.construction import build_exit
 from exitpath.gallery import GALLERY, discrete, load_span, point
 from exitpath.operators import degeneracy_op, face_op
 from exitpath.shuffles import (
@@ -44,11 +38,15 @@ from exitpath.verify import (
     verify_simplicial_identities,
 )
 from oracles import (
+    Low,
+    Upper,
     all_exit_simplices,
     flat_oracle,
     horn_is_compatible,
     sharp_oracle,
     shuffle_level,
+    tagged_degeneracy,
+    tagged_face,
 )
 
 HYPOTHESIS_SPANS = [n for n in sorted(GALLERY) if GALLERY[n].hypotheses_hold]
@@ -211,10 +209,10 @@ def test_c07_point_cone_is_interval():
             assert code not in seen
             seen.add(code)
             for i in range(k + 1):
-                up = phi(exit_degeneracy(span, s, i))
+                up = phi(tagged_degeneracy(span, s, i))
                 ok = ok and up == code[: i + 1] + code[i:]
                 if k >= 1:
-                    down = phi(exit_face(span, s, i))
+                    down = phi(tagged_face(span, s, i))
                     ok = ok and down == code[:i] + code[i + 1:]
         ok = ok and len(seen) == k + 2
     conclude(7, "Ex(point <- point = point) is the 1-simplex through degree 6, "

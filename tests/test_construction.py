@@ -1,23 +1,19 @@
 """Exit paths: membership, the face/degeneracy dispatch, normal forms,
-and the simplicial identities at the tagged level."""
+and the simplicial identities, on (generator, values, index) triples
+and through the tagged view of tests/oracles.py."""
 
 import random
 
 import pytest
 
 from exitpath.construction import (
-    Exit,
     LinkedSpan,
-    Low,
     SpanIntegrityError,
-    Upper,
     build_exit,
     detect_degenerate_exit,
     exit_degeneracy,
     exit_face,
-    exit_face_values,
     exit_label,
-    exit_normal_form,
     exit_simplices,
     is_exit_path,
 )
@@ -41,7 +37,20 @@ from exitpath.simplicial import (
     nondeg,
     standard_simplex,
 )
-from oracles import all_exit_simplices, front_face_lifts
+from oracles import (
+    Exit,
+    Low,
+    Upper,
+    all_exit_simplices,
+    front_face_lifts,
+    pair,
+    tagged_degeneracy,
+    tagged_detect,
+    tagged_exit,
+    tagged_face,
+    tagged_label,
+    tagged_normal_form,
+)
 
 SPAN_NAMES = sorted(GALLERY)
 
@@ -55,20 +64,19 @@ def degenerate_edge(vertex: str) -> FormalSimplex:
 
 def test_membership_on_the_collar():
     span = boundary_collar_span()
-    b = nondeg("0,1", 1)
-    assert is_exit_path(span, b, 1)
-    assert is_exit_path(span, degenerate_edge("0"), 1)
-    assert not is_exit_path(span, degenerate_edge("1"), 1)
+    assert is_exit_path(span, "0,1", (0, 1), 1)
+    assert is_exit_path(span, *pair(degenerate_edge("0")), 1)
+    assert not is_exit_path(span, *pair(degenerate_edge("1")), 1)
 
 
 def test_membership_input_checks():
     span = boundary_collar_span()
     with pytest.raises(ValueError):
-        is_exit_path(span, nondeg("0", 0), 1)
+        is_exit_path(span, "0", (0,), 1)
     with pytest.raises(ValueError):
-        is_exit_path(span, nondeg("0,1", 1), 0)
+        is_exit_path(span, "0,1", (0, 1), 0)
     with pytest.raises(ValueError):
-        is_exit_path(span, nondeg("0,1", 1), 2)
+        is_exit_path(span, "0,1", (0, 1), 2)
 
 
 def test_exit_path_index_range():
@@ -82,7 +90,7 @@ def test_same_gamma_different_index_are_distinct():
     span = load_span("point-cone")
     gamma = span.N.degeneracy(degenerate_edge("x"), 0)
     assert Exit(gamma, 1) != Exit(gamma, 2)
-    assert is_exit_path(span, gamma, 1) and is_exit_path(span, gamma, 2)
+    assert is_exit_path(span, *pair(gamma), 1) and is_exit_path(span, *pair(gamma), 2)
 
 
 def collapsed_span():
@@ -101,7 +109,7 @@ def test_membership_requires_verified_iota():
     assert not span.iota.is_mono(0)[0]
     assert span.iota.mono_bound == -1
     with pytest.raises(RuntimeError):
-        is_exit_path(span, degenerate_edge("n"), 1)
+        is_exit_path(span, "n", (0, 0), 1)
     with pytest.raises(RuntimeError):
         build_exit(span, 1)
 
@@ -160,10 +168,10 @@ def test_membership_agrees_with_restriction_lookup(name):
         for gamma in span.N.simplices_at(k):
             for j in range(1, k + 1):
                 member = restriction_lookup(span, gamma, j)
-                assert is_exit_path(span, gamma, j) == member, (gamma, j)
+                assert is_exit_path(span, *pair(gamma), j) == member, (gamma, j)
                 outcomes.add(member)
                 if member:
-                    want.append(Exit(gamma, j))
+                    want.append((*pair(gamma), j))
         assert exit_simplices(span, k) == want, k
     if name == "diamond-prefix":
         assert outcomes == {False, True}
@@ -172,7 +180,8 @@ def test_membership_agrees_with_restriction_lookup(name):
 def test_exit_simplices_order_and_counts():
     span = boundary_collar_span()
     paths = exit_simplices(span, 1)
-    assert [repr(p) for p in paths] == ["exit(0+s0@1)", "exit(0,1@1)"]
+    assert paths == [("0", (0, 0), 1), ("0,1", (0, 1), 1)]
+    assert [repr(tagged_exit(*p)) for p in paths] == ["exit(0+s0@1)", "exit(0,1@1)"]
     # degree 2: both indices of the degenerate square at 0, plus the
     # degeneracies of the two 1-paths, plus the nondegenerate triangle
     assert len(exit_simplices(span, 2)) == 5
@@ -197,75 +206,80 @@ def test_cardinality_sum():
 def test_edge_faces_low_and_upper():
     span = boundary_collar_span()
     e = Exit(nondeg("0,1", 1), 1)
-    assert exit_face(span, e, 1) == Low(nondeg("m", 0))
-    assert exit_face(span, e, 0) == Upper(nondeg("1", 0))
+    assert tagged_face(span, e, 1) == Low(nondeg("m", 0))
+    assert tagged_face(span, e, 0) == Upper(nondeg("1", 0))
+    assert exit_face(span, "0,1", (0, 1), 1, 1) == ("M", "m", (0,), None)
+    assert exit_face(span, "0,1", (0, 1), 1, 0) == ("N", "1", (0,), None)
 
 
 def test_triangle_face_dispatch():
     span = boundary_collar_span()
     b = nondeg("0,1", 1)
     t = Exit(span.N.degeneracy(b, 0), 1)
-    assert exit_face(span, t, 0) == Upper(b)
-    assert exit_face(span, t, 1) == Exit(b, 1)
-    assert exit_face(span, t, 2) == Exit(degenerate_edge("0"), 1)
+    assert tagged_face(span, t, 0) == Upper(b)
+    assert tagged_face(span, t, 1) == Exit(b, 1)
+    assert tagged_face(span, t, 2) == Exit(degenerate_edge("0"), 1)
 
 
 def test_low_face_lands_through_pi():
     span = broken_span()
     e = Exit(nondeg("0,1", 1), 1)
     # the link sits at vertex 0 of N and pi sends it to vertex 1 of M
-    assert exit_face(span, e, 1) == Low(nondeg("1", 0))
+    assert tagged_face(span, e, 1) == Low(nondeg("1", 0))
 
 
 def test_low_and_upper_parts_are_closed():
     span = boundary_collar_span()
     m = Low(span.M.degeneracy(nondeg("m", 0), 0))
-    assert isinstance(exit_face(span, m, 0), Low)
-    assert isinstance(exit_degeneracy(span, m, 0), Low)
+    assert isinstance(tagged_face(span, m, 0), Low)
+    assert isinstance(tagged_degeneracy(span, m, 0), Low)
     n = Upper(nondeg("0,1", 1))
-    assert isinstance(exit_face(span, n, 1), Upper)
-    assert isinstance(exit_degeneracy(span, n, 0), Upper)
+    assert isinstance(tagged_face(span, n, 1), Upper)
+    assert isinstance(tagged_degeneracy(span, n, 0), Upper)
 
 
 def test_degeneracies_of_an_exit_edge():
     span = boundary_collar_span()
     p = Exit(nondeg("0,1", 1), 1)
-    up0 = exit_degeneracy(span, p, 0)
-    up1 = exit_degeneracy(span, p, 1)
+    up0 = tagged_degeneracy(span, p, 0)
+    up1 = tagged_degeneracy(span, p, 1)
     assert up0 == Exit(span.N.degeneracy(p.gamma, 0), 2)
     assert up1 == Exit(span.N.degeneracy(p.gamma, 1), 1)
-    assert detect_degenerate_exit(span, up0) == (p, 0)
-    assert detect_degenerate_exit(span, up1) == (p, 1)
+    assert tagged_detect(span, up0) == (p, 0)
+    assert tagged_detect(span, up1) == (p, 1)
+    assert exit_degeneracy("0,1", (0, 1), 1, 0) == ("0,1", (0, 0, 1), 2)
+    assert detect_degenerate_exit(span, "0,1", (0, 0, 1), 2) == (("0,1", (0, 1), 1), 0)
 
 
 def test_face_index_bounds():
     span = boundary_collar_span()
     e = Exit(nondeg("0,1", 1), 1)
     with pytest.raises(ValueError):
-        exit_face(span, e, 2)
+        tagged_face(span, e, 2)
     with pytest.raises(ValueError):
-        exit_face(span, Low(nondeg("m", 0)), 0)
+        tagged_face(span, Low(nondeg("m", 0)), 0)
     with pytest.raises(ValueError):
-        exit_degeneracy(span, e, 2)
-    # exit_face_values leaves its indices to the calls it makes, and
-    # each bad index raises there
+        tagged_degeneracy(span, e, 2)
+    with pytest.raises(ValueError):
+        exit_degeneracy("0,1", (0, 1), 1, 2)
+    # exit_face leaves its indices to the calls it makes, and each bad
+    # index raises there
     for values, j, i, error in [((0, 1), 2, 0, ValueError), ((0, 1), 1, 2, KeyError),
                                 ((0, 1, 1), 1, 3, IndexError), ((0, 1, 1), 1, -1, ValueError)]:
         with pytest.raises(error):
-            exit_face_values(span, "0,1", values, j, i)
+            exit_face(span, "0,1", values, j, i)
 
 
 def test_membership_is_closed_under_faces_and_degeneracies():
     for name in SPAN_NAMES:
         span = load_span(name)
         for k in range(1, 4):
-            for p in exit_simplices(span, k):
+            for gen, values, j in exit_simplices(span, k):
                 for i in range(k + 1):
-                    f = exit_face(span, p, i)
-                    if isinstance(f, Exit):
-                        assert is_exit_path(span, f.gamma, f.index)
-                    s = exit_degeneracy(span, p, i)
-                    assert is_exit_path(span, s.gamma, s.index)
+                    part, h, tau, e = exit_face(span, gen, values, j, i)
+                    if part == "P":
+                        assert is_exit_path(span, h, tau, e)
+                    assert is_exit_path(span, *exit_degeneracy(gen, values, j, i))
 
 
 # -- degeneracy detection and normal forms ------------------------------------------
@@ -273,55 +287,58 @@ def test_membership_is_closed_under_faces_and_degeneracies():
 
 def test_dimension_one_paths_never_degenerate():
     span = boundary_collar_span()
-    assert detect_degenerate_exit(span, Exit(degenerate_edge("0"), 1)) is None
+    assert detect_degenerate_exit(span, "0", (0, 0), 1) is None
+    assert tagged_detect(span, Exit(degenerate_edge("0"), 1)) is None
 
 
 def test_detect_agrees_with_enumeration():
     # a path is degenerate iff it is s_i of some lower path; compare the
     # closed-form detector against brute-force enumeration
-    for name in SPAN_NAMES:
-        span = load_span(name)
+    spans = [load_span(name) for name in SPAN_NAMES]
+    spans += seeded_poset_spans(random.Random(20240), 30)
+    for span in spans:
         for k in range(2, 5):
             images = {}
             for q in exit_simplices(span, k - 1):
                 for i in range(k):
-                    img = exit_degeneracy(span, q, i)
-                    images.setdefault(img, (q, i))
+                    images.setdefault(exit_degeneracy(*q, i), (q, i))
             for p in exit_simplices(span, k):
-                hit = detect_degenerate_exit(span, p)
-                assert (hit is not None) == (p in images), (name, p)
+                hit = detect_degenerate_exit(span, *p)
+                assert (hit is not None) == (p in images), (span.name, p)
                 if hit is not None:
                     q, i = hit
-                    assert exit_degeneracy(span, q, i) == p
+                    assert exit_degeneracy(*q, i) == p
 
 
 def test_normal_form_roundtrip():
     spans = [load_span(name) for name in SPAN_NAMES]
     spans += [cone_span(standard_simplex(n)) for n in range(1, 4)]
+    spans += seeded_poset_spans(random.Random(20240), 30)
     for span in spans:
         ex = build_exit(span, 4)
         for k in range(5):
             ts = all_exit_simplices(span, k)
             formal = set()
             for t in ts:
-                core, op = exit_normal_form(span, t)
+                core, op = tagged_normal_form(span, t)
                 # sigma = sigma_{i_1} . ... . sigma_{i_r} with ascending word acts
                 # contravariantly as s_{i_r} . ... . s_{i_1}, so s_{i_1} is applied first
                 back = core
                 for i in degeneracy_word(op):
-                    back = exit_degeneracy(span, back, i)
+                    back = tagged_degeneracy(span, back, i)
                 assert back == t, (span.name, t)
-                formal.add(FormalSimplex(exit_label(core), op))
+                formal.add(FormalSimplex(tagged_label(core), op))
             assert formal == set(ex.simplices_at(k)), (span.name, k)
             assert len(ts) == len(ex.simplices_at(k)), (span.name, k)
 
 
 def test_exit_labels():
-    span = boundary_collar_span()
-    assert exit_label(Low(nondeg("m", 0))) == "M.m"
-    assert exit_label(Upper(nondeg("0,1", 1))) == "N.0,1"
-    assert exit_label(Exit(nondeg("0,1", 1), 1)) == "P.0,1@1"
-    assert exit_label(Exit(degenerate_edge("0"), 1)) == "P.0+s0@1"
+    assert tagged_label(Low(nondeg("m", 0))) == "M.m"
+    assert tagged_label(Upper(nondeg("0,1", 1))) == "N.0,1"
+    assert tagged_label(Exit(nondeg("0,1", 1), 1)) == "P.0,1@1"
+    assert tagged_label(Exit(degenerate_edge("0"), 1)) == "P.0+s0@1"
+    assert exit_label("0,1", 0, 0) == "P.0,1@1"
+    assert exit_label("0", 0, 1) == "P.0+s0@1"
 
 
 # -- the prism decomposition against the peeling oracles -------------------------------
@@ -346,7 +363,7 @@ def peeling_detect(span, p):
         if not 1 <= e <= k - 1:
             continue
         q_gamma = span.N.face(gamma, i)
-        if is_exit_path(span, q_gamma, e):
+        if is_exit_path(span, *pair(q_gamma), e):
             return Exit(q_gamma, e), i
     return None
 
@@ -368,16 +385,17 @@ def assert_matches_peeling(span, depth=5):
     exit_normal_form agree with the oracles on every pair (gamma, j)."""
     ex = build_exit(span, depth)
     for k in range(1, depth + 1):
-        want = [p for p in exit_simplices(span, k) if peeling_detect(span, p) is None]
+        want = [p for p in (tagged_exit(*q) for q in exit_simplices(span, k))
+                if peeling_detect(span, p) is None]
         got = [g for g in ex.generators(k) if g.startswith("P.")]
-        assert got == [exit_label(t) for t in want], (span.name, k)
+        assert got == [tagged_label(t) for t in want], (span.name, k)
         for gamma in span.N.simplices_at(k):
             for j in range(1, k + 1):
                 p = Exit(gamma, j)
-                hit = detect_degenerate_exit(span, p)
+                hit = tagged_detect(span, p)
                 assert hit == peeling_detect(span, p), (span.name, p)
-                if is_exit_path(span, gamma, j):
-                    assert exit_normal_form(span, p) == peeling_normal_form(span, p), \
+                if is_exit_path(span, *pair(gamma), j):
+                    assert tagged_normal_form(span, p) == peeling_normal_form(span, p), \
                         (span.name, p)
                 else:
                     assert hit is None, (span.name, p)
@@ -432,8 +450,8 @@ def test_tagged_identity_dd(name):
             continue
         for j in range(1, n + 1):
             for i in range(j):
-                assert exit_face(span, exit_face(span, s, j), i) == \
-                    exit_face(span, exit_face(span, s, i), j - 1), (s, i, j)
+                assert tagged_face(span, tagged_face(span, s, j), i) == \
+                    tagged_face(span, tagged_face(span, s, i), j - 1), (s, i, j)
 
 
 @pytest.mark.parametrize("name", SPAN_NAMES)
@@ -442,15 +460,15 @@ def test_tagged_identity_ds(name):
     for s in each_tagged(span, 3):
         n = s.dim
         for j in range(n + 1):
-            up = exit_degeneracy(span, s, j)
+            up = tagged_degeneracy(span, s, j)
             for i in range(n + 2):
-                got = exit_face(span, up, i)
+                got = tagged_face(span, up, i)
                 if i < j:
-                    want = exit_degeneracy(span, exit_face(span, s, i), j - 1)
+                    want = tagged_degeneracy(span, tagged_face(span, s, i), j - 1)
                 elif i in (j, j + 1):
                     want = s
                 else:
-                    want = exit_degeneracy(span, exit_face(span, s, i - 1), j)
+                    want = tagged_degeneracy(span, tagged_face(span, s, i - 1), j)
                 assert got == want, (s, i, j)
 
 
@@ -461,8 +479,8 @@ def test_tagged_identity_ss(name):
         n = s.dim
         for j in range(n + 1):
             for i in range(j + 1):
-                assert exit_degeneracy(span, exit_degeneracy(span, s, j), i) == \
-                    exit_degeneracy(span, exit_degeneracy(span, s, i), j + 1), (s, i, j)
+                assert tagged_degeneracy(span, tagged_degeneracy(span, s, j), i) == \
+                    tagged_degeneracy(span, tagged_degeneracy(span, s, i), j + 1), (s, i, j)
 
 
 # -- integrity -----------------------------------------------------------------------
@@ -472,10 +490,9 @@ def test_low_lift_failure_is_span_integrity_error():
     # corrupt iota's generator table behind its back: the low face of
     # a legitimate exit path then has no lift
     span = boundary_collar_span()
-    e = Exit(nondeg("0,1", 1), 1)
     span.iota._preimage_gens.clear()
     with pytest.raises(SpanIntegrityError):
-        exit_face(span, e, 1)
+        exit_face(span, "0,1", (0, 1), 1, 1)
 
 
 def test_low_lift_failure_in_build_exit_names_the_face():
@@ -495,14 +512,14 @@ def test_low_lift_failure_in_build_exit_names_the_face():
 
 def tagged_build_exit(span, depth):
     """build_exit as first written: each face of each tagged generator
-    by exit_face, re-expressed by exit_normal_form and exit_label."""
+    by tagged_face, re-expressed by tagged_normal_form and tagged_label."""
     span.require_iota(depth)
     ex = SimplicialSet(f"Ex({span.name})<={depth}")
     lifts = span.front_lifts
 
     def formal(s):
-        core, op = exit_normal_form(span, s)
-        return FormalSimplex(exit_label(core), op)
+        core, op = tagged_normal_form(span, s)
+        return FormalSimplex(tagged_label(core), op)
 
     for k in range(depth + 1):
         new = [(Low(nondeg(g, k)), "low") for g in span.M.generators(k)]
@@ -512,8 +529,8 @@ def tagged_build_exit(span, depth):
                 for g in span.N.generators(k) for j in range(1, k + 1) if lifts(g, j - 1)]
         new += [(Upper(nondeg(g, k)), "upper") for g in span.N.generators(k)]
         for tagged, note in new:
-            label = exit_label(tagged)
-            faces = [formal(exit_face(span, tagged, i)) for i in range(k + 1)] if k else None
+            label = tagged_label(tagged)
+            faces = [formal(tagged_face(span, tagged, i)) for i in range(k + 1)] if k else None
             ex.add_generator(k, label, faces, note=note)
     return ex
 
