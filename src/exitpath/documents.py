@@ -21,8 +21,14 @@ positions), '()' for nondegenerate.
     M = <relative-path>          (likewise L, N, pi, iota)
 
 print_* and parse_* round-trip exactly; parse errors carry line numbers.
-The reader reads and validates each degeneracy word once per document
-and dimension, and builds each entry '(word) label' once.
+Each parse function reads its document in one loop over its lines,
+taking the line that repeats most (face, map) first.  The reader keeps
+its memos per document: face index text -> index, (entry text,
+dimension) -> entry, (word text, dimension) -> surjection, and the
+notes already checked; so it validates each word once per dimension,
+builds each entry once and checks each distinct note once.  print_sset
+keeps its memos per call: id(entry) -> '(word) label', and the notes
+already checked.
 """
 
 from __future__ import annotations
@@ -82,16 +88,30 @@ def _entry_str(s: FormalSimplex) -> str:
 def print_sset(X: SimplicialSet) -> str:
     _check_name(X.name)
     lines = [f"sset {X.name}", f"maxdim {X.max_gen_dim}"]
+    face_table = X.face_table
+    # id(entry) -> '(word) label': every entry stays in face_table for
+    # the whole call, so no id is reused, and equal entries that are
+    # distinct objects are each rendered once
+    texts: dict[int, str] = {}
+    notes: set[str] = set()  # the notes already checked
     for d in sorted(X.gens):
         lines.append(f"dim {d}")
         for g in X.gens[d]:
             _check_label(g)
             note = X.notes.get(g)
-            if note is not None:
-                _check_name(note, "note")
-            lines.append(f"  gen {g}" + (f" :: {note}" if note is not None else ""))
+            if note is None:
+                lines.append(f"  gen {g}")
+            else:
+                if note not in notes:
+                    _check_name(note, "note")
+                    notes.add(note)
+                lines.append(f"  gen {g} :: {note}")
             for i in range(d + 1) if d >= 1 else []:
-                lines.append(f"    face {i} = {_entry_str(X.face_table[(g, i)])}")
+                f = face_table[(g, i)]
+                text = texts.get(id(f))
+                if text is None:
+                    text = texts[id(f)] = _entry_str(f)
+                lines.append(f"    face {i} = {text}")
     return "\n".join(lines) + "\n"
 
 
@@ -124,41 +144,29 @@ _SMAP_GRAMMAR = {"smap": "header", "domain": "header", "codomain": "header", "ma
 _SPAN_GRAMMAR = {"span": "header", **dict.fromkeys(_SLOTS, "line")}
 
 
-def _directives(text: str, path: str, grammar: dict[str, str | None]):
-    """(lineno, key, rest) for each line left once comments are stripped.
-
-    grammar maps each allowed key to the noun of a once-only directive
-    ('header', 'line'), or to None for a key that may repeat."""
-    seen = set()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split(None, 1)
-        key = parts[0]
-        if key not in grammar:
-            raise ParseError(path, lineno, f"unknown directive {key!r}")
-        noun = grammar[key]
-        if noun is not None:
-            if key in seen:
-                raise ParseError(path, lineno, f"second {key} {noun}")
-            seen.add(key)
-        yield lineno, key, (parts[1] if len(parts) > 1 else "")
+def _check_key(path: str, lineno: int, key: str, grammar: dict[str, str | None],
+               seen: set[str]):
+    """Refuse a key its grammar does not know, or a second copy of a
+    once-only key.  grammar maps each allowed key to the noun of a
+    once-only directive ('header', 'line'), or to None for a key that
+    may repeat; seen holds the once-only keys read so far."""
+    if key not in grammar:
+        raise ParseError(path, lineno, f"unknown directive {key!r}")
+    noun = grammar[key]
+    if noun is not None:
+        if key in seen:
+            raise ParseError(path, lineno, f"second {key} {noun}")
+        seen.add(key)
 
 
 def _parse_entry(text: str, path: str, lineno: int, dim: int,
-                 entries: dict[tuple[str, int], FormalSimplex],
                  words: dict[tuple[str, int], Operator]) -> FormalSimplex:
-    """The entry '(word) label' of dimension dim.  entries maps (text,
-    dim) to the entries one document has read so far, and words maps
-    (word text, dim), the word with its parentheses, to its surjection,
-    so one document reads each entry once and validates each word once
-    per dimension.  A bad word is never stored, so it is reported at the
-    first line that holds it: the caller reports the ValueError of
-    surjection_from_word at lineno."""
-    hit = entries.get((text, dim))
-    if hit is not None:
-        return hit
+    """The entry '(word) label' of dimension dim.  words maps (word
+    text, dim), the word with its parentheses, to its surjection, so one
+    document validates each word once per dimension.  A bad word is
+    never stored, so it is reported at the first line that holds it:
+    the caller reports the ValueError of surjection_from_word at
+    lineno."""
     rest = text.strip()
     if not rest.startswith("("):
         raise ParseError(path, lineno, f"expected '(word) label', got {rest!r}")
@@ -176,8 +184,23 @@ def _parse_entry(text: str, path: str, lineno: int, dim: int,
             raise ParseError(path, lineno, f"bad degeneracy word {word_text}: "
                                            "entries must be integers")
         op = words[(word_text, dim)] = surjection_from_word(dim, word)
-    hit = entries[(text, dim)] = FormalSimplex(tail[0], op)
-    return hit
+    return FormalSimplex(tail[0], op)
+
+
+def _header_integer(path: str, lineno: int, key: str, rest: str) -> int:
+    value = _integer(rest)
+    if value is None:
+        raise ParseError(path, lineno, f"{key} needs an integer, got {rest!r}")
+    return value
+
+
+def _add_block(X: SimplicialSet, path: str, gen_line: int, dim: int, label: str,
+               faces: list[FormalSimplex | None], note: str | None):
+    """Add the generator of a block once its face lines are read."""
+    missing = [i for i, f in enumerate(faces) if f is None]
+    if missing:
+        raise ParseError(path, gen_line, f"generator {label!r} missing faces {missing}")
+    X.add_generator(dim, label, faces, note)
 
 
 def parse_sset(text: str, path: str = "<sset>") -> SimplicialSet:
@@ -185,77 +208,95 @@ def parse_sset(text: str, path: str = "<sset>") -> SimplicialSet:
     maxdim: int | None = None
     maxdim_line = 1
     cur_dim: int | None = None
-    pending: tuple[str, int, list[FormalSimplex | None], str | None, int] | None = None
-    entries: dict[tuple[str, int], FormalSimplex] = {}
+    # the open generator block, of dimension cur_dim: its label, note,
+    # gen line and the faces read so far; faces is None outside a block
+    label: str | None = None
+    note: str | None = None
+    gen_line = 1
+    faces: list[FormalSimplex | None] | None = None
+    seen: set[str] = set()
+    indices: dict[str, int] = {}  # face index text -> index
+    entries: dict[tuple[str, int], FormalSimplex] = {}  # (entry text, dim) -> entry
     words: dict[tuple[str, int], Operator] = {}
+    notes: set[str] = set()  # the notes already checked
     at = 1  # the line a ValueError from the model is reported at
 
-    def integer(lineno: int, key: str, rest: str) -> int:
-        value = _integer(rest)
-        if value is None:
-            raise ParseError(path, lineno, f"{key} needs an integer, got {rest!r}")
-        return value
-
-    def flush():
-        # the gen line answers for a duplicate label or a bad face entry
-        nonlocal pending, at
-        if pending is None:
-            return
-        label, d, faces, note, at = pending
-        missing = [i for i, f in enumerate(faces) if f is None]
-        if missing:
-            raise ParseError(path, at, f"generator {label!r} missing faces {missing}")
-        X.add_generator(d, label, faces, note)
-        pending = None
-
     try:
-        for lineno, key, rest in _directives(text, path, _SSET_GRAMMAR):
-            if key in ("dim", "gen"):
-                flush()
+        for lineno, raw in enumerate(text.splitlines(), start=1):
+            line = raw.partition("#")[0].strip()
+            if not line:
+                continue
+            parts = line.split(None, 1)
+            key = parts[0]
+            rest = parts[1] if len(parts) > 1 else ""
             at = lineno
+            if key == "face":
+                if faces is None:
+                    raise ParseError(path, lineno, "face line outside a generator block"
+                                     if X is not None else
+                                     "document must start with 'sset <name>'")
+                index_text, eq, entry_text = rest.partition("=")
+                if not eq:
+                    raise ParseError(path, lineno, "face line needs '='")
+                i = indices.get(index_text)
+                if i is None:
+                    i = _integer(index_text.strip())
+                    if i is None:
+                        raise ParseError(path, lineno,
+                                         f"bad face index {index_text.strip()!r}")
+                    indices[index_text] = i
+                if not 0 <= i <= cur_dim:
+                    raise ParseError(path, lineno, f"face index {i} outside 0..{cur_dim}")
+                if faces[i] is not None:
+                    raise ParseError(path, lineno, f"face {i} of {label!r} given twice")
+                entry = entries.get((entry_text, cur_dim - 1))
+                if entry is None:
+                    entry = entries[(entry_text, cur_dim - 1)] = _parse_entry(
+                        entry_text, path, lineno, cur_dim - 1, words)
+                faces[i] = entry
+                continue
+            if key != "gen" and key != "dim":
+                _check_key(path, lineno, key, _SSET_GRAMMAR, seen)
             if key == "sset":
                 _check_name(rest)
                 X = SimplicialSet(rest)
-            elif X is None:
+                continue
+            if X is None:
                 raise ParseError(path, lineno, "document must start with 'sset <name>'")
-            elif key == "maxdim":
-                maxdim, maxdim_line = integer(lineno, key, rest), lineno
-            elif key == "dim":
-                cur_dim = integer(lineno, key, rest)
+            if key == "maxdim":
+                maxdim, maxdim_line = _header_integer(path, lineno, key, rest), lineno
+                continue
+            if faces is not None:
+                # the gen line answers for a duplicate label or a bad face entry
+                at = gen_line
+                _add_block(X, path, gen_line, cur_dim, label, faces, note)
+                faces = None
+                at = lineno
+            if key == "dim":
+                cur_dim = _header_integer(path, lineno, key, rest)
                 if cur_dim < 0:
                     raise ParseError(path, lineno, "negative dimension")
-            elif key == "gen":
-                if cur_dim is None:
-                    raise ParseError(path, lineno, "gen before any dim header")
-                if "::" in rest:
-                    label, note = (p.strip() for p in rest.split("::", 1))
-                else:
-                    label, note = rest.strip(), None
-                _check_label(label)
-                if note is not None:
-                    _check_name(note, "note")
-                if cur_dim == 0:
-                    X.add_generator(0, label, None, note)
-                else:
-                    pending = (label, cur_dim, [None] * (cur_dim + 1), note, lineno)
+                continue
+            if cur_dim is None:
+                raise ParseError(path, lineno, "gen before any dim header")
+            if "::" in rest:
+                label, note = rest.split("::", 1)
+                label, note = label.strip(), note.strip()
             else:
-                if pending is None:
-                    raise ParseError(path, lineno, "face line outside a generator block")
-                eq = rest.split("=", 1)
-                if len(eq) != 2:
-                    raise ParseError(path, lineno, "face line needs '='")
-                i = _integer(eq[0].strip())
-                if i is None:
-                    raise ParseError(path, lineno, f"bad face index {eq[0].strip()!r}")
-                label, d, faces, note, _ = pending
-                if not 0 <= i <= d:
-                    raise ParseError(path, lineno, f"face index {i} outside 0..{d}")
-                if faces[i] is not None:
-                    raise ParseError(path, lineno, f"face {i} of {label!r} given twice")
-                faces[i] = _parse_entry(eq[1], path, lineno, d - 1, entries, words)
+                label, note = rest.strip(), None
+            _check_label(label)
+            if note is not None and note not in notes:
+                _check_name(note, "note")
+                notes.add(note)
+            if cur_dim == 0:
+                X.add_generator(0, label, None, note)
+            else:
+                faces, gen_line = [None] * (cur_dim + 1), lineno
         if X is None:
             raise ParseError(path, 1, "empty document")
-        flush()
+        if faces is not None:
+            at = gen_line
+            _add_block(X, path, gen_line, cur_dim, label, faces, note)
         if maxdim is None:
             raise ParseError(path, 1, "missing maxdim header")
         if maxdim != X.max_gen_dim:
@@ -273,40 +314,58 @@ def parse_sset(text: str, path: str = "<sset>") -> SimplicialSet:
 def parse_smap(text: str, ssets: dict[str, SimplicialSet],
                path: str = "<smap>") -> SimplicialMap:
     head: dict[str, str] = {}
+    # the domain and codomain, resolved at their header lines
+    dom: SimplicialSet | None = None
+    cod: SimplicialSet | None = None
     assignment: dict[str, FormalSimplex] = {}
-    entries: dict[tuple[str, int], FormalSimplex] = {}
+    entries: dict[tuple[str, int], FormalSimplex] = {}  # (entry text, dim) -> entry
     words: dict[tuple[str, int], Operator] = {}
+    seen: set[str] = set()
     at = 1  # the line a ValueError from the model is reported at
     try:
-        for lineno, key, rest in _directives(text, path, _SMAP_GRAMMAR):
-            at = lineno
-            if key != "map":
-                _check_name(rest)
-                if key != "smap" and rest not in ssets:
-                    raise ParseError(path, lineno, f"unknown sset {rest!r} as {key}")
-                head[key] = rest
+        for lineno, raw in enumerate(text.splitlines(), start=1):
+            line = raw.partition("#")[0].strip()
+            if not line:
                 continue
-            domain, codomain = head.get("domain"), head.get("codomain")
-            if domain is None or codomain is None:
-                raise ParseError(path, lineno, "map line before domain/codomain")
-            eq = rest.split("=", 1)
-            if len(eq) != 2:
-                raise ParseError(path, lineno, "map line needs '='")
-            g = eq[0].strip()
-            dom = ssets[domain]
-            if g not in dom.gen_dims:
-                raise ParseError(path, lineno, f"unknown domain generator {g!r}")
-            if g in assignment:
-                raise ParseError(path, lineno, f"second map line for {g!r}")
-            image = assignment[g] = _parse_entry(eq[1], path, lineno, dom.gen_dims[g],
-                                                 entries, words)
-            if not ssets[codomain].has_simplex(image):
-                raise ParseError(path, lineno, f"image of {g!r} not in {codomain}")
+            parts = line.split(None, 1)
+            key = parts[0]
+            rest = parts[1] if len(parts) > 1 else ""
+            at = lineno
+            if key == "map":
+                if dom is None or cod is None:
+                    raise ParseError(path, lineno, "map line before domain/codomain")
+                g, eq, entry_text = rest.partition("=")
+                if not eq:
+                    raise ParseError(path, lineno, "map line needs '='")
+                g = g.strip()
+                d = dom.gen_dims.get(g)
+                if d is None:
+                    raise ParseError(path, lineno, f"unknown domain generator {g!r}")
+                if g in assignment:
+                    raise ParseError(path, lineno, f"second map line for {g!r}")
+                image = entries.get((entry_text, d))
+                if image is None:
+                    image = entries[(entry_text, d)] = _parse_entry(entry_text, path, lineno,
+                                                                    d, words)
+                assignment[g] = image
+                if not cod.has_simplex(image):
+                    raise ParseError(path, lineno,
+                                     f"image of {g!r} not in {head['codomain']}")
+                continue
+            _check_key(path, lineno, key, _SMAP_GRAMMAR, seen)
+            _check_name(rest)
+            if key != "smap":
+                if rest not in ssets:
+                    raise ParseError(path, lineno, f"unknown sset {rest!r} as {key}")
+                if key == "domain":
+                    dom = ssets[rest]
+                else:
+                    cod = ssets[rest]
+            head[key] = rest
         if len(head) < 3:
             raise ParseError(path, 1, "missing smap/domain/codomain header")
         at = 1
-        return SimplicialMap(head["smap"], ssets[head["domain"]], ssets[head["codomain"]],
-                             assignment)
+        return SimplicialMap(head["smap"], dom, cod, assignment)
     except ParseError:
         raise
     except ValueError as e:
@@ -319,7 +378,15 @@ def parse_span_file(path: str) -> LinkedSpan:
         text = fh.read()
     name = None
     slots: dict[str, tuple[str, int]] = {}
-    for lineno, key, rest in _directives(text, path, _SPAN_GRAMMAR):
+    seen: set[str] = set()
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.partition("#")[0].strip()
+        if not line:
+            continue
+        parts = line.split(None, 1)
+        key = parts[0]
+        rest = parts[1] if len(parts) > 1 else ""
+        _check_key(path, lineno, key, _SPAN_GRAMMAR, seen)
         if key == "span":
             try:
                 _check_name(rest)
@@ -327,10 +394,10 @@ def parse_span_file(path: str) -> LinkedSpan:
                 raise ParseError(path, lineno, str(e)) from None
             name = rest
             continue
-        eq = rest.split("=", 1)
-        if len(eq) != 2 or eq[0].strip():
+        lhs, eq, ref = rest.partition("=")
+        if not eq or lhs.strip():
             raise ParseError(path, lineno, f"expected '{key} = <path>'")
-        slots[key] = (eq[1].strip(), lineno)
+        slots[key] = (ref.strip(), lineno)
     if name is None:
         raise ParseError(path, 1, "missing span header")
     missing = [k for k in _SLOTS if k not in slots]

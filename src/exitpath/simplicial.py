@@ -141,19 +141,23 @@ class SimplicialSet:
         else:
             if faces is None or len(faces) != dim + 1:
                 raise ValueError(f"{label!r} needs {dim + 1} faces")
+            gen_dims = self.gen_dims
             for i, f in enumerate(faces):
-                if f.dim != dim - 1:
-                    raise ValueError(f"face {i} of {label!r} has dimension {f.dim}, want {dim - 1}")
-                if f.gen not in self.gen_dims:
+                sigma = f.degeneracy
+                if sigma.src_dim != dim - 1:
+                    raise ValueError(f"face {i} of {label!r} has dimension {sigma.src_dim}, "
+                                     f"want {dim - 1}")
+                d = gen_dims.get(f.gen)
+                if d is None:
                     raise ValueError(f"face {i} of {label!r} uses unknown generator {f.gen!r}")
-                if self.gen_dims[f.gen] != f.gen_dim:
+                if d != sigma.dst_dim:
                     raise ValueError(f"face {i} of {label!r}: {f.gen!r} has wrong dimension")
+            for i, f in enumerate(faces):
+                self.face_table[(label, i)] = f
         self.gens.setdefault(dim, []).append(label)
         self.gen_dims[label] = dim
         if note is not None:
             self.notes[label] = note
-        for i, f in enumerate(faces or []):
-            self.face_table[(label, i)] = f
 
     @property
     def max_gen_dim(self) -> int:

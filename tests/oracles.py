@@ -10,6 +10,8 @@ from dataclasses import dataclass
 from itertools import combinations, combinations_with_replacement
 
 from exitpath.construction import (
+    LinkedSpan,
+    build_exit,
     detect_degenerate_exit,
     exit_degeneracy,
     exit_face,
@@ -19,7 +21,13 @@ from exitpath.construction import (
 )
 from exitpath.operators import Operator, degeneracy_op, face_op, identity
 from exitpath.shuffles import exit_shuffle
-from exitpath.simplicial import FormalSimplex, SimplicialSet, nerve_of_poset, nondeg
+from exitpath.simplicial import (
+    FormalSimplex,
+    SimplicialMap,
+    SimplicialSet,
+    nerve_of_poset,
+    nondeg,
+)
 
 # -- operators -----------------------------------------------------------------
 
@@ -91,6 +99,45 @@ def sharp_oracle(k, j, i):
 
 def chain3():
     return nerve_of_poset(["a", "b", "c"], [("a", "b"), ("b", "c"), ("a", "c")], "chain3")
+
+
+def seeded_poset_span(rng, i):
+    """chain <- nerve(P') -> nerve(P): a random poset P on 3 to 5
+    elements, a down-closed prefix P' of it and a monotone map from P'
+    onto levels of a chain of 1 to 3 elements, with shuffled labels."""
+    n = 3 + i % 3
+    r, m = rng.randint(1, n - 1), rng.randint(1, 3)
+    labels = [f"q{e}" for e in range(n)]
+    rng.shuffle(labels)
+    rel = [(labels[a], labels[b]) for a in range(n) for b in range(a + 1, n)
+           if rng.random() < 0.5]
+    N = nerve_of_poset(labels, rel, f"seeded{i}-N")
+    prefix = labels[:r]
+    L = nerve_of_poset(prefix, [(a, b) for a, b in rel if b in prefix], f"seeded{i}-L")
+    chain = [f"c{v}" for v in range(m)]
+    M = nerve_of_poset(chain, [(chain[a], chain[b]) for a in range(m)
+                               for b in range(a + 1, m)], f"seeded{i}-M")
+    level = dict(zip(prefix, sorted(rng.randrange(m) for _ in prefix)))
+
+    def image(label, d):
+        xs = [level[x] for x in label.split(",")]
+        hit = sorted(set(xs))
+        return FormalSimplex(",".join(chain[v] for v in hit),
+                             Operator(d, len(hit) - 1, tuple(hit.index(v) for v in xs)))
+
+    pi = SimplicialMap("pi", L, M, {g: image(g, d) for g, d in L.gen_dims.items()})
+    iota = SimplicialMap("iota", L, N, {g: nondeg(g, d) for g, d in L.gen_dims.items()})
+    return LinkedSpan(f"seeded{i}", M, L, N, pi, iota)
+
+
+def seeded_poset_spans(rng, count):
+    spans = [seeded_poset_span(rng, i) for i in range(count)]
+    # the family reaches every part of Ex: low generators above the
+    # vertices, exit paths of both kinds and low faces of exit paths
+    assert any(span.M.generators(1) for span in spans)
+    assert any(g.startswith("P.") and "+s" in g and ex.face_table[(g, 2)].gen.startswith("M.")
+               for ex in (build_exit(span, 3) for span in spans) for g in ex.generators(2))
+    return spans
 
 
 def corrupted_triangle():

@@ -1,5 +1,6 @@
 """Document round-trips and parse diagnostics."""
 
+import random
 import re
 
 import pytest
@@ -25,7 +26,7 @@ from exitpath.simplicial import (
     nondeg,
     standard_simplex,
 )
-from oracles import chain3
+from oracles import chain3, seeded_poset_spans
 
 
 def same_sset(X, Y):
@@ -530,3 +531,83 @@ def test_a_repeated_entry_text_is_read_again_at_another_dimension():
            "face 3 = () t\n")
     e = parse_err(doc)
     assert e.lineno == 11 and str(e) == "doc:11: face 0 of 'T': 'a' has wrong dimension"
+
+
+# -- every reader error with its exact position -------------------------------------------
+
+
+def reader_error(kind, text, tmp_path):
+    """The ParseError of reading text as a document of this kind; a
+    span document is read from a file in tmp_path."""
+    ssets = {"simplex1": standard_simplex(1)}
+    with pytest.raises(ParseError) as e:
+        if kind == "sset":
+            parse_sset(text, "doc")
+        elif kind == "smap":
+            parse_smap(text, ssets, "doc")
+        else:
+            path = tmp_path / "doc"
+            path.write_text(text)
+            parse_span_file(str(path))
+    return e.value
+
+
+@pytest.mark.parametrize("kind, text, lineno, message", [
+    ("sset", "", 1, "empty document"),
+    ("sset", "# only a comment\n\n", 1, "empty document"),
+    ("sset", "sset x\nmaxdim 1\ndim 0\ngen a\ndim 1\ngen e\nface 0 = a\n", 7,
+     "expected '(word) label', got 'a'"),
+    ("smap", "smap f\ndomain simplex1\ncodomain simplex1\nmap 0 = 0\n", 4,
+     "expected '(word) label', got '0'"),
+    ("span", "span x\nM m.sset\n", 2, "expected 'M = <path>'"),
+    ("span", "span x\nM = m.sset\niota i = i.smap\n", 3, "expected 'iota = <path>'"),
+    ("sset", "sset x\nmaxdim 1\ndim 0\ngen a\ndim 1\ngen e\nface 0 () a\n", 7,
+     "face line needs '='"),
+    ("smap", "smap f\ndomain simplex1\nmap 0 = () 0\n", 3, "map line before domain/codomain"),
+    ("smap", "smap f\ncodomain simplex1\nmap 0 = () 0\n", 3, "map line before domain/codomain"),
+    ("smap", "smap f\ndomain simplex1\ncodomain simplex1\nmap 0 () 0\n", 4,
+     "map line needs '='"),
+    ("smap", "", 1, "missing smap/domain/codomain header"),
+    ("smap", "domain simplex1\ncodomain simplex1\n", 1, "missing smap/domain/codomain header"),
+    ("smap", "smap f\ndomain simplex1\n", 1, "missing smap/domain/codomain header"),
+    ("span", "", 1, "missing span header"),
+    ("span", "M = m.sset\nL = m.sset\nN = m.sset\npi = p.smap\niota = i.smap\n", 1,
+     "missing span header"),
+], ids=["sset-empty", "sset-comment-only", "face-no-word", "map-no-word", "span-slot-no-equals",
+        "span-slot-two-words", "face-no-equals", "map-before-codomain", "map-before-domain",
+        "map-no-equals", "smap-empty", "smap-no-name", "smap-no-codomain", "span-empty",
+        "span-no-name"])
+def test_reader_errors_name_their_line(tmp_path, kind, text, lineno, message):
+    e = reader_error(kind, text, tmp_path)
+    assert e.lineno == lineno and str(e) == f"{e.path}:{lineno}: {message}"
+    assert e.path == (str(tmp_path / "doc") if kind == "span" else "doc")
+
+
+# -- round trips on the seeded family --------------------------------------------------------
+
+
+def test_seeded_spans_round_trip(tmp_path):
+    for span in seeded_poset_spans(random.Random(29), 30):
+        back = parse_span_file(write_span_documents(span, str(tmp_path / span.name)))
+        for mine, theirs in ((span.M, back.M), (span.L, back.L), (span.N, back.N)):
+            same_sset(mine, theirs)
+        assert back.pi.assignment == span.pi.assignment
+        assert back.iota.assignment == span.iota.assignment
+        doc = print_sset(build_exit(span, 3))
+        assert print_sset(parse_sset(doc)) == doc, span.name
+
+
+def test_unshared_face_entries_print_like_shared_ones():
+    # the printer renders an entry once per object; equal entries that
+    # are distinct objects must print the same bytes as one shared entry
+    shared = build_exit(load_span("boundary-collar"), 3)
+    twin = SimplicialSet(shared.name)
+    for label in shared.generators():
+        d = shared.gen_dims[label]
+        faces = [FormalSimplex(f.gen, Operator(f.dim, f.gen_dim, f.degeneracy.values))
+                 for f in (shared.face_table[(label, i)] for i in range(d + 1))] if d else None
+        twin.add_generator(d, label, faces, shared.notes.get(label))
+    entries = list(shared.face_table.values())
+    assert len({id(f) for f in entries}) < len(entries)
+    assert len({id(f) for f in twin.face_table.values()}) == len(entries)
+    assert print_sset(twin) == print_sset(shared)

@@ -171,6 +171,43 @@ def test_generator_validation():
         X.add_generator(0, "v", [nondeg("a", 0)])  # vertex with faces
 
 
+def generator_state(X):
+    return ({d: list(gs) for d, gs in X.gens.items()}, dict(X.gen_dims),
+            dict(X.face_table), dict(X.notes))
+
+
+@pytest.mark.parametrize("dim, label, faces, message", [
+    (0, "a", None, "bad: duplicate generator 'a'"),
+    (1, "a", [nondeg("a", 0)] * 2, "bad: duplicate generator 'a'"),
+    (-1, "v", None, "negative dimension for 'v'"),
+    (0, "v", [nondeg("a", 0)], "vertex 'v' cannot have faces"),
+    (1, "f", None, "'f' needs 2 faces"),
+    (1, "f", [nondeg("a", 0)], "'f' needs 2 faces"),
+    (2, "t", [nondeg("e", 1)] * 4, "'t' needs 3 faces"),
+    (1, "f", [nondeg("a", 0), nondeg("e", 1)], "face 1 of 'f' has dimension 1, want 0"),
+    (2, "t", [nondeg("e", 1), nondeg("e", 1), FormalSimplex("a", degeneracy_op(1, 1))],
+     "face 2 of 't' has dimension 2, want 1"),
+    (1, "f", [nondeg("a", 0), nondeg("zz", 0)], "face 1 of 'f' uses unknown generator 'zz'"),
+    # the first face that fails answers, with its first failing check
+    (1, "f", [nondeg("zz", 0), nondeg("e", 1)], "face 0 of 'f' uses unknown generator 'zz'"),
+    (2, "t", [nondeg("e", 1), nondeg("a", 1), nondeg("zz", 0)],
+     "face 1 of 't': 'a' has wrong dimension"),
+    (2, "t", [FormalSimplex("e", degeneracy_op(0, 0)), nondeg("e", 1), nondeg("e", 1)],
+     "face 0 of 't': 'e' has wrong dimension"),
+], ids=["duplicate-vertex", "duplicate-edge", "negative-dimension", "vertex-with-faces",
+        "no-faces", "too-few-faces", "too-many-faces", "face-too-high", "face-too-low",
+        "unknown-face-generator", "first-face-answers", "vertex-read-as-edge",
+        "edge-read-as-vertex"])
+def test_add_generator_refusals(dim, label, faces, message):
+    X = SimplicialSet("bad")
+    X.add_generator(0, "a", note="a vertex")
+    X.add_generator(1, "e", [nondeg("a", 0), nondeg("a", 0)])
+    before = generator_state(X)
+    with pytest.raises(ValueError) as e:
+        X.add_generator(dim, label, faces, note="refused")
+    assert str(e.value) == message
+    assert generator_state(X) == before
+
 def test_audit_reports_broken_face_table():
     X = corrupted_triangle()
     problems = X.audit()
