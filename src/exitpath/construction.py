@@ -112,7 +112,7 @@ class LinkedSpan:
         degree r, else SimplicialMap.preimage raises RuntimeError; the
         answer is cached per (gen, r).  The face is N.act of a shared
         front operator on the shared identity simplex, so a query builds
-        no Operator; it is not walked down N's face table because
+        no Operator; it is not walked down N's stored faces because
         bench/test_bench.py counts act calls (ROADMAP item 1)."""
         key = (gen, r)
         hit = self._front_lifts.get(key)
@@ -174,8 +174,8 @@ def exit_face(span: LinkedSpan, gen: str, values: tuple[int, ...], j: int,
     generator is lifted through iota and sent to M by pi; "N" for the
     upper face (i = 0, j = 1); "P" with the flat index for a vertical
     face.  The indices are not checked here: a bad j raises ValueError
-    from classify_face, and a bad i KeyError or IndexError from
-    N.face_values or ValueError from classify_face."""
+    from classify_face, and a bad i IndexError from N.face_values or
+    ValueError from classify_face."""
     k = len(values) - 1
     h, tau = span.N.face_values(gen, values, i)
     cls = classify_face(k, j, i)
@@ -253,7 +253,7 @@ def build_exit(span: LinkedSpan, depth: int) -> SimplicialSet:
     (s_r^* g, r + 1) for g in gens_{k-1}(N), then (g, r + 1) for g in
     gens_k(N), each where front_lifts(g, r) holds.  Faces are computed
     on (generator, values) pairs: a low or upper generator takes its
-    face-table entries in M or N, relabelled; an exit path takes
+    stored face entries in M or N, relabelled; an exit path takes
     exit_face, and a vertical face is labelled by exit_label from its
     exit_normal_form.  Every distinct face entry, keyed by (label,
     values), is built once per call over the shared surjection with
@@ -285,8 +285,7 @@ def build_exit(span: LinkedSpan, depth: int) -> SimplicialSet:
         return faces
 
     def relabelled(X: SimplicialSet, prefix: str, g: str, k: int) -> list[FormalSimplex] | None:
-        faces = (X.face_table[(g, i)] for i in range(k + 1))
-        return [entry(prefix + f.gen, f.degeneracy.values) for f in faces] if k else None
+        return [entry(prefix + f.gen, f.degeneracy.values) for f in X.faces[g]] if k else None
 
     for k in range(depth + 1):
         top = tuple(range(k + 1))

@@ -20,7 +20,9 @@ positions), '()' for nondegenerate.
     span <name>
     M = <relative-path>          (likewise L, N, pi, iota)
 
-print_* and parse_* round-trip exactly; parse errors carry line numbers.
+Documents are UTF-8; parse_span_file refuses a file that is not with a
+ParseError at the line of its first bad byte.  print_* and parse_*
+round-trip exactly; parse errors carry line numbers.
 Each parse function reads its document in one loop over its lines,
 taking the line that repeats most (face, map) first.  The reader keeps
 its memos per document: face index text -> index, (entry text,
@@ -88,9 +90,9 @@ def _entry_str(s: FormalSimplex) -> str:
 def print_sset(X: SimplicialSet) -> str:
     _check_name(X.name)
     lines = [f"sset {X.name}", f"maxdim {X.max_gen_dim}"]
-    face_table = X.face_table
-    # id(entry) -> '(word) label': every entry stays in face_table for
-    # the whole call, so no id is reused, and equal entries that are
+    faces = X.faces
+    # id(entry) -> '(word) label': every entry stays in X.faces for the
+    # whole call, so no id is reused, and equal entries that are
     # distinct objects are each rendered once
     texts: dict[int, str] = {}
     notes: set[str] = set()  # the notes already checked
@@ -106,8 +108,7 @@ def print_sset(X: SimplicialSet) -> str:
                     _check_name(note, "note")
                     notes.add(note)
                 lines.append(f"  gen {g} :: {note}")
-            for i in range(d + 1) if d >= 1 else []:
-                f = face_table[(g, i)]
+            for i, f in enumerate(faces[g]):
                 text = texts.get(id(f))
                 if text is None:
                     text = texts[id(f)] = _entry_str(f)
@@ -372,10 +373,26 @@ def parse_smap(text: str, ssets: dict[str, SimplicialSet],
         raise ParseError(path, at, str(e)) from None
 
 
+def _read_text(path: str, shown: str) -> str:
+    """The text of the file at path, decoded as UTF-8.  A file that is
+    not UTF-8 is refused by a ParseError that names it as shown, at the
+    line of its first bad byte."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return fh.read()
+        except UnicodeDecodeError as e:
+            # read() decodes the whole file in one call, so e.object holds
+            # every byte of it and e.start is the offset of the first bad
+            # one; the parsers' splitlines counts the line it starts or
+            # continues once the text before it ends in a character
+            head = e.object[:e.start].decode("utf-8")
+            raise ParseError(shown, len((head + "x").splitlines()),
+                             f"not UTF-8: {e.reason} at byte offset {e.start}") from None
+
+
 def parse_span_file(path: str) -> LinkedSpan:
     """Read a span document and the five documents it references."""
-    with open(path, encoding="utf-8") as fh:
-        text = fh.read()
+    text = _read_text(path, path)
     name = None
     slots: dict[str, tuple[str, int]] = {}
     seen: set[str] = set()
@@ -408,8 +425,7 @@ def parse_span_file(path: str) -> LinkedSpan:
     def read(slot: str) -> str:
         ref, lineno = slots[slot]
         try:
-            with open(os.path.join(base, ref), encoding="utf-8") as fh:
-                return fh.read()
+            return _read_text(os.path.join(base, ref), ref)
         except OSError as e:
             raise ParseError(path, lineno,
                              f"cannot read {slot} document {ref!r}: {e.strerror}") from None

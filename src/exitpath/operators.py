@@ -13,7 +13,7 @@ inner is applied first.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations
 
 
@@ -23,11 +23,15 @@ class Operator:
 
     values[i] is the image of i.  Monotonicity and range are checked at
     construction time; Operator values are immutable and hashable.
+    onto records, in the same loop, whether every value of [dst_dim] is
+    hit; it is read off the values, so it takes no part in ==, hash or
+    repr.
     """
 
     src_dim: int
     dst_dim: int
     values: tuple[int, ...]
+    onto: bool = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.src_dim < 0 or self.dst_dim < 0:
@@ -37,22 +41,28 @@ class Operator:
                 f"operator [{self.src_dim}] -> [{self.dst_dim}] needs "
                 f"{self.src_dim + 1} values, got {len(self.values)}"
             )
-        prev = 0
+        # a monotone map is onto when it starts at 0, never skips a
+        # value and ends at dst_dim
+        prev, onto = -1, True
         for v in self.values:
             if not 0 <= v <= self.dst_dim:
                 raise ValueError(f"value {v} outside [{self.dst_dim}]")
             if v < prev:
                 raise ValueError(f"values not monotone: {self.values}")
+            if v > prev + 1:
+                onto = False
             prev = v
+        object.__setattr__(self, "onto", onto and prev == self.dst_dim)
 
     def __call__(self, i: int) -> int:
         return self.values[i]
 
     def is_identity(self) -> bool:
-        return self.src_dim == self.dst_dim and all(v == i for i, v in enumerate(self.values))
+        # the only monotone map of [n] onto itself
+        return self.onto and self.src_dim == self.dst_dim
 
     def is_surjective(self) -> bool:
-        return len(set(self.values)) == self.dst_dim + 1
+        return self.onto
 
     def __repr__(self):
         word = ",".join(str(v) for v in self.values)

@@ -6,7 +6,8 @@ finitely many nondegenerate simplices per degree is presented by
 
   * a list of generator labels per dimension, and
   * for each generator of dimension n >= 1, its n+1 faces, each written
-    in normal form as (degeneracy operator, generator label).
+    in normal form as (degeneracy operator, generator label) and stored
+    together as one tuple, faces[label] (empty for a vertex).
 
 All simplices are FormalSimplex values (generator label, surjection).
 Equality of simplices is equality of normal forms.  X_n has one
@@ -21,8 +22,8 @@ with sigma: [n] ->> [d] (d is the last value):
   * d_i s is the stored entry d_i g when sigma is the identity;
     (sigma delta^i)^*g, sigma with position i dropped, when sigma hits
     j = sigma(i) twice; otherwise the rest misses j, and d_i s =
-    rho^*(d_j g), the one face-table entry d_j g with its surjection
-    composed after the rest shifted down past j;
+    rho^*(d_j g), the stored entry d_j g with its surjection composed
+    after the rest shifted down past j;
   * s . op, for any operator op, splits sigma . op into epi and mono,
     takes the faces at the values the mono misses (none when it is
     onto), highest first, and composes epi into the result's degeneracy;
@@ -30,9 +31,9 @@ with sigma: [n] ->> [d] (d is the last value):
     SimplicialMap.image_values.
 
 face, degeneracy and a map's __call__ check their input and wrap these
-three methods, and act runs face_values; each returns a stored
-face-table entry or a FormalSimplex over one of the shared surjections
-of _surjections, looked up by its values, so no Operator is built or
+three methods, and act runs face_values; each returns a stored face
+entry or a FormalSimplex over one of the shared surjections of
+_surjections, looked up by its values, so no Operator is built or
 validated.  The verifier's tables read the three methods directly and
 number each result by one rank lookup.
 """
@@ -124,7 +125,8 @@ class SimplicialSet:
         self.name = name
         self.gens: dict[int, list[str]] = {}
         self.gen_dims: dict[str, int] = {}
-        self.face_table: dict[tuple[str, int], FormalSimplex] = {}
+        # label -> its faces d_0 .. d_dim, () for a vertex
+        self.faces: dict[str, tuple[FormalSimplex, ...]] = {}
         self.notes: dict[str, str] = {}
 
     # -- construction ------------------------------------------------
@@ -152,8 +154,7 @@ class SimplicialSet:
                     raise ValueError(f"face {i} of {label!r} uses unknown generator {f.gen!r}")
                 if d != sigma.dst_dim:
                     raise ValueError(f"face {i} of {label!r}: {f.gen!r} has wrong dimension")
-            for i, f in enumerate(faces):
-                self.face_table[(label, i)] = f
+        self.faces[label] = tuple(faces) if dim else ()
         self.gens.setdefault(dim, []).append(label)
         self.gen_dims[label] = dim
         if note is not None:
@@ -199,7 +200,7 @@ class SimplicialSet:
         n = sigma.src_dim
         check_face_index(n, i)
         if n == sigma.dst_dim:
-            return self.face_table[(s.gen, i)]
+            return self.faces[s.gen][i]
         return _simplex(*self.face_values(s.gen, sigma.values, i))
 
     def degeneracy(self, s: FormalSimplex, i: int) -> FormalSimplex:
@@ -216,13 +217,13 @@ class SimplicialSet:
         j.  The index is not checked."""
         n = len(values) - 1
         if values[-1] == n:
-            entry = self.face_table[(gen, i)]
+            entry = self.faces[gen][i]
             return entry.gen, entry.degeneracy.values
         j = values[i]
         rest = values[:i] + values[i + 1:]
         if (i and values[i - 1] == j) or (i < n and values[i + 1] == j):
             return gen, rest
-        entry = self.face_table[(gen, j)]
+        entry = self.faces[gen][j]
         tau = entry.degeneracy.values
         return entry.gen, tuple([tau[v if v < j else v - 1] for v in rest])
 
@@ -269,8 +270,8 @@ class SimplicialSet:
         """Simplicial-identity violations d_i d_j != d_{j-1} d_i on
         generators, as human-readable strings; empty means coherent.
 
-        The faces d_j g of a generator are its stored face-table
-        entries.  Their faces are compared as (generator, values) pairs
+        The faces d_j g of a generator are its stored entries,
+        faces[g].  Their faces are compared as (generator, values) pairs
         from face_values, computed once for each distinct entry, in rows
         that live only for this call."""
         problems = []
@@ -281,8 +282,7 @@ class SimplicialSet:
                 continue
             for label in self.gens[d]:
                 faces = []
-                for j in range(d + 1):
-                    entry = self.face_table[(label, j)]
+                for entry in self.faces[label]:
                     key = (entry.gen, entry.degeneracy.values)
                     row = rows.get(key)
                     if row is None:
@@ -315,9 +315,10 @@ class SimplicialMap:
     assignment maps each domain generator label to a FormalSimplex of
     the codomain of the same dimension; the action on arbitrary
     simplices follows by naturality (image_values).  audit() checks
-    naturality on the face tables, which is the whole condition.  Injectivity is likewise
-    read off the generators, once: mono_bound is the highest degree
-    through which the map is injective (inf if it is mono).
+    naturality on the generators' stored faces, which is the whole
+    condition.  Injectivity is likewise read off the generators, once:
+    mono_bound is the highest degree through which the map is injective
+    (inf if it is mono).
     """
 
     def __init__(self, name: str, domain: SimplicialSet, codomain: SimplicialSet,

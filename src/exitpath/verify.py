@@ -548,11 +548,12 @@ def _lift_block(f: SimplicialMap, n: int, i: int, budget: int | None,
 def comparison_report(f: SimplicialMap, depth: int) -> VerificationReport:
     """Whether f is an isomorphism through degree depth.
 
-    f is natural once built (SimplicialMap audits its face tables), so it
-    is an isomorphism through depth exactly when each degree n <= depth
-    has as many simplices on both sides and f is injective there.  One
-    entry per degree compares the counts; the last entry carries
-    is_mono's witness when f is not levelwise injective."""
+    f is natural once built (SimplicialMap audits it on the stored
+    faces of the domain's generators), so it is an isomorphism through
+    depth exactly when each degree n <= depth has as many simplices on
+    both sides and f is injective there.  One entry per degree compares
+    the counts; the last entry carries is_mono's witness when f is not
+    levelwise injective."""
     report = VerificationReport(f"{f.name}: {f.domain.name} -> {f.codomain.name}", depth)
     for n in range(depth + 1):
         cx, cy = f.domain.count_at(n), f.codomain.count_at(n)

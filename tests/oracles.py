@@ -135,7 +135,7 @@ def seeded_poset_spans(rng, count):
     # the family reaches every part of Ex: low generators above the
     # vertices, exit paths of both kinds and low faces of exit paths
     assert any(span.M.generators(1) for span in spans)
-    assert any(g.startswith("P.") and "+s" in g and ex.face_table[(g, 2)].gen.startswith("M.")
+    assert any(g.startswith("P.") and "+s" in g and ex.faces[g][2].gen.startswith("M.")
                for ex in (build_exit(span, 3) for span in spans) for g in ex.generators(2))
     return spans
 

@@ -265,7 +265,7 @@ def test_face_index_bounds():
         exit_degeneracy("0,1", (0, 1), 1, 2)
     # exit_face leaves its indices to the calls it makes, and each bad
     # index raises there
-    for values, j, i, error in [((0, 1), 2, 0, ValueError), ((0, 1), 1, 2, KeyError),
+    for values, j, i, error in [((0, 1), 2, 0, ValueError), ((0, 1), 1, 2, IndexError),
                                 ((0, 1, 1), 1, 3, IndexError), ((0, 1, 1), 1, -1, ValueError)]:
         with pytest.raises(error):
             exit_face(span, "0,1", values, j, i)

@@ -32,7 +32,7 @@ from oracles import chain3, seeded_poset_spans
 def same_sset(X, Y):
     assert X.name == Y.name
     assert X.gens == Y.gens
-    assert X.face_table == Y.face_table
+    assert X.faces == Y.faces
     assert X.notes == Y.notes
 
 
@@ -72,7 +72,7 @@ def test_span_roundtrip(name, tmp_path):
     assert back.name == span.name
     for mine, theirs in ((span.M, back.M), (span.L, back.L), (span.N, back.N)):
         assert mine.gens == theirs.gens
-        assert mine.face_table == theirs.face_table
+        assert mine.faces == theirs.faces
     assert back.pi.assignment == span.pi.assignment
     assert back.iota.assignment == span.iota.assignment
     # object sharing survives: L = N in the cone gives one shared sset
@@ -262,6 +262,31 @@ def test_span_file_names_the_line_of_a_missing_document(tmp_path, capsys):
     assert f"{path}:{lineno}: cannot read N document 'missing.sset'" in err
 
 
+@pytest.mark.parametrize("name", ["trivial.span", "trivial.N.sset"],
+                         ids=["span-file", "referenced-document"])
+def test_cli_names_the_line_of_a_byte_that_is_not_utf8(tmp_path, capsys, name):
+    from exitpath.cli import INPUT_ERROR, main
+
+    span_path = write_span_documents(load_span("trivial"), str(tmp_path))
+    path = tmp_path / name
+    # the span file is named as given, a document by its reference
+    shown = span_path if name.endswith(".span") else name
+    # CRLF line ends and a two-byte character ahead of the bad byte: lines
+    # are counted as the parsers split them, the offset in bytes
+    lines = [b"# caf\xc3\xa9"] + path.read_bytes().splitlines()
+    head = b"\r\n".join(lines)
+    # the bad byte on a line of its own, then after the text of the last line
+    for bad, lineno in ((b"\r\n\xff", len(lines) + 1), (b" \xfe", len(lines))):
+        path.write_bytes(head + bad + b"\r\n")
+        offset = len(head) + len(bad) - 1
+        with pytest.raises(ParseError) as e:
+            parse_span_file(span_path)
+        assert str(e.value) == (f"{shown}:{lineno}: not UTF-8: invalid start byte "
+                                f"at byte offset {offset}")
+        assert main(["check-mono", "--span", span_path]) == INPUT_ERROR
+        assert f"error: {e.value}" in capsys.readouterr().err
+
+
 def test_parse_error_integer_headers():
     e = parse_err("sset x\nmaxdim x\ndim 0\ngen a\n")
     assert e.lineno == 2 and "maxdim needs an integer, got 'x'" in str(e)
@@ -282,7 +307,8 @@ def test_parse_error_generator_blocks():
 
 def test_parse_error_incoherent_face_table():
     X = chain3()
-    X.face_table[("a,b,c", 0)] = X.face_table[("a,b,c", 2)]
+    faces = X.faces["a,b,c"]
+    X.faces["a,b,c"] = (faces[2],) + faces[1:]
     problems = X.audit()
     assert problems
     e = parse_err(print_sset(X))
@@ -513,14 +539,14 @@ def test_a_repeated_entry_parses_to_equal_simplices():
            "face 1 = () e\nface 2 = (0) a\ngen v\nface 0 = (0) b\nface 1 = (0) b\n"
            "face 2 = (0) b\n")
     X = parse_sset(doc)
-    degenerate = X.face_table[("t", 0)]
+    degenerate = X.faces["t"][0]
     assert degenerate == FormalSimplex("a", Operator(1, 0, (0, 0)))
-    assert [X.face_table[("t", i)] for i in range(3)] == [degenerate] * 3
-    assert X.face_table[("u", 2)] == degenerate
-    assert X.face_table[("e", 0)] == X.face_table[("e", 1)] == nondeg("a", 0)
+    assert list(X.faces["t"]) == [degenerate] * 3
+    assert X.faces["u"][2] == degenerate
+    assert X.faces["e"][0] == X.faces["e"][1] == nondeg("a", 0)
     # one word at one dimension is one Operator, whatever its label
-    assert X.face_table[("v", 0)].degeneracy is degenerate.degeneracy
-    assert X.face_table[("f", 0)].degeneracy is X.face_table[("e", 0)].degeneracy
+    assert X.faces["v"][0].degeneracy is degenerate.degeneracy
+    assert X.faces["f"][0].degeneracy is X.faces["e"][0].degeneracy
 
 
 def test_a_repeated_entry_text_is_read_again_at_another_dimension():
@@ -605,9 +631,9 @@ def test_unshared_face_entries_print_like_shared_ones():
     for label in shared.generators():
         d = shared.gen_dims[label]
         faces = [FormalSimplex(f.gen, Operator(f.dim, f.gen_dim, f.degeneracy.values))
-                 for f in (shared.face_table[(label, i)] for i in range(d + 1))] if d else None
+                 for f in shared.faces[label]] if d else None
         twin.add_generator(d, label, faces, shared.notes.get(label))
-    entries = list(shared.face_table.values())
+    entries = [f for faces in shared.faces.values() for f in faces]
     assert len({id(f) for f in entries}) < len(entries)
-    assert len({id(f) for f in twin.face_table.values()}) == len(entries)
+    assert len({id(f) for faces in twin.faces.values() for f in faces}) == len(entries)
     assert print_sset(twin) == print_sset(shared)

@@ -97,9 +97,7 @@ def test_boundary_collar_inventory():
     assert ex.generators(2) == ["P.0,1+s0@1"]
     assert ex.generators(3) == []
     tri = "P.0,1+s0@1"
-    assert repr(ex.face_table[(tri, 0)]) == "N.0,1"
-    assert repr(ex.face_table[(tri, 1)]) == "P.0,1@1"
-    assert repr(ex.face_table[(tri, 2)]) == "P.0+s0@1"
+    assert [repr(f) for f in ex.faces[tri]] == ["N.0,1", "P.0,1@1", "P.0+s0@1"]
     assert ex.notes[tri] == "exit@1"
 
 

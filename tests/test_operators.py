@@ -83,6 +83,23 @@ def test_epi_mono_exhaustive():
                 assert compose(mono, epi) == op
 
 
+def test_onto_is_read_off_the_values():
+    # the flag against its definition, on every monotone map [m] -> [n]
+    for m in range(5):
+        for n in range(5):
+            for op in monotone_maps(m, n):
+                assert op.is_surjective() == (len(set(op.values)) == n + 1), op
+                assert op.is_identity() == (op.values == tuple(range(n + 1))), op
+
+
+def test_onto_takes_no_part_in_equality_hash_or_repr():
+    op, twin = Operator(2, 1, (0, 0, 1)), Operator(2, 1, (0, 0, 1))
+    object.__setattr__(twin, "onto", False)
+    assert op.onto and not twin.is_surjective()
+    assert op == twin and hash(op) == hash(twin) and repr(op) == repr(twin)
+    assert {op: 1}[twin] == 1
+
+
 def test_enumerations_are_complete_and_ordered():
     ops = list(monotone_maps(2, 2))
     assert len(ops) == 10

@@ -74,7 +74,7 @@ def operator_act(X, s, op):
     gen = s.gen
     while not mono.is_identity():
         j = max(set(range(mono.dst_dim + 1)) - set(mono.values))
-        entry = X.face_table[(gen, j)]
+        entry = X.faces[gen][j]
         lowered = Operator(mono.src_dim, mono.dst_dim - 1,
                            tuple(v if v < j else v - 1 for v in mono.values))
         epi2, mono = epi_mono_factor(compose(entry.degeneracy, lowered))
@@ -173,7 +173,7 @@ def test_generator_validation():
 
 def generator_state(X):
     return ({d: list(gs) for d, gs in X.gens.items()}, dict(X.gen_dims),
-            dict(X.face_table), dict(X.notes))
+            dict(X.faces), dict(X.notes))
 
 
 @pytest.mark.parametrize("dim, label, faces, message", [
@@ -207,6 +207,26 @@ def test_add_generator_refusals(dim, label, faces, message):
         X.add_generator(dim, label, faces, note="refused")
     assert str(e.value) == message
     assert generator_state(X) == before
+
+def test_add_generator_stores_one_face_tuple():
+    X = SimplicialSet("stored")
+    X.add_generator(0, "a")
+    edge = [nondeg("a", 0), nondeg("a", 0)]
+    X.add_generator(1, "e", edge)
+    faces = [nondeg("e", 1), FormalSimplex("a", degeneracy_op(0, 0)), nondeg("e", 1)]
+    X.add_generator(2, "t", faces)
+    assert X.faces == {"a": (), "e": tuple(edge), "t": tuple(faces)}
+    for label, entries in (("e", edge), ("t", faces)):
+        stored = X.faces[label]
+        assert type(stored) is tuple
+        # the very objects passed in, which face answers for the generator
+        assert all(f is g for f, g in zip(stored, entries, strict=True))
+        d = X.gen_dims[label]
+        assert all(X.face(nondeg(label, d), i) is f for i, f in enumerate(entries))
+    # the list passed in is copied: changing it later changes nothing
+    faces[0] = nondeg("zz", 1)
+    assert X.faces["t"][0] == nondeg("e", 1)
+
 
 def test_audit_reports_broken_face_table():
     X = corrupted_triangle()
@@ -506,7 +526,7 @@ def circle_to_point():
 def pillow_to_triangle():
     # two triangles on one boundary
     X = standard_simplex(2, "pillow")
-    X.add_generator(2, "t2", [X.face_table[("0,1,2", i)] for i in range(3)])
+    X.add_generator(2, "t2", list(X.faces["0,1,2"]))
     assignment = {g: nondeg(g, X.gen_dims[g]) for g in X.generators() if g != "t2"}
     return SimplicialMap("fold", X, standard_simplex(2), {**assignment, "t2": nondeg("0,1,2", 2)})
 

@@ -274,11 +274,12 @@ def test_identity_check_matches_the_oracle_on_cones(n):
 
 
 def swapped_face(X, rng):
-    """X with two faces of one generator swapped in its face table."""
+    """X with two stored faces of one generator swapped."""
     label = rng.choice([g for d in X.gens if d >= 1 for g in X.gens[d]])
     a, b = rng.sample(range(X.gen_dims[label] + 1), 2)
-    table = X.face_table
-    table[(label, a)], table[(label, b)] = table[(label, b)], table[(label, a)]
+    faces = list(X.faces[label])
+    faces[a], faces[b] = faces[b], faces[a]
+    X.faces[label] = tuple(faces)
     return X
 
 
