@@ -48,17 +48,9 @@ P.<core>@<index> and N.<g>, are the only tags it keeps.
 
 from __future__ import annotations
 
-from functools import cache
-
 from .operators import Operator
 from .shuffles import FaceClass, classify_face, flat, sharp
-from .simplicial import (
-    FormalSimplex,
-    SimplicialMap,
-    SimplicialSet,
-    _simplex,
-    simplex_repr,
-)
+from .simplicial import FormalSimplex, SimplicialMap, SimplicialSet, nondeg, simplex_repr
 
 
 class SpanIntegrityError(RuntimeError):
@@ -69,13 +61,6 @@ class SpanIntegrityError(RuntimeError):
 class IotaNotMono(RuntimeError):
     """iota is not levelwise injective through a degree an operation
     needs; the message carries two simplices with one image."""
-
-
-@cache
-def _front(r: int, d: int) -> Operator:
-    """The front coface (0 < ... < r): [r] -> [d].  Shared process-wide,
-    like simplicial._surjections: nothing writes to it."""
-    return Operator(r, d, tuple(range(r + 1)))
 
 
 class LinkedSpan:
@@ -110,15 +95,15 @@ class LinkedSpan:
         """Whether the front face g . (0 < ... < r) of the generator gen
         of N lies in the image of iota.  Requires iota mono through
         degree r, else SimplicialMap.preimage raises RuntimeError; the
-        answer is cached per (gen, r).  The face is N.act of a shared
-        front operator on the shared identity simplex, so a query builds
-        no Operator; it is not walked down N's stored faces because
+        answer is cached per (gen, r).  The face is N.act of the front
+        coface (0 < ... < r): [r] -> [d] on gen, built on each miss of
+        that cache; it is not walked down N's stored faces because
         bench/test_bench.py counts act calls (ROADMAP item 1)."""
         key = (gen, r)
         hit = self._front_lifts.get(key)
         if hit is None:
             d = self.N.gen_dims[gen]
-            front = self.N.act(_simplex(gen, tuple(range(d + 1))), _front(r, d))
+            front = self.N.act(nondeg(gen, d), Operator(r, d, tuple(range(r + 1))))
             hit = self._front_lifts[key] = self.iota.preimage(front) is not None
         return hit
 
@@ -156,11 +141,11 @@ def exit_simplices(span: LinkedSpan, k: int) -> list[tuple[str, tuple[int, ...],
         return []
     span.require_iota(k - 1)
     lifts = span.front_lifts
-    return [(gen, sigma.values, j)
+    return [(gen, sigma, j)
             for gen, (_, sigmas, _) in span.N.blocks(k).items()
             for sigma in sigmas
             for j in range(1, k + 1)
-            if lifts(gen, sigma.values[j - 1])]
+            if lifts(gen, sigma[j - 1])]
 
 
 # -- faces, degeneracies and normal forms --------------------------------------
@@ -256,9 +241,10 @@ def build_exit(span: LinkedSpan, depth: int) -> SimplicialSet:
     stored face entries in M or N, relabelled; an exit path takes
     exit_face, and a vertical face is labelled by exit_label from its
     exit_normal_form.  Every distinct face entry, keyed by (label,
-    values), is built once per call over the shared surjection with
-    those values: a relabelled low or upper face too, so a face that a
-    low generator and an exit path share is one FormalSimplex.
+    values), is built once per call: a relabelled low or upper face
+    too, so a face that a low generator and an exit path share is one
+    FormalSimplex.  Two exit generators with one label raise ValueError
+    naming both.
     """
     if depth < 0:
         raise ValueError("depth must be >= 0")
@@ -270,7 +256,7 @@ def build_exit(span: LinkedSpan, depth: int) -> SimplicialSet:
     def entry(gen: str, values: tuple[int, ...]) -> FormalSimplex:
         s = entries.get((gen, values))
         if s is None:
-            s = entries[(gen, values)] = _simplex(gen, values)
+            s = entries[(gen, values)] = FormalSimplex(gen, values)
         return s
 
     def exit_faces(gen: str, sigma: tuple[int, ...], j: int) -> list[FormalSimplex]:
@@ -285,7 +271,7 @@ def build_exit(span: LinkedSpan, depth: int) -> SimplicialSet:
         return faces
 
     def relabelled(X: SimplicialSet, prefix: str, g: str, k: int) -> list[FormalSimplex] | None:
-        return [entry(prefix + f.gen, f.degeneracy.values) for f in X.faces[g]] if k else None
+        return [entry(prefix + f.gen, f.values) for f in X.faces[g]] if k else None
 
     for k in range(depth + 1):
         top = tuple(range(k + 1))
@@ -294,9 +280,14 @@ def build_exit(span: LinkedSpan, depth: int) -> SimplicialSet:
         cores = [(g, r, 1) for g in N.generators(k - 1) for r in range(k) if lifts(g, r)]
         cores += [(g, r, 0) for g in N.generators(k) for r in range(k) if lifts(g, r)]
         for g, r, c in cores:
+            label = exit_label(g, r, c)
+            if label in ex.gen_dims:
+                # only (s_r^* x, r + 1) and (x+s<r>, r + 1) share a label
+                x, y = (g, f"{g}+s{r}") if c else (g.removesuffix(f"+s{r}"), g)
+                raise ValueError(f"{ex.name}: exit paths (s_{r} {x}, {r + 1}) and ({y}, {r + 1}) "
+                                 f"are both labelled {label!r}; rename N's generator {y!r}")
             sigma = top[:r + 1] + top[r:k] if c else top
-            ex.add_generator(k, exit_label(g, r, c), exit_faces(g, sigma, r + 1),
-                             note=f"exit@{r + 1}")
+            ex.add_generator(k, label, exit_faces(g, sigma, r + 1), note=f"exit@{r + 1}")
         for g in N.generators(k):
             ex.add_generator(k, f"N.{g}", relabelled(N, "N.", g, k), note="upper")
     return ex

@@ -80,7 +80,7 @@ def _check_name(name: str, noun: str = "name"):
 
 def _entry_str(s: FormalSimplex) -> str:
     """'(word) label', the word read off the values."""
-    word = " ".join(map(str, degeneracy_word_values(s.degeneracy.values)))
+    word = " ".join(map(str, degeneracy_word_values(s.values)))
     return f"({word}) {s.gen}"
 
 

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .construction import LinkedSpan
-from .operators import Operator
 from .simplicial import (
     FormalSimplex,
     SimplicialMap,
@@ -62,10 +61,7 @@ def cone_span(X: SimplicialSet, name: str | None = None) -> LinkedSpan:
 
 def _constant_assignment(X: SimplicialSet, vertex: str):
     """Send every generator to the appropriate degeneracy of one vertex."""
-    out = {}
-    for g, d in X.gen_dims.items():
-        out[g] = FormalSimplex(vertex, Operator(d, 0, tuple(0 for _ in range(d + 1))))
-    return out
+    return {g: FormalSimplex(vertex, (0,) * (d + 1)) for g, d in X.gen_dims.items()}
 
 
 def s0_defect_span() -> LinkedSpan:

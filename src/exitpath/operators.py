@@ -117,6 +117,19 @@ def epi_mono_values(values) -> tuple[list[int], list[int]]:
     return epi, image
 
 
+def is_surjection_values(values) -> bool:
+    """Whether values is the tuple of values of a surjection: it starts
+    at 0 and rises by 0 or 1 at each step."""
+    if type(values) is not tuple or values[:1] != (0,):
+        return False
+    prev = 0
+    for v in values:
+        if v != prev and v != prev + 1:
+            return False
+        prev = v
+    return True
+
+
 def epi_mono_factor(op: Operator) -> tuple[Operator, Operator]:
     """Factor op = mono . epi with epi surjective and mono injective.
 
@@ -136,18 +149,18 @@ def _values_from_repeats(src_dim: int, repeats: set[int]) -> tuple[int, ...]:
     return tuple(values)
 
 
-def surjections(src_dim: int, dst_dim: int):
-    """All surjective operators [src_dim] ->> [dst_dim], lexicographic in values.
+def surjection_values(src_dim: int, dst_dim: int):
+    """The values of every surjection [src_dim] ->> [dst_dim], in
+    ascending lex order; no Operator is built.
 
     A monotone surjection is determined by the set of positions i with
     op(i) == op(i+1); choosing the src_dim - dst_dim repeat positions in
     ascending combination order yields values in ascending lex order.
     """
-    drops = src_dim - dst_dim
-    if drops < 0:
+    if not 0 <= dst_dim <= src_dim:
         return
-    for repeats in combinations(range(src_dim), drops):
-        yield Operator(src_dim, dst_dim, _values_from_repeats(src_dim, set(repeats)))
+    for repeats in combinations(range(src_dim), src_dim - dst_dim):
+        yield _values_from_repeats(src_dim, set(repeats))
 
 
 def degeneracy_word_values(values) -> tuple[int, ...]:

@@ -6,13 +6,13 @@ finitely many nondegenerate simplices per degree is presented by
 
   * a list of generator labels per dimension, and
   * for each generator of dimension n >= 1, its n+1 faces, each written
-    in normal form as (degeneracy operator, generator label) and stored
-    together as one tuple, faces[label] (empty for a vertex).
+    in normal form as (generator label, values of a surjection) and
+    stored together as one tuple, faces[label] (empty for a vertex).
 
-All simplices are FormalSimplex values (generator label, surjection).
-Equality of simplices is equality of normal forms.  X_n has one
-canonical order, whose home is SimplicialSet.blocks: simplices_at lists
-it, and the verifier numbers simplices by it.
+All simplices are FormalSimplex values (generator label, the values of
+a surjection).  Equality of simplices is equality of normal forms.  X_n
+has one canonical order, whose home is SimplicialSet.blocks:
+simplices_at lists it, and the verifier numbers simplices by it.
 
 The action of Delta has one closed form, written on plain (generator,
 values) pairs by face_values and degeneracy_values.  For s = sigma^*g
@@ -32,10 +32,10 @@ with sigma: [n] ->> [d] (d is the last value):
 
 face, degeneracy and a map's __call__ check their input and wrap these
 three methods, and act runs face_values; each returns a stored face
-entry or a FormalSimplex over one of the shared surjections of
-_surjections, looked up by its values, so no Operator is built or
-validated.  The verifier's tables read the three methods directly and
-number each result by one rank lookup.
+entry or a FormalSimplex over the values it computed, so no Operator is
+built or validated; an Operator enters only as act's argument.  The
+verifier's tables read the three methods directly and number each
+result by one rank lookup.
 """
 
 from __future__ import annotations
@@ -50,17 +50,18 @@ from .operators import (
     check_face_index,
     degeneracy_word_values,
     epi_mono_values,
-    surjections,
+    is_surjection_values,
+    surjection_values,
 )
 
 
 @cache
-def _surjections(n: int, d: int) -> tuple[tuple[Operator, ...], dict[tuple[int, ...], int]]:
-    """The surjections [n] ->> [d] in the order of surjections(n, d),
-    and their values -> rank.  Shared process-wide: nothing writes to
-    them."""
-    sigmas = tuple(surjections(n, d))
-    return sigmas, {sigma.values: r for r, sigma in enumerate(sigmas)}
+def _surjections(n: int, d: int) -> tuple[tuple[tuple[int, ...], ...], dict[tuple[int, ...], int]]:
+    """The values of the surjections [n] ->> [d] in the order of
+    surjection_values(n, d), and values -> rank.  Shared process-wide:
+    nothing writes to them, and they hold no Operator."""
+    sigmas = tuple(surjection_values(n, d))
+    return sigmas, {sigma: r for r, sigma in enumerate(sigmas)}
 
 
 def simplex_repr(gen: str, values: tuple[int, ...]) -> str:
@@ -72,43 +73,42 @@ def simplex_repr(gen: str, values: tuple[int, ...]) -> str:
 
 @dataclass(frozen=True)
 class FormalSimplex:
-    """A simplex in normal form: a surjection applied to a generator.
-
-    gen is the generator's label, degeneracy a surjection
-    [dim] ->> [gen_dim].  Nondegenerate simplices have the identity.
+    """A simplex in normal form, sigma^*gen: the generator's label gen
+    and values, the tuple of values of a surjection sigma: [dim] ->>
+    [gen_dim], the identity when nondegenerate.  Other tuples are
+    refused; an Operator, once checked onto, is read for its values.
     """
 
     gen: str
-    degeneracy: Operator
+    values: tuple[int, ...]
 
     def __post_init__(self):
-        if not self.degeneracy.is_surjective():
-            raise ValueError(f"degeneracy part must be surjective: {self.degeneracy!r}")
+        values = self.values
+        if isinstance(values, Operator):
+            if not values.onto:
+                raise ValueError(f"degeneracy part must be surjective: {values!r}")
+            object.__setattr__(self, "values", values.values)
+        elif not is_surjection_values(values):
+            raise ValueError(f"not the values of a surjection: {values!r}")
 
     @property
     def dim(self) -> int:
-        return self.degeneracy.src_dim
+        return len(self.values) - 1
 
     @property
     def gen_dim(self) -> int:
-        return self.degeneracy.dst_dim
+        return self.values[-1]
 
     def is_nondegenerate(self) -> bool:
-        return self.degeneracy.is_identity()
+        return self.values[-1] == len(self.values) - 1
 
     def __repr__(self):
-        return simplex_repr(self.gen, self.degeneracy.values)
+        return simplex_repr(self.gen, self.values)
 
 
 def nondeg(gen: str, dim: int) -> FormalSimplex:
     """gen itself, over the shared identity of its dimension."""
-    return _simplex(gen, tuple(range(dim + 1)))
-
-
-def _simplex(gen: str, values: tuple[int, ...]) -> FormalSimplex:
-    """sigma^*gen over the shared surjection with these values."""
-    sigmas, ranks = _surjections(len(values) - 1, values[-1])
-    return FormalSimplex(gen, sigmas[ranks[values]])
+    return FormalSimplex(gen, _surjections(dim, dim)[0][0])
 
 
 class SimplicialSet:
@@ -145,14 +145,14 @@ class SimplicialSet:
                 raise ValueError(f"{label!r} needs {dim + 1} faces")
             gen_dims = self.gen_dims
             for i, f in enumerate(faces):
-                sigma = f.degeneracy
-                if sigma.src_dim != dim - 1:
-                    raise ValueError(f"face {i} of {label!r} has dimension {sigma.src_dim}, "
+                sigma = f.values
+                if len(sigma) != dim:
+                    raise ValueError(f"face {i} of {label!r} has dimension {len(sigma) - 1}, "
                                      f"want {dim - 1}")
                 d = gen_dims.get(f.gen)
                 if d is None:
                     raise ValueError(f"face {i} of {label!r} uses unknown generator {f.gen!r}")
-                if d != sigma.dst_dim:
+                if d != sigma[-1]:
                     raise ValueError(f"face {i} of {label!r}: {f.gen!r} has wrong dimension")
         self.faces[label] = tuple(faces) if dim else ()
         self.gens.setdefault(dim, []).append(label)
@@ -184,29 +184,27 @@ class SimplicialSet:
         """
         if op.dst_dim != s.dim:
             raise ValueError(f"operator {op!r} does not match simplex of dimension {s.dim}")
-        sigma, d = s.degeneracy.values, s.gen_dim
+        sigma, d = s.values, s.gen_dim
         epi, image = epi_mono_values([sigma[v] for v in op.values])
         # g itself, under the identity of [d]
         gen, tau = s.gen, tuple(range(d + 1))
         for j in range(d, -1, -1):
             if j not in image:
                 gen, tau = self.face_values(gen, tau, j)
-        return _simplex(gen, tuple(map(tau.__getitem__, epi)))
+        return FormalSimplex(gen, tuple(map(tau.__getitem__, epi)))
 
     def face(self, s: FormalSimplex, i: int) -> FormalSimplex:
         """d_i s, by face_values.  A face of a generator is its stored
         entry."""
-        sigma = s.degeneracy
-        n = sigma.src_dim
-        check_face_index(n, i)
-        if n == sigma.dst_dim:
+        check_face_index(s.dim, i)
+        if s.is_nondegenerate():
             return self.faces[s.gen][i]
-        return _simplex(*self.face_values(s.gen, sigma.values, i))
+        return FormalSimplex(*self.face_values(s.gen, s.values, i))
 
     def degeneracy(self, s: FormalSimplex, i: int) -> FormalSimplex:
         """s_i s, by degeneracy_values."""
-        check_degeneracy_index(s.degeneracy.src_dim, i)
-        return _simplex(*self.degeneracy_values(s.gen, s.degeneracy.values, i))
+        check_degeneracy_index(s.dim, i)
+        return FormalSimplex(*self.degeneracy_values(s.gen, s.values, i))
 
     def face_values(self, gen: str, values: tuple[int, ...],
                     i: int) -> tuple[str, tuple[int, ...]]:
@@ -218,13 +216,13 @@ class SimplicialSet:
         n = len(values) - 1
         if values[-1] == n:
             entry = self.faces[gen][i]
-            return entry.gen, entry.degeneracy.values
+            return entry.gen, entry.values
         j = values[i]
         rest = values[:i] + values[i + 1:]
         if (i and values[i - 1] == j) or (i < n and values[i + 1] == j):
             return gen, rest
         entry = self.faces[gen][j]
-        tau = entry.degeneracy.values
+        tau = entry.values
         return entry.gen, tuple([tau[v if v < j else v - 1] for v in rest])
 
     def degeneracy_values(self, gen: str, values: tuple[int, ...],
@@ -235,12 +233,12 @@ class SimplicialSet:
 
     # -- enumeration ---------------------------------------------------
 
-    def blocks(self, n: int) -> dict[str, tuple[int, tuple[Operator, ...], dict]]:
+    def blocks(self, n: int) -> dict[str, tuple[int, tuple[tuple[int, ...], ...], dict]]:
         """The canonical order of X_n: generator label -> (offset,
-        surjections, ranks) for each generator of dimension d <= n, in
-        (dimension, insertion) order.  Its block lists it under every
-        surjection [n] ->> [d], lexicographic in values: the simplex at
-        offset + r has the r-th, and ranks maps values -> r."""
+        sigmas, ranks) for each generator of dimension d <= n, in
+        (dimension, insertion) order.  sigmas holds the values of every
+        surjection [n] ->> [d], in lex order: the simplex at offset + r
+        has the r-th, and ranks maps values -> r.  No Operator is built."""
         blocks, offset = {}, 0
         for d in sorted(self.gens):
             if d > n:
@@ -283,7 +281,7 @@ class SimplicialSet:
             for label in self.gens[d]:
                 faces = []
                 for entry in self.faces[label]:
-                    key = (entry.gen, entry.degeneracy.values)
+                    key = (entry.gen, entry.values)
                     row = rows.get(key)
                     if row is None:
                         row = rows[key] = [face(*key, i) for i in range(d)]
@@ -358,14 +356,15 @@ class SimplicialMap:
     def __call__(self, s: FormalSimplex) -> FormalSimplex:
         d = self.domain.gen_dims[s.gen]
         if d != s.gen_dim:
-            raise ValueError(f"operator {s.degeneracy!r} does not match simplex of dimension {d}")
-        return _simplex(*self.image_values(s.gen, s.degeneracy.values))
+            raise ValueError(f"operator {Operator(s.dim, s.gen_dim, s.values)!r} "
+                             f"does not match simplex of dimension {d}")
+        return FormalSimplex(*self.image_values(s.gen, s.values))
 
     def image_values(self, gen: str, values: tuple[int, ...]) -> tuple[str, tuple[int, ...]]:
         """f of sigma^*gen as (generator, values): with f(gen) = tau^*h,
         (h, tau . sigma), onto as both are.  The input is not checked."""
         t = self.assignment[gen]
-        return t.gen, tuple(map(t.degeneracy.values.__getitem__, values))
+        return t.gen, tuple(map(t.values.__getitem__, values))
 
     def audit(self) -> list[str]:
         """Naturality violations f(d_i g) != d_i f(g) on the generators
@@ -415,13 +414,13 @@ class SimplicialMap:
 
     def preimage(self, s: FormalSimplex) -> FormalSimplex | None:
         """The unique preimage of s, or None if s is not in the image:
-        s's generator relabelled, its degeneracy kept.  Defined through
+        s's generator relabelled, its values kept.  Defined through
         degree mono_bound."""
         if s.dim > self.mono_bound:
             raise RuntimeError(f"{self.name}: preimage queried at degree {s.dim} but "
                                f"injectivity holds only through degree {self.mono_bound}")
-        hit = self.preimage_values(s.gen, s.degeneracy.values)
-        return None if hit is None else FormalSimplex(hit[0], s.degeneracy)
+        hit = self.preimage_values(s.gen, s.values)
+        return None if hit is None else FormalSimplex(hit[0], s.values)
 
     def preimage_values(self, gen: str,
                         values: tuple[int, ...]) -> tuple[str, tuple[int, ...]] | None:

@@ -197,7 +197,7 @@ class Tables:
     def number(self, n: int, x: FormalSimplex) -> int | None:
         """x's number in X_n, or None when x is not an n-simplex of X."""
         offset, _, ranks = self._blocks[n].get(x.gen, _NO_BLOCK)
-        rank = ranks.get(x.degeneracy.values)
+        rank = ranks.get(x.values)
         return None if rank is None else offset + rank
 
     def simplex(self, n: int, p: int) -> FormalSimplex:

@@ -165,7 +165,7 @@ def simplex(gen, values):
 
 def pair(s):
     """A FormalSimplex as (generator, values)."""
-    return s.gen, s.degeneracy.values
+    return s.gen, s.values
 
 
 @dataclass(frozen=True)
@@ -259,9 +259,10 @@ def tagged_normal_form(span, s):
     inherit normal forms from M and N, an exit path takes its core
     (r, c) and surjection from exit_normal_form."""
     if not isinstance(s, Exit):
-        return type(s)(nondeg(s.simplex.gen, s.simplex.gen_dim)), s.simplex.degeneracy
+        x = s.simplex
+        return type(s)(nondeg(x.gen, x.gen_dim)), Operator(x.dim, x.gen_dim, x.values)
     gamma, d = s.gamma, s.gamma.gen_dim
-    r, c, values = exit_normal_form(gamma.degeneracy.values, s.index)
+    r, c, values = exit_normal_form(gamma.values, s.index)
     core = FormalSimplex(gamma.gen, degeneracy_op(d, r) if c else identity(d))
     return Exit(core, r + 1), Operator(gamma.dim, d + c, values)
 
@@ -273,7 +274,7 @@ def tagged_label(s):
         return f"M.{s.simplex.gen}"
     if isinstance(s, Upper):
         return f"N.{s.simplex.gen}"
-    r, c, _ = exit_normal_form(s.gamma.degeneracy.values, s.index)
+    r, c, _ = exit_normal_form(s.gamma.values, s.index)
     return exit_label(s.gamma.gen, r, c)
 
 

@@ -255,7 +255,8 @@ def test_an_exit_label_clash_is_an_input_error(capsys, tmp_path):
     code, out, err = run(capsys, "build-exit", "--span", clash_span(tmp_path, "xy"),
                          "--max-dim", "2")
     assert (code, out, err) == (INPUT_ERROR, "",
-                                "error: Ex(clash)<=2: duplicate generator 'P.x+s0@1'\n")
+                                "error: Ex(clash)<=2: exit paths (s_0 x, 1) and (x+s0, 1) "
+                                "are both labelled 'P.x+s0@1'; rename N's generator 'x+s0'\n")
     code, out, _ = run(capsys, "build-exit", "--span", clash_span(tmp_path, "x"),
                        "--max-dim", "2")
     assert code == PASS

@@ -342,6 +342,24 @@ def test_exit_labels():
     assert exit_label("0", 0, 1) == "P.0+s0@1"
 
 
+def test_an_exit_label_clash_across_degrees_names_both_paths():
+    # the edge e+s0 is an exit generator of degree 1, s_0 e one of degree
+    # 2, and both are labelled P.e+s0@1 once the vertex a lifts
+    N = SimplicialSet("N")
+    for v in "ab":
+        N.add_generator(0, v)
+    for e in ("e", "e+s0"):
+        N.add_generator(1, e, [nondeg("b", 0), nondeg("a", 0)])
+    L = point("L", "a")
+    span = LinkedSpan("clash", L, L, N, SimplicialMap("pi", L, L, {"a": nondeg("a", 0)}),
+                      SimplicialMap("iota", L, N, {"a": nondeg("a", 0)}))
+    assert "P.e+s0@1" in build_exit(span, 1).gen_dims
+    with pytest.raises(ValueError) as e:
+        build_exit(span, 2)
+    assert str(e.value) == ("Ex(clash)<=2: exit paths (s_0 e, 1) and (e+s0, 1) are both "
+                            "labelled 'P.e+s0@1'; rename N's generator 'e+s0'")
+
+
 # -- the prism decomposition against the peeling oracles -------------------------------
 
 
@@ -351,9 +369,9 @@ def peeling_detect(span, p):
     gamma, j, k = p.gamma, p.index, p.dim
     if k < 2:
         return None
-    sigma = gamma.degeneracy
+    sigma = gamma.values
     for i in range(k):
-        if sigma.values[i] != sigma.values[i + 1]:
+        if sigma[i] != sigma[i + 1]:
             continue
         if i >= j:
             e = j

@@ -544,9 +544,9 @@ def test_a_repeated_entry_parses_to_equal_simplices():
     assert list(X.faces["t"]) == [degenerate] * 3
     assert X.faces["u"][2] == degenerate
     assert X.faces["e"][0] == X.faces["e"][1] == nondeg("a", 0)
-    # one word at one dimension is one Operator, whatever its label
-    assert X.faces["v"][0].degeneracy is degenerate.degeneracy
-    assert X.faces["f"][0].degeneracy is X.faces["e"][0].degeneracy
+    # one word at one dimension is one values tuple, whatever its label
+    assert X.faces["v"][0].values is degenerate.values
+    assert X.faces["f"][0].values is X.faces["e"][0].values
 
 
 def test_a_repeated_entry_text_is_read_again_at_another_dimension():
@@ -630,7 +630,7 @@ def test_unshared_face_entries_print_like_shared_ones():
     twin = SimplicialSet(shared.name)
     for label in shared.generators():
         d = shared.gen_dims[label]
-        faces = [FormalSimplex(f.gen, Operator(f.dim, f.gen_dim, f.degeneracy.values))
+        faces = [FormalSimplex(f.gen, Operator(f.dim, f.gen_dim, f.values))
                  for f in shared.faces[label]] if d else None
         twin.add_generator(d, label, faces, shared.notes.get(label))
     entries = [f for faces in shared.faces.values() for f in faces]

@@ -10,8 +10,9 @@ from exitpath.operators import (
     epi_mono_factor,
     face_op,
     identity,
+    is_surjection_values,
     surjection_from_word,
-    surjections,
+    surjection_values,
 )
 from oracles import injections, is_injective, monotone_maps
 
@@ -90,6 +91,13 @@ def test_onto_is_read_off_the_values():
             for op in monotone_maps(m, n):
                 assert op.is_surjective() == (len(set(op.values)) == n + 1), op
                 assert op.is_identity() == (op.values == tuple(range(n + 1))), op
+                # values onto [d] for the last value d, which may fall short of n
+                assert op.onto == (is_surjection_values(op.values) and op.values[-1] == n), op
+
+
+def test_is_surjection_values_refusals_and_negative_ordinals():
+    assert not any(map(is_surjection_values, [(), (1,), (0, 1, 0), (0, 2), [0, 1], ("a",)]))
+    assert list(surjection_values(-1, -1)) == list(surjection_values(2, -1)) == []
 
 
 def test_onto_takes_no_part_in_equality_hash_or_repr():
@@ -104,17 +112,17 @@ def test_enumerations_are_complete_and_ordered():
     ops = list(monotone_maps(2, 2))
     assert len(ops) == 10
     assert ops == sorted(ops, key=lambda o: o.values)
-    surjs = list(surjections(3, 1))
-    assert [o.values for o in surjs] == [(0, 0, 0, 1), (0, 0, 1, 1), (0, 1, 1, 1)]
+    assert list(surjection_values(3, 1)) == [(0, 0, 0, 1), (0, 0, 1, 1), (0, 1, 1, 1)]
     injs = list(injections(1, 2))
     assert [o.values for o in injs] == [(0, 1), (0, 2), (1, 2)]
-    assert list(surjections(1, 3)) == []
+    assert list(surjection_values(1, 3)) == []
 
 
 def test_degeneracy_words_roundtrip():
     for n in range(7):
         for d in range(n + 1):
-            for op in surjections(n, d):
+            for values in surjection_values(n, d):
+                op = Operator(n, d, values)
                 word = degeneracy_word(op)
                 assert surjection_from_word(n, word) == op
                 # ascending word, so the largest index is innermost

@@ -35,6 +35,31 @@ def test_formal_simplex_normal_form_only():
     assert s.dim == 2 and s.gen_dim == 2 and s.is_nondegenerate()
 
 
+@pytest.mark.parametrize("values", [(), (1,), (0, 2), (1, 0), [0, 0],
+                                    Operator(1, 1, (0, 0))], ids=repr)
+def test_formal_simplex_refuses_what_is_not_a_surjection(values):
+    with pytest.raises(ValueError):
+        FormalSimplex("x", values)
+
+
+def test_formal_simplex_refuses_a_non_surjective_operator_by_its_message():
+    with pytest.raises(ValueError) as e:
+        FormalSimplex("x", Operator(1, 1, (0, 0)))
+    assert str(e.value) == "degeneracy part must be surjective: [1]->[1]:(0,0)"
+
+
+@pytest.mark.parametrize("n, d, values", [(0, 0, (0,)), (2, 2, (0, 1, 2)),
+                                          (3, 1, (0, 0, 1, 1)), (2, 0, (0, 0, 0))])
+def test_formal_simplex_holds_the_values_of_its_operator(n, d, values):
+    by_operator, by_values = FormalSimplex("g", Operator(n, d, values)), FormalSimplex("g", values)
+    assert by_operator == by_values and by_operator.values == values
+    assert type(by_operator.values) is tuple
+    assert hash(by_operator) == hash(by_values) and repr(by_operator) == repr(by_values)
+    assert (by_values.dim, by_values.gen_dim) == (n, d)
+    assert by_values.is_nondegenerate() == (n == d)
+    assert not hasattr(by_values, "degeneracy")
+
+
 def test_standard_simplex_counts():
     # simplices of Delta[n] at degree k are the monotone maps [k] -> [n]
     for n in range(4):
@@ -70,14 +95,15 @@ def operator_act(X, s, op):
     part against the face table, one Operator at a time."""
     if op.dst_dim != s.dim:
         raise ValueError(f"operator {op!r} does not match simplex of dimension {s.dim}")
-    epi, mono = epi_mono_factor(compose(s.degeneracy, op))
+    epi, mono = epi_mono_factor(compose(Operator(s.dim, s.gen_dim, s.values), op))
     gen = s.gen
     while not mono.is_identity():
         j = max(set(range(mono.dst_dim + 1)) - set(mono.values))
         entry = X.faces[gen][j]
         lowered = Operator(mono.src_dim, mono.dst_dim - 1,
                            tuple(v if v < j else v - 1 for v in mono.values))
-        epi2, mono = epi_mono_factor(compose(entry.degeneracy, lowered))
+        epi2, mono = epi_mono_factor(
+            compose(Operator(entry.dim, entry.gen_dim, entry.values), lowered))
         epi = compose(epi2, epi)
         gen = entry.gen
     return FormalSimplex(gen, epi)
@@ -146,11 +172,11 @@ def test_blocks_number_simplices_at():
         for n in range(7):
             blocks = X.blocks(n)
             simplices = X.simplices_at(n)
-            positions = [blocks[x.gen][0] + blocks[x.gen][2][x.degeneracy.values]
+            positions = [blocks[x.gen][0] + blocks[x.gen][2][x.values]
                          for x in simplices]
             assert positions == list(range(len(simplices))), (X.name, n)
             for offset, sigmas, ranks in blocks.values():
-                assert list(ranks) == [sigma.values for sigma in sigmas]
+                assert list(ranks) == list(sigmas)
             end = max((offset + len(sigmas) for offset, sigmas, _ in blocks.values()),
                       default=0)
             assert end == X.count_at(n), (X.name, n)
@@ -316,17 +342,17 @@ def test_face_and_degeneracy_are_the_action(name):
     X = exit_complex(name, 5)
     for n in range(7):
         for s in X.simplices_at(n):
-            values = s.degeneracy.values
+            values = s.values
             for i in range(n + 1):
                 if n:
                     face = operator_act(X, s, face_op(n, i))
                     assert X.face(s, i) == face, (s, i)
                     assert X.face_values(s.gen, values, i) == \
-                        (face.gen, face.degeneracy.values), (s, i)
+                        (face.gen, face.values), (s, i)
                 degeneracy = operator_act(X, s, degeneracy_op(n, i))
                 assert X.degeneracy(s, i) == degeneracy, (s, i)
                 assert X.degeneracy_values(s.gen, values, i) == \
-                    (degeneracy.gen, degeneracy.degeneracy.values), (s, i)
+                    (degeneracy.gen, degeneracy.values), (s, i)
 
 
 @pytest.mark.parametrize("name", sorted(GALLERY))
@@ -459,7 +485,8 @@ def test_map_action_agrees_with_operator_algebra():
         image = source.image(f, target)
         for n in range(5):
             simplices = f.domain.simplices_at(n)
-            want = [operator_act(f.codomain, f.assignment[x.gen], x.degeneracy)
+            want = [operator_act(f.codomain, f.assignment[x.gen],
+                                 Operator(x.dim, x.gen_dim, x.values))
                     for x in simplices]
             assert [f(x) for x in simplices] == want, (f.name, n)
             assert [target.simplex(n, q) for q in image[n]] == want, (f.name, n)

@@ -81,6 +81,21 @@ def test_budget_spend():
     unlimited.spend(10 ** 9)
 
 
+@pytest.mark.parametrize("hits, p", [((0,), 0), ((3, 5), 3), ((6,), 6)])
+def test_first_hit_charges_a_hit_at_p_exactly_p_plus_one(hits, p):
+    # a scan that stops at position p has inspected p + 1 simplices
+    assert first_hit(hits, 7, Budget(p + 1)) == p
+    with pytest.raises(BudgetExhausted):
+        first_hit(hits, 7, Budget(p))
+
+
+@pytest.mark.parametrize("hits", [None, ()])
+def test_first_hit_charges_a_miss_the_whole_degree(hits):
+    assert first_hit(hits, 7, Budget(7)) is None
+    with pytest.raises(BudgetExhausted):
+        first_hit(hits, 7, Budget(6))
+
+
 # -- simplicial identities ---------------------------------------------------------
 
 
@@ -288,7 +303,7 @@ def patched_degeneracy(X, rng):
     n = rng.randrange(3)
     x, i = rng.choice(X.simplices_at(n)), rng.randrange(n + 1)
     wrong = rng.choice(X.simplices_at(n + 1))
-    key, wrong = (x.gen, x.degeneracy.values, i), (wrong.gen, wrong.degeneracy.values)
+    key, wrong = (x.gen, x.values, i), (wrong.gen, wrong.values)
     degeneracy_values = X.degeneracy_values
     X.degeneracy_values = lambda g, v, j: (
         wrong if (g, v, j) == key else degeneracy_values(g, v, j))
