@@ -115,6 +115,16 @@ class LinkedSpan:
 # -- membership --------------------------------------------------------------
 
 
+def _exit_dimension(values: tuple[int, ...], j: int) -> int:
+    """k = len(values) - 1, refusing k < 1 and an exit index j outside 1..k."""
+    k = len(values) - 1
+    if k < 1:
+        raise ValueError("exit paths start in dimension 1")
+    if not 1 <= j <= k:
+        raise ValueError(f"exit index {j} outside 1..{k}")
+    return k
+
+
 def is_exit_path(span: LinkedSpan, gen: str, values: tuple[int, ...], j: int) -> bool:
     """Whether (sigma^*gen, j), sigma given by its values, is an exit
     path: the level-0 restriction of (sigma^*gen) . C_j lifts
@@ -125,11 +135,7 @@ def is_exit_path(span: LinkedSpan, gen: str, values: tuple[int, ...], j: int) ->
     im(iota) exactly when its nondegenerate core does; so the answer is
     span.front_lifts(gen, r), with r <= k - 1 inside iota's mono bound.
     """
-    k = len(values) - 1
-    if k < 1:
-        raise ValueError("exit paths start in dimension 1")
-    if not 1 <= j <= k:
-        raise ValueError(f"exit index {j} outside 1..{k}")
+    k = _exit_dimension(values, j)
     span.require_iota(k - 1)
     return span.front_lifts(gen, values[j - 1])
 
@@ -196,9 +202,10 @@ def detect_degenerate_exit(span: LinkedSpan, gen: str, values: tuple[int, ...],
     with position i deleted, j' is j if i >= j and j - 1 otherwise, and
     (gen, values', j') is an exit path iff (sigma^*gen, j) is.  Returns
     None for nondegenerate exit paths (every path of dimension 1) and
-    for pairs that are not exit paths.
+    for pairs that are not exit paths; a bad j raises as in is_exit_path.
     """
-    i = next((i for i in range(len(values) - 1)
+    k = _exit_dimension(values, j)
+    i = next((i for i in range(k)
               if i != j - 1 and values[i] == values[i + 1]), None)
     if i is None or not is_exit_path(span, gen, values, j):
         return None
@@ -209,7 +216,9 @@ def exit_normal_form(values: tuple[int, ...], j: int) -> tuple[int, int, tuple[i
     """The normal form of the exit path (sigma^*gen, j), sigma given by
     its values, as (r, c, values): with r = sigma(j - 1) and c =
     [sigma(j) = r], the core is (s_r^* gen, r + 1) if c and (gen, r + 1)
-    otherwise, and the surjection is m -> sigma(m) + (c if m >= j)."""
+    otherwise, and the surjection is m -> sigma(m) + (c if m >= j).  A
+    bad j raises ValueError as in is_exit_path."""
+    _exit_dimension(values, j)
     r = values[j - 1]
     if values[j] != r:
         return r, 0, values

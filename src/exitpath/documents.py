@@ -23,14 +23,15 @@ positions), '()' for nondegenerate.
 Documents are UTF-8; parse_span_file refuses a file that is not with a
 ParseError at the line of its first bad byte.  print_* and parse_*
 round-trip exactly; parse errors carry line numbers.
-Each parse function reads its document in one loop over its lines,
-taking the line that repeats most (face, map) first.  The reader keeps
-its memos per document: face index text -> index, (entry text,
-dimension) -> entry, (word text, dimension) -> surjection, and the
-notes already checked; so it validates each word once per dimension,
-builds each entry once and checks each distinct note once.  print_sset
-keeps its memos per call: id(entry) -> '(word) label', and the notes
-already checked.
+_directives reads the lines of all three kinds, refusing an unknown or
+repeated once-only key, and each parse function takes them in one loop,
+the line that repeats most (face, map) first.  The reader keeps its
+memos per document: parse_sset's face index text -> index and notes
+already checked, and _parse_entry's (entry text, dimension) -> entry and
+(word text, dimension) -> surjection; so it validates each word once per
+dimension, builds each entry once and checks each distinct note once.
+print_sset keeps its memos per call: id(entry) -> '(word) label', and
+the notes already checked.
 """
 
 from __future__ import annotations
@@ -145,29 +146,41 @@ _SMAP_GRAMMAR = {"smap": "header", "domain": "header", "codomain": "header", "ma
 _SPAN_GRAMMAR = {"span": "header", **dict.fromkeys(_SLOTS, "line")}
 
 
-def _check_key(path: str, lineno: int, key: str, grammar: dict[str, str | None],
-               seen: set[str]):
-    """Refuse a key its grammar does not know, or a second copy of a
-    once-only key.  grammar maps each allowed key to the noun of a
+def _directives(text: str, path: str, grammar: dict[str, str | None]):
+    """(lineno, key, rest) for each line that holds more than a comment,
+    rest stripped.  grammar maps each allowed key to the noun of a
     once-only directive ('header', 'line'), or to None for a key that
-    may repeat; seen holds the once-only keys read so far."""
-    if key not in grammar:
-        raise ParseError(path, lineno, f"unknown directive {key!r}")
-    noun = grammar[key]
-    if noun is not None:
-        if key in seen:
-            raise ParseError(path, lineno, f"second {key} {noun}")
-        seen.add(key)
+    may repeat; an unknown key or a second once-only key is refused."""
+    seen: set[str] = set()  # the once-only keys read so far
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        # split skips leading blanks, so no line is stripped whole
+        parts = raw.partition("#")[0].split(None, 1)
+        if not parts:
+            continue
+        key = parts[0]
+        if key not in grammar:
+            raise ParseError(path, lineno, f"unknown directive {key!r}")
+        noun = grammar[key]
+        if noun is not None:
+            if key in seen:
+                raise ParseError(path, lineno, f"second {key} {noun}")
+            seen.add(key)
+        yield lineno, key, parts[1].rstrip() if len(parts) > 1 else ""
 
 
 def _parse_entry(text: str, path: str, lineno: int, dim: int,
+                 entries: dict[tuple[str, int], FormalSimplex],
                  words: dict[tuple[str, int], Operator]) -> FormalSimplex:
-    """The entry '(word) label' of dimension dim.  words maps (word
-    text, dim), the word with its parentheses, to its surjection, so one
-    document validates each word once per dimension.  A bad word is
-    never stored, so it is reported at the first line that holds it:
-    the caller reports the ValueError of surjection_from_word at
-    lineno."""
+    """The entry '(word) label' of dimension dim.  entries maps (text,
+    dim) to the entries one document has read so far, and words maps
+    (word text, dim), the word with its parentheses, to its surjection,
+    so one document builds each entry once and validates each word once
+    per dimension.  A bad word is never stored, so it is reported at the
+    first line that holds it: the caller reports the ValueError of
+    surjection_from_word at lineno."""
+    hit = entries.get((text, dim))
+    if hit is not None:
+        return hit
     rest = text.strip()
     if not rest.startswith("("):
         raise ParseError(path, lineno, f"expected '(word) label', got {rest!r}")
@@ -185,7 +198,8 @@ def _parse_entry(text: str, path: str, lineno: int, dim: int,
             raise ParseError(path, lineno, f"bad degeneracy word {word_text}: "
                                            "entries must be integers")
         op = words[(word_text, dim)] = surjection_from_word(dim, word)
-    return FormalSimplex(tail[0], op)
+    hit = entries[(text, dim)] = FormalSimplex(tail[0], op)
+    return hit
 
 
 def _header_integer(path: str, lineno: int, key: str, rest: str) -> int:
@@ -197,11 +211,15 @@ def _header_integer(path: str, lineno: int, key: str, rest: str) -> int:
 
 def _add_block(X: SimplicialSet, path: str, gen_line: int, dim: int, label: str,
                faces: list[FormalSimplex | None], note: str | None):
-    """Add the generator of a block once its face lines are read."""
+    """Add the generator of a block once its face lines are read; its
+    gen line answers for a missing face, a duplicate label or a bad face."""
     missing = [i for i, f in enumerate(faces) if f is None]
     if missing:
         raise ParseError(path, gen_line, f"generator {label!r} missing faces {missing}")
-    X.add_generator(dim, label, faces, note)
+    try:
+        X.add_generator(dim, label, faces, note)
+    except ValueError as e:
+        raise ParseError(path, gen_line, str(e)) from None
 
 
 def parse_sset(text: str, path: str = "<sset>") -> SimplicialSet:
@@ -215,21 +233,14 @@ def parse_sset(text: str, path: str = "<sset>") -> SimplicialSet:
     note: str | None = None
     gen_line = 1
     faces: list[FormalSimplex | None] | None = None
-    seen: set[str] = set()
     indices: dict[str, int] = {}  # face index text -> index
-    entries: dict[tuple[str, int], FormalSimplex] = {}  # (entry text, dim) -> entry
+    entries: dict[tuple[str, int], FormalSimplex] = {}
     words: dict[tuple[str, int], Operator] = {}
     notes: set[str] = set()  # the notes already checked
     at = 1  # the line a ValueError from the model is reported at
 
     try:
-        for lineno, raw in enumerate(text.splitlines(), start=1):
-            line = raw.partition("#")[0].strip()
-            if not line:
-                continue
-            parts = line.split(None, 1)
-            key = parts[0]
-            rest = parts[1] if len(parts) > 1 else ""
+        for lineno, key, rest in _directives(text, path, _SSET_GRAMMAR):
             at = lineno
             if key == "face":
                 if faces is None:
@@ -250,14 +261,8 @@ def parse_sset(text: str, path: str = "<sset>") -> SimplicialSet:
                     raise ParseError(path, lineno, f"face index {i} outside 0..{cur_dim}")
                 if faces[i] is not None:
                     raise ParseError(path, lineno, f"face {i} of {label!r} given twice")
-                entry = entries.get((entry_text, cur_dim - 1))
-                if entry is None:
-                    entry = entries[(entry_text, cur_dim - 1)] = _parse_entry(
-                        entry_text, path, lineno, cur_dim - 1, words)
-                faces[i] = entry
+                faces[i] = _parse_entry(entry_text, path, lineno, cur_dim - 1, entries, words)
                 continue
-            if key != "gen" and key != "dim":
-                _check_key(path, lineno, key, _SSET_GRAMMAR, seen)
             if key == "sset":
                 _check_name(rest)
                 X = SimplicialSet(rest)
@@ -268,11 +273,8 @@ def parse_sset(text: str, path: str = "<sset>") -> SimplicialSet:
                 maxdim, maxdim_line = _header_integer(path, lineno, key, rest), lineno
                 continue
             if faces is not None:
-                # the gen line answers for a duplicate label or a bad face entry
-                at = gen_line
                 _add_block(X, path, gen_line, cur_dim, label, faces, note)
                 faces = None
-                at = lineno
             if key == "dim":
                 cur_dim = _header_integer(path, lineno, key, rest)
                 if cur_dim < 0:
@@ -296,7 +298,6 @@ def parse_sset(text: str, path: str = "<sset>") -> SimplicialSet:
         if X is None:
             raise ParseError(path, 1, "empty document")
         if faces is not None:
-            at = gen_line
             _add_block(X, path, gen_line, cur_dim, label, faces, note)
         if maxdim is None:
             raise ParseError(path, 1, "missing maxdim header")
@@ -319,18 +320,11 @@ def parse_smap(text: str, ssets: dict[str, SimplicialSet],
     dom: SimplicialSet | None = None
     cod: SimplicialSet | None = None
     assignment: dict[str, FormalSimplex] = {}
-    entries: dict[tuple[str, int], FormalSimplex] = {}  # (entry text, dim) -> entry
+    entries: dict[tuple[str, int], FormalSimplex] = {}
     words: dict[tuple[str, int], Operator] = {}
-    seen: set[str] = set()
     at = 1  # the line a ValueError from the model is reported at
     try:
-        for lineno, raw in enumerate(text.splitlines(), start=1):
-            line = raw.partition("#")[0].strip()
-            if not line:
-                continue
-            parts = line.split(None, 1)
-            key = parts[0]
-            rest = parts[1] if len(parts) > 1 else ""
+        for lineno, key, rest in _directives(text, path, _SMAP_GRAMMAR):
             at = lineno
             if key == "map":
                 if dom is None or cod is None:
@@ -344,16 +338,12 @@ def parse_smap(text: str, ssets: dict[str, SimplicialSet],
                     raise ParseError(path, lineno, f"unknown domain generator {g!r}")
                 if g in assignment:
                     raise ParseError(path, lineno, f"second map line for {g!r}")
-                image = entries.get((entry_text, d))
-                if image is None:
-                    image = entries[(entry_text, d)] = _parse_entry(entry_text, path, lineno,
-                                                                    d, words)
-                assignment[g] = image
+                image = assignment[g] = _parse_entry(entry_text, path, lineno, d, entries,
+                                                     words)
                 if not cod.has_simplex(image):
                     raise ParseError(path, lineno,
                                      f"image of {g!r} not in {head['codomain']}")
                 continue
-            _check_key(path, lineno, key, _SMAP_GRAMMAR, seen)
             _check_name(rest)
             if key != "smap":
                 if rest not in ssets:
@@ -395,15 +385,7 @@ def parse_span_file(path: str) -> LinkedSpan:
     text = _read_text(path, path)
     name = None
     slots: dict[str, tuple[str, int]] = {}
-    seen: set[str] = set()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.partition("#")[0].strip()
-        if not line:
-            continue
-        parts = line.split(None, 1)
-        key = parts[0]
-        rest = parts[1] if len(parts) > 1 else ""
-        _check_key(path, lineno, key, _SPAN_GRAMMAR, seen)
+    for lineno, key, rest in _directives(text, path, _SPAN_GRAMMAR):
         if key == "span":
             try:
                 _check_name(rest)

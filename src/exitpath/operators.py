@@ -61,9 +61,6 @@ class Operator:
         # the only monotone map of [n] onto itself
         return self.onto and self.src_dim == self.dst_dim
 
-    def is_surjective(self) -> bool:
-        return self.onto
-
     def __repr__(self):
         word = ",".join(str(v) for v in self.values)
         return f"[{self.src_dim}]->[{self.dst_dim}]:({word})"
@@ -180,7 +177,7 @@ def degeneracy_word(op: Operator) -> tuple[int, ...]:
     determines the surjection and is the on-disk encoding of degeneracy
     data.
     """
-    if not op.is_surjective():
+    if not op.onto:
         raise ValueError(f"not a surjection: {op!r}")
     return degeneracy_word_values(op.values)
 

@@ -33,8 +33,9 @@ with sigma: [n] ->> [d] (d is the last value):
 face, degeneracy and a map's __call__ check their input and wrap these
 three methods, and act runs face_values; each returns a stored face
 entry or a FormalSimplex over the values it computed, so no Operator is
-built or validated; an Operator enters only as act's argument.  The
-verifier's tables read the three methods directly and number each
+built or validated; an Operator enters only as act's argument, and as
+the text of a map's __call__ refusing a simplex of the wrong dimension.
+The verifier's tables read the three methods directly and number each
 result by one rank lookup.
 """
 

@@ -14,6 +14,7 @@ from exitpath.construction import (
     exit_degeneracy,
     exit_face,
     exit_label,
+    exit_normal_form,
     exit_simplices,
     is_exit_path,
 )
@@ -71,13 +72,33 @@ def test_membership_on_the_collar():
 
 
 def test_membership_input_checks():
+    """is_exit_path, exit_normal_form and detect_degenerate_exit refuse a
+    0-simplex and an exit index outside 1..k, each with its message."""
     span = boundary_collar_span()
-    with pytest.raises(ValueError):
-        is_exit_path(span, "0", (0,), 1)
-    with pytest.raises(ValueError):
-        is_exit_path(span, "0,1", (0, 1), 0)
-    with pytest.raises(ValueError):
-        is_exit_path(span, "0,1", (0, 1), 2)
+    checks = {"is_exit_path": lambda gen, values, j: is_exit_path(span, gen, values, j),
+              "exit_normal_form": lambda gen, values, j: exit_normal_form(values, j),
+              "detect_degenerate_exit":
+                  lambda gen, values, j: detect_degenerate_exit(span, gen, values, j)}
+    for name, check in checks.items():
+        with pytest.raises(ValueError, match=r"^exit paths start in dimension 1$"):
+            check("0", (0,), 1)
+        for values in ((0, 1), (0, 0, 1)):
+            k = len(values) - 1
+            for j in (0, -1, k + 1):
+                with pytest.raises(ValueError, match=rf"^exit index {j} outside 1\.\.{k}$"):
+                    check("0,1", values, j)
+                    pytest.fail(f"{name} took the exit index {j} of {values}")
+
+
+def test_linked_span_and_build_exit_refusals():
+    span = boundary_collar_span()
+    M, L, N, pi, iota = span.M, span.L, span.N, span.pi, span.iota
+    with pytest.raises(ValueError, match=r"^s: pi must map L to M$"):
+        LinkedSpan("s", N, L, N, pi, iota)
+    with pytest.raises(ValueError, match=r"^s: iota must map L to N$"):
+        LinkedSpan("s", M, L, M, pi, iota)
+    with pytest.raises(ValueError, match=r"^depth must be >= 0$"):
+        build_exit(span, -1)
 
 
 def test_exit_path_index_range():

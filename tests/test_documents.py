@@ -599,10 +599,11 @@ def reader_error(kind, text, tmp_path):
     ("span", "", 1, "missing span header"),
     ("span", "M = m.sset\nL = m.sset\nN = m.sset\npi = p.smap\niota = i.smap\n", 1,
      "missing span header"),
+    ("span", "span\n", 1, "name '' not representable in documents"),
 ], ids=["sset-empty", "sset-comment-only", "face-no-word", "map-no-word", "span-slot-no-equals",
         "span-slot-two-words", "face-no-equals", "map-before-codomain", "map-before-domain",
         "map-no-equals", "smap-empty", "smap-no-name", "smap-no-codomain", "span-empty",
-        "span-no-name"])
+        "span-no-name", "span-empty-name"])
 def test_reader_errors_name_their_line(tmp_path, kind, text, lineno, message):
     e = reader_error(kind, text, tmp_path)
     assert e.lineno == lineno and str(e) == f"{e.path}:{lineno}: {message}"

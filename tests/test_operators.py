@@ -30,6 +30,8 @@ def test_validation():
         face_op(2, 3)
     with pytest.raises(ValueError):
         degeneracy_op(2, 3)
+    with pytest.raises(ValueError, match=r"^negative ordinal: \[-1\] -> \[0\]$"):
+        Operator(-1, 0, ())
 
 
 def test_elementary_shapes():
@@ -37,7 +39,7 @@ def test_elementary_shapes():
     assert degeneracy_op(2, 1).values == (0, 1, 1, 2)
     assert identity(2).is_identity()
     assert is_injective(face_op(3, 1))
-    assert degeneracy_op(3, 1).is_surjective()
+    assert degeneracy_op(3, 1).onto
 
 
 def test_compose_mismatch():
@@ -79,7 +81,7 @@ def test_epi_mono_exhaustive():
         for n in range(8):
             for op in monotone_maps(m, n):
                 epi, mono = epi_mono_factor(op)
-                assert epi.is_surjective()
+                assert epi.onto
                 assert is_injective(mono)
                 assert compose(mono, epi) == op
 
@@ -89,7 +91,7 @@ def test_onto_is_read_off_the_values():
     for m in range(5):
         for n in range(5):
             for op in monotone_maps(m, n):
-                assert op.is_surjective() == (len(set(op.values)) == n + 1), op
+                assert op.onto == (len(set(op.values)) == n + 1), op
                 assert op.is_identity() == (op.values == tuple(range(n + 1))), op
                 # values onto [d] for the last value d, which may fall short of n
                 assert op.onto == (is_surjection_values(op.values) and op.values[-1] == n), op
@@ -103,7 +105,7 @@ def test_is_surjection_values_refusals_and_negative_ordinals():
 def test_onto_takes_no_part_in_equality_hash_or_repr():
     op, twin = Operator(2, 1, (0, 0, 1)), Operator(2, 1, (0, 0, 1))
     object.__setattr__(twin, "onto", False)
-    assert op.onto and not twin.is_surjective()
+    assert op.onto and not twin.onto
     assert op == twin and hash(op) == hash(twin) and repr(op) == repr(twin)
     assert {op: 1}[twin] == 1
 

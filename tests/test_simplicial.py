@@ -389,6 +389,12 @@ def test_map_naturality_enforced():
                                          r"not in simplex1$"):
         SimplicialMap("extra", X, X, {"0": nondeg("0", 0), "1": nondeg("1", 0),
                                       "0,1": nondeg("0,1", 1), "bogus": nondeg("0", 0)})
+    # parse_smap refuses such a map line itself, so only the API reaches this
+    Y = SimplicialSet("Y")
+    Y.add_generator(0, "y")
+    with pytest.raises(ValueError, match=r"^f: image of '0' not in Y$"):
+        SimplicialMap("f", X, Y, {"0": nondeg("x", 0), "1": nondeg("y", 0),
+                                  "0,1": FormalSimplex("y", Operator(1, 0, (0, 0)))})
 
 
 def test_map_action_by_naturality():
