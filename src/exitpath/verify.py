@@ -30,9 +30,14 @@ the tuple of its face numbers, which is the key of its fillers; a
 HornProblem is built only for a witness or a reader of
 enumerate_horns' result.  Searches find their answers by lookup but
 charge the scan's nodes, so verdicts under any budget are those of the
-scan: horn enumeration charges each partial horn |X_{n-1}| nodes before
-its lookup, and a filler or lift search (first_hit) charges p + 1
-nodes for a hit at position p and |X_n| for a miss.
+scan: horn enumeration charges |X_{n-1}| nodes per partial horn, a
+whole level of partial horns in one spend before that level's lookups,
+and a filler or lift search (first_hit) charges p + 1 nodes for a hit
+at position p and |X_n| for a miss.  The searches of one shape share
+one Budget, its spending reset to 0 before each search, so each search
+still gets the whole allowance.  Spending only grows, and only whether
+a total crosses the limit shows, so these charges exhaust a budget
+exactly when the scan's node-by-node charges would.
 """
 
 from __future__ import annotations
@@ -386,10 +391,11 @@ def enumerate_horns(X: SimplicialSet, n: int, missing: int,
     so far (Tables.face_keys), so each horn stays a tuple of numbers.
 
     A node is one candidate a scan of X_{n-1} in canonical order would
-    try: each partial horn is charged |X_{n-1}| nodes before its lookup,
-    so the enumeration spends what the scan spends and runs out of
-    budget exactly when the scan would.  tables is a Tables of X to
-    share with other shapes; by default the call builds its own.
+    try: each partial horn costs |X_{n-1}| nodes, and each level of
+    partial horns is charged in one spend before its lookups, so the
+    enumeration spends what the scan spends and runs out of budget
+    exactly when the scan would.  tables is a Tables of X to share with
+    other shapes; by default the call builds its own.
     """
     if n < 1:
         raise ValueError("horns need n >= 1")
@@ -404,11 +410,9 @@ def enumerate_horns(X: SimplicialSet, n: int, missing: int,
         keys = tables.face_keys(n - 1, horns.slots[:depth])
         # the key a candidate needs: d_{b-1} of each chosen face, a < b
         up = tables.faces[n - 1][b - 1] if depth else ()
-        grown = []
-        for horn in horns.numbers:
-            budget.spend(size)
-            grown += [horn + (p,) for p in keys.get(tuple(map(up.__getitem__, horn)), ())]
-        horns.numbers = grown
+        budget.spend(size * len(horns.numbers))
+        horns.numbers = [horn + (p,) for horn in horns.numbers
+                         for p in keys.get(tuple(map(up.__getitem__, horn)), ())]
     return horns
 
 
@@ -444,8 +448,9 @@ def verify_quasicategory(X: SimplicialSet, depth: int,
     """Inner-horn filling for all shapes 0 < i < n <= depth.
 
     The budget is a per-subproblem node limit: each (n, i) enumeration
-    gets one allowance and each horn's filler search gets a fresh one,
-    so a verdict does not depend on which other subproblems ran.  The
+    gets one allowance and each horn's filler search gets a whole one
+    (the shape's searches share one Budget, reset before each), so a
+    verdict does not depend on which other subproblems ran.  The
     shapes share one Tables of X, so each degree's face rows are built
     once per call.
     """
@@ -465,10 +470,11 @@ def _horn_block(X: SimplicialSet, n: int, i: int, budget: int | None,
         return CheckEntry(name, "inconclusive", detail="enumeration budget exhausted")
     # a horn's numbers are the key of its fillers
     fillers, size = tables.face_keys(n, horns.slots), tables.sizes[n]
-    exhausted = 0
+    search, exhausted = Budget(budget), 0
     for k, horn in enumerate(horns.numbers):
+        search.spent = 0
         try:
-            if first_hit(fillers.get(horn), size, Budget(budget)) is None:
+            if first_hit(fillers.get(horn), size, search) is None:
                 return CheckEntry(name, "fail", detail=f"{len(horns)} horns",
                                   witness=f"no filler for {horns[k].describe()}")
         except BudgetExhausted:
@@ -524,12 +530,13 @@ def _lift_block(f: SimplicialMap, n: int, i: int, budget: int | None,
     below, size = image[n - 1], x_tables.sizes[n]
     bases = y_tables.face_keys(n, horns.slots)
     lifts = x_tables.face_keys(n, horns.slots, image[n])
-    squares = exhausted = 0
+    search, squares, exhausted = Budget(budget), 0, 0
     for k, horn in enumerate(horns.numbers):
         for base in bases.get(tuple(map(below.__getitem__, horn)), ()):
             squares += 1
+            search.spent = 0
             try:
-                if first_hit(lifts.get(horn + (base,)), size, Budget(budget)) is None:
+                if first_hit(lifts.get(horn + (base,)), size, search) is None:
                     return CheckEntry(
                         name, "fail", detail=f"{squares} squares",
                         witness=f"no lift of {y_tables.simplex(n, base)!r} "

@@ -262,6 +262,26 @@ def test_span_file_names_the_line_of_a_missing_document(tmp_path, capsys):
     assert f"{path}:{lineno}: cannot read N document 'missing.sset'" in err
 
 
+@pytest.mark.parametrize("ref, where", [
+    ("s0-defect.span", "s0-defect.span:1: unknown directive 'span'"),
+    ("s0-defect.pi.smap", "s0-defect.pi.smap:1: unknown directive 'smap'"),
+    (".", "{span}:2: cannot read M document '.'"),
+], ids=["the-span-itself", "a-map-document", "a-directory"])
+def test_an_m_slot_naming_another_document_is_an_input_error(tmp_path, capsys, ref, where):
+    # a span file whose M names itself reads it as an sset once and is
+    # refused at its first line: a reference cycle ends there
+    from exitpath.cli import INPUT_ERROR, main
+
+    path = write_span_documents(load_span("s0-defect"), str(tmp_path))
+    with open(path) as fh:
+        text = fh.read()
+    assert text.splitlines()[1] == "M = s0-defect.M.sset"
+    with open(path, "w") as fh:
+        fh.write(text.replace("M = s0-defect.M.sset", f"M = {ref}"))
+    assert main(["check-mono", "--span", path]) == INPUT_ERROR
+    assert f"error: {where.format(span=path)}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("name", ["trivial.span", "trivial.N.sset"],
                          ids=["span-file", "referenced-document"])
 def test_cli_names_the_line_of_a_byte_that_is_not_utf8(tmp_path, capsys, name):

@@ -9,6 +9,10 @@ random.Random, so a failure reproduces exactly.
 The same mutations then go through the span commands of the CLI, which
 must end with an exit status, never an exception: a document the
 reader refuses is an input error (2), and one it accepts is checked.
+
+Wrong face counts are also built on purpose, on every face line of
+every emitted .sset document and exit complex document, and each must
+be refused with its own message at its own line.
 """
 
 import contextlib
@@ -18,7 +22,14 @@ import random
 import pytest
 
 from exitpath.cli import EXHAUSTED, FAIL, INPUT_ERROR, PASS, main
-from exitpath.documents import ParseError, parse_span_file, write_span_documents
+from exitpath.construction import build_exit
+from exitpath.documents import (
+    ParseError,
+    parse_span_file,
+    parse_sset,
+    print_sset,
+    write_span_documents,
+)
 from exitpath.gallery import GALLERY, load_span
 
 # directive keys of the three grammars, and words no grammar accepts
@@ -130,3 +141,44 @@ def test_mutated_documents_through_the_cli(name, tmp_path):
             for command in CLI_COMMANDS:
                 statuses.add(main([*command, "--span", span_path, "--max-dim", "2"]))
     assert statuses <= {PASS, FAIL, INPUT_ERROR, EXHAUSTED}, statuses
+
+
+def wrong_face_counts(lines: list[str]):
+    """(lines, line number, message) of each wrong face count built from
+    a printed .sset document: each face line i of each generator of
+    dimension d >= 1 deleted, repeated, renumbered d + 1, or copied to
+    right after its block's dim header."""
+    for at, line in enumerate(lines):
+        key, _, rest = line.strip().partition(" ")
+        if key == "dim":
+            header, d = at, int(rest)
+        if key != "gen" or d == 0:
+            continue
+        label = rest.split("::")[0].strip()
+        for i in range(d + 1):
+            face = at + 1 + i
+            assert lines[face].strip().startswith(f"face {i} = ")
+            renumbered = lines[face].replace(f"face {i} =", f"face {d + 1} =")
+            yield (lines[:face] + lines[face + 1:], at + 1,
+                   f"generator {label!r} missing faces [{i}]")
+            yield lines[:face + 1] + lines[face:], face + 2, f"face {i} of {label!r} given twice"
+            yield (lines[:face] + [renumbered] + lines[face + 1:], face + 1,
+                   f"face index {d + 1} outside 0..{d}")
+            yield (lines[:header + 1] + [lines[face]] + lines[header + 1:], header + 2,
+                   "face line outside a generator block")
+
+
+def test_wrong_face_counts_are_refused_at_their_line(tmp_path):
+    documents = []
+    for name in sorted(GALLERY):
+        _, docs = emitted(name, str(tmp_path / name))
+        documents += [(fname, text) for fname, text in docs.items() if fname.endswith(".sset")]
+        documents.append((f"{name}.Ex.sset", print_sset(build_exit(load_span(name), 3))))
+    cases = 0
+    for fname, text in documents:
+        for lines, lineno, message in wrong_face_counts(text.splitlines()):
+            with pytest.raises(ParseError) as e:
+                parse_sset("\n".join(lines) + "\n", fname)
+            assert str(e.value) == f"{fname}:{lineno}: {message}"
+            cases += 1
+    assert cases > 0

@@ -733,6 +733,56 @@ def test_search_budgets_match_the_linear_scans():
     assert ("horns", "inconclusive", True) in hit and ("lifts", "inconclusive", True) in hit
 
 
+def test_enumeration_charges_each_level_in_one_spend(monkeypatch):
+    # a shape (n, i) has n face slots, so its partial horns grow in n
+    # levels, each charged in one spend, at the node-by-node scan's total
+    X = build_exit(cone_span(standard_simplex(2)), 4)
+    inner = [(n, i) for n in range(2, 5) for i in range(1, n)]
+    totals = []
+    for n, i in inner:
+        spent = Budget(None)
+        linear_enumerate(X, n, i, spent)
+        totals.append(spent.spent)
+    charges = []
+    spend = Budget.spend
+
+    def spy(self, k=1):
+        charges.append(k)
+        return spend(self, k)
+
+    monkeypatch.setattr(Budget, "spend", spy)
+    tables = Tables(X)
+    for (n, i), total in zip(inner, totals):
+        charges.clear()
+        enumerate_horns(X, n, i, Budget(None), tables=tables)
+        assert (len(charges), sum(charges)) == (n, total)
+
+
+def test_a_shape_builds_at_most_two_budgets(monkeypatch):
+    # one allowance for a shape's enumeration and one that its searches
+    # share, however many horns or squares it searches
+    ex = build_exit(cone_span(standard_simplex(2)), 4)
+    f = cone_span(standard_simplex(3)).pi
+    built, searches = [], []
+    init = Budget.__init__
+
+    def spy_init(self, limit):
+        built.append(limit)
+        init(self, limit)
+
+    def spy_hit(*args):
+        searches.append(args)
+        return first_hit(*args)
+
+    monkeypatch.setattr(Budget, "__init__", spy_init)
+    monkeypatch.setattr("exitpath.verify.first_hit", spy_hit)
+    for check in (lambda: verify_quasicategory(ex, 4), lambda: check_fibration(f, 4, "kan")):
+        built.clear()
+        searches.clear()
+        shapes = len(check().entries)
+        assert len(built) <= 2 * shapes < len(searches)
+
+
 def test_cone_search_verdicts():
     span = cone_span(standard_simplex(2))
     report = verify_quasicategory(build_exit(span, 4), 4)
