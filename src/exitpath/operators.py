@@ -8,13 +8,17 @@ elementary cofaces and codegeneracies, which is all the bookkeeping a
 simplicial set in generator normal form needs.
 
 Composition is written compose(outer, inner) for outer . inner, i.e.
-inner is applied first.
+inner is applied first.  compose_values is the one composition of maps
+given by their value tuples, outer[inner[k]] for each k; compose is its
+Operator wrapper, and the simplicial action, maps and the verifier's
+columns of numbers call it directly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations
+from operator import itemgetter
 
 
 @dataclass(frozen=True)
@@ -96,11 +100,22 @@ def degeneracy_op(n: int, i: int) -> Operator:
     return Operator(n + 1, n, tuple(min(v, i) if v <= i + 1 else v - 1 for v in range(n + 2)))
 
 
+def compose_values(outer, inner) -> tuple:
+    """The values of outer . inner, both maps given by their values:
+    outer[inner[k]] for each k, in one itemgetter call.  itemgetter
+    returns a bare item for one index and refuses none, so those two
+    lengths are gathered by hand.  IndexError for an entry of inner
+    outside outer."""
+    if len(inner) > 1:
+        return itemgetter(*inner)(outer)
+    return tuple([outer[v] for v in inner])
+
+
 def compose(outer: Operator, inner: Operator) -> Operator:
     """outer . inner, defined when inner.dst_dim == outer.src_dim."""
     if inner.dst_dim != outer.src_dim:
         raise ValueError(f"cannot compose {outer!r} . {inner!r}")
-    return Operator(inner.src_dim, outer.dst_dim, tuple(outer.values[v] for v in inner.values))
+    return Operator(inner.src_dim, outer.dst_dim, compose_values(outer.values, inner.values))
 
 
 def epi_mono_values(values) -> tuple[list[int], list[int]]:

@@ -49,6 +49,7 @@ from .operators import (
     Operator,
     check_degeneracy_index,
     check_face_index,
+    compose_values,
     degeneracy_word_values,
     epi_mono_values,
     is_surjection_values,
@@ -186,13 +187,13 @@ class SimplicialSet:
         if op.dst_dim != s.dim:
             raise ValueError(f"operator {op!r} does not match simplex of dimension {s.dim}")
         sigma, d = s.values, s.gen_dim
-        epi, image = epi_mono_values([sigma[v] for v in op.values])
+        epi, image = epi_mono_values(compose_values(sigma, op.values))
         # g itself, under the identity of [d]
         gen, tau = s.gen, tuple(range(d + 1))
         for j in range(d, -1, -1):
             if j not in image:
                 gen, tau = self.face_values(gen, tau, j)
-        return FormalSimplex(gen, tuple(map(tau.__getitem__, epi)))
+        return FormalSimplex(gen, compose_values(tau, epi))
 
     def face(self, s: FormalSimplex, i: int) -> FormalSimplex:
         """d_i s, by face_values.  A face of a generator is its stored
@@ -365,7 +366,7 @@ class SimplicialMap:
         """f of sigma^*gen as (generator, values): with f(gen) = tau^*h,
         (h, tau . sigma), onto as both are.  The input is not checked."""
         t = self.assignment[gen]
-        return t.gen, tuple(map(t.values.__getitem__, values))
+        return t.gen, compose_values(t.values, values)
 
     def audit(self) -> list[str]:
         """Naturality violations f(d_i g) != d_i f(g) on the generators

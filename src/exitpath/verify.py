@@ -17,11 +17,12 @@ Tables numbers a simplex of X_n by its position in SimplicialSet.blocks
 face and degeneracy of a degree as one column of numbers over all of
 X_n, so the checks compare ints.  A column is filled from
 SimplicialSet.face_values and degeneracy_values on (generator, values)
-pairs, one rank lookup per entry, and builds no FormalSimplex.  The
-image of a map is one more such column, filled from
-SimplicialMap.image_values, so the lift check numbers both sides
-without a map call.  No check lists a degree: a witness unranks each
-simplex it names through Tables.simplex.
+pairs, one rank lookup per entry, and builds no FormalSimplex; a word
+of faces and degeneracies is one column, the columns of its letters
+composed by operators.compose_values.  The image of a map is one more
+such column, filled from SimplicialMap.image_values, so the lift check
+numbers both sides without a map call.  No check lists a degree: a
+witness unranks each simplex it names through Tables.simplex.
 
 Horn, filler and lift search share one lookup, Tables.face_keys: the
 simplices of a degree keyed by their faces at a fixed tuple of slots,
@@ -46,6 +47,7 @@ import json
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 
+from .operators import compose_values
 from .simplicial import FormalSimplex, SimplicialMap, SimplicialSet, simplex_repr
 
 
@@ -179,12 +181,12 @@ class Tables:
     X.degeneracy_values or, for image(), a map's image_values of each
     (generator, values) by one rank lookup.  simplex() and number()
     convert one simplex each way, so no Tables lists a degree.
-    column() composes columns along a word.  face_keys() is the one
-    lookup of the searches: per degree and tuple of slots, a dict from
-    the face numbers at those slots to the simplices that have them,
-    built by zipping those columns on each call.  One check call holds
-    one Tables per simplicial set and frees it on return, so nothing is
-    kept on X.
+    column() composes the columns of a word's letters by
+    compose_values.  face_keys() is the one lookup of the searches: per
+    degree and tuple of slots, a dict from the face numbers at those
+    slots to the simplices that have them, built by zipping those
+    columns on each call.  One check call holds one Tables per
+    simplicial set and frees it on return, so nothing is kept on X.
     """
 
     def __init__(self, X: SimplicialSet):
@@ -223,7 +225,7 @@ class Tables:
                 n, step = n - 1, self.faces[n][i]
             else:
                 n, step = n + 1, self.degens[n][i]
-            column = step if column is None else tuple(map(step.__getitem__, column))
+            column = step if column is None else compose_values(step, column)
         return tuple(range(self.sizes[n])) if column is None else column
 
     def face_keys(self, n: int, slots: tuple[int, ...],
@@ -361,7 +363,10 @@ class Horns(Sequence):
     kept as numbers: numbers[k] holds horn k's faces at slots, the
     indices other than missing in ascending order, each by its number
     in X_{n-1}.  Reading horn k builds its HornProblem, each face
-    unranked by Tables.simplex."""
+    unranked by Tables.simplex; a slice is the list of its
+    HornProblems.  Horns compares like the list of its HornProblems:
+    equal to a list, or another Horns, with the same horns in the same
+    order, and unhashable."""
 
     def __init__(self, tables: Tables, n: int, missing: int,
                  numbers: list[tuple[int, ...]]):
@@ -372,10 +377,19 @@ class Horns(Sequence):
     def __len__(self) -> int:
         return len(self.numbers)
 
-    def __getitem__(self, k: int) -> HornProblem:
+    def __getitem__(self, k: int | slice) -> HornProblem | list[HornProblem]:
+        if isinstance(k, slice):
+            return [self[j] for j in range(*k.indices(len(self)))]
         faces = [self._tables.simplex(self.n - 1, p) for p in self.numbers[k]]
         faces.insert(self.missing, None)
         return HornProblem(self.n, self.missing, tuple(faces))
+
+    def __eq__(self, other):
+        if not isinstance(other, (list, Horns)):
+            return NotImplemented
+        return list(self) == list(other)
+
+    __hash__ = None
 
 
 def enumerate_horns(X: SimplicialSet, n: int, missing: int,
@@ -412,7 +426,7 @@ def enumerate_horns(X: SimplicialSet, n: int, missing: int,
         up = tables.faces[n - 1][b - 1] if depth else ()
         budget.spend(size * len(horns.numbers))
         horns.numbers = [horn + (p,) for horn in horns.numbers
-                         for p in keys.get(tuple(map(up.__getitem__, horn)), ())]
+                         for p in keys.get(compose_values(up, horn), ())]
     return horns
 
 
@@ -532,7 +546,7 @@ def _lift_block(f: SimplicialMap, n: int, i: int, budget: int | None,
     lifts = x_tables.face_keys(n, horns.slots, image[n])
     search, squares, exhausted = Budget(budget), 0, 0
     for k, horn in enumerate(horns.numbers):
-        for base in bases.get(tuple(map(below.__getitem__, horn)), ()):
+        for base in bases.get(compose_values(below, horn), ()):
             squares += 1
             search.spent = 0
             try:

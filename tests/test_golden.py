@@ -21,6 +21,12 @@ across shapes:
 * `verify-qcat-cone-simplex3-depth5-statuses.json`: the entry statuses
   of `verify_quasicategory(Ex(cone(Δ^3)), 5)`.
 
+`verify-identities-<span>.json` is the stdout of
+`verify-identities --format machine --max-dim 5` on the gallery spans
+and on cone(Δ^2), the six jobs of the benchmark's identities workload;
+it was recorded before the checker's columns were composed by
+operators.compose_values.
+
 `cli-outputs.json` maps each command line of CLI_LINES, run in text and
 in machine format, to its exit status and stdout; it was recorded
 before the commands handed their output to `main` to print.
@@ -93,6 +99,14 @@ def test_cone_simplex3_kan_lifts(tmp_path, capsys):
     out = stdout_of(capsys, FAIL, "check-fibration", "--span", cone_file(tmp_path, 3),
                     "--kind", "kan", "--format", "machine", "--max-dim", "4")
     assert out == golden("check-fibration-kan-cone-simplex3")
+
+
+@pytest.mark.parametrize("name", [*sorted(GALLERY), "cone-simplex2"])
+def test_verify_identities_depth5(name, tmp_path, capsys):
+    span_ref = cone_file(tmp_path, 2) if name == "cone-simplex2" else name
+    out = stdout_of(capsys, PASS, "verify-identities", "--span", span_ref,
+                    "--format", "machine", "--max-dim", "5")
+    assert out == golden(f"verify-identities-{name}")
 
 
 CLI_LINES = [

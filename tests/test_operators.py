@@ -1,10 +1,14 @@
 """Operator algebra: composition, factorization, elementary relations."""
 
+import random
+from itertools import product
+
 import pytest
 
 from exitpath.operators import (
     Operator,
     compose,
+    compose_values,
     degeneracy_op,
     degeneracy_word,
     epi_mono_factor,
@@ -40,6 +44,32 @@ def test_elementary_shapes():
     assert identity(2).is_identity()
     assert is_injective(face_op(3, 1))
     assert degeneracy_op(3, 1).onto
+
+
+@pytest.mark.parametrize("length", [0, 1, 2, 300])
+def test_compose_values_gathers_a_tuple(length):
+    # one index is the length where a bare itemgetter returns the item
+    rng = random.Random(length)
+    outer = tuple(rng.randrange(1000) for _ in range(50))
+    inner = tuple(rng.randrange(len(outer)) for _ in range(length))
+    got = compose_values(outer, inner)
+    assert type(got) is tuple
+    assert got == tuple(outer[v] for v in inner)
+    # a list inner, as the simplicial action passes its epi
+    assert compose_values(outer, list(inner)) == got
+
+
+@pytest.mark.parametrize("inner", [(3,), (0, 3), (1, 0, 7)])
+def test_compose_values_refuses_an_entry_outside_outer(inner):
+    with pytest.raises(IndexError):
+        compose_values((5, 6, 7), inner)
+
+
+def test_compose_is_compose_values_on_operators():
+    for m, k, n in product(range(4), repeat=3):
+        for outer in monotone_maps(k, n):
+            for inner in monotone_maps(m, k):
+                assert compose(outer, inner).values == compose_values(outer.values, inner.values)
 
 
 def test_compose_mismatch():

@@ -354,6 +354,31 @@ def test_horn_enumeration_count():
         assert find_filler(X, h, tables=tables) is not None
 
 
+def test_horns_compare_like_the_list_they_replaced():
+    X = build_exit(load_span("s0-defect"), 3)
+    horns = enumerate_horns(X, 2, 1)
+    problems = list(horns)
+    assert len(problems) >= 3 and all(isinstance(h, HornProblem) for h in problems)
+    assert horns == problems and problems == horns and not horns != problems
+    assert horns == enumerate_horns(X, 2, 1)
+    assert horns != problems[1:] and horns != problems[::-1]
+    assert horns != enumerate_horns(X, 2, 0) and horns != enumerate_horns(X, 3, 1)
+    # a list equals no tuple, and a list is unhashable
+    assert horns != tuple(problems)
+    with pytest.raises(TypeError):
+        hash(horns)
+
+
+def test_a_slice_of_horns_is_a_list_of_horn_problems():
+    X = build_exit(load_span("s0-defect"), 3)
+    horns = enumerate_horns(X, 2, 1)
+    problems = list(horns)
+    for cut in (slice(0, 2), slice(None, None, -1), slice(1, None, 2), slice(5, 2)):
+        assert type(horns[cut]) is list
+        assert horns[cut] == problems[cut]
+    assert horns[-1] == problems[-1]
+
+
 def test_horn_compatibility_negative():
     X = standard_simplex(1)
     e = nondeg("0,1", 1)
