@@ -10,8 +10,9 @@ simplicial set in generator normal form needs.
 Composition is written compose(outer, inner) for outer . inner, i.e.
 inner is applied first.  compose_values is the one composition of maps
 given by their value tuples, outer[inner[k]] for each k; compose is its
-Operator wrapper, and the simplicial action, maps and the verifier's
-columns of numbers call it directly.
+Operator wrapper, and the simplicial action (act and face_values, whose
+face of a degenerate simplex gathers a stored face through it), maps
+and the verifier's columns of numbers call it directly.
 """
 
 from __future__ import annotations

@@ -22,8 +22,10 @@ with sigma: [n] ->> [d] (d is the last value):
   * d_i s is the stored entry d_i g when sigma is the identity;
     (sigma delta^i)^*g, sigma with position i dropped, when sigma hits
     j = sigma(i) twice; otherwise the rest misses j, and d_i s =
-    rho^*(d_j g), the stored entry d_j g with its surjection composed
-    after the rest shifted down past j;
+    rho^*(d_j g), the stored entry d_j g with its surjection tau
+    composed after the rest shifted down past j: one compose_values
+    of tau padded with a 0 at position j, which the rest never reads,
+    after the rest;
   * s . op, for any operator op, splits sigma . op into epi and mono,
     takes the faces at the values the mono misses (none when it is
     onto), highest first, and composes epi into the result's degeneracy;
@@ -36,7 +38,8 @@ entry or a FormalSimplex over the values it computed, so no Operator is
 built or validated; an Operator enters only as act's argument, and as
 the text of a map's __call__ refusing a simplex of the wrong dimension.
 The verifier's tables read the three methods directly and number each
-result by one rank lookup.
+result in the block of its generator, looked up once per block while
+the result stays in the generator it came from.
 """
 
 from __future__ import annotations
@@ -213,8 +216,9 @@ class SimplicialSet:
         """d_i of sigma^*gen as (generator, values), sigma given by its
         values: the stored entry when sigma is the identity; sigma with
         position i dropped when it hits j = sigma(i) twice; else d_j gen
-        with its surjection composed after the rest, shifted down past
-        j.  The index is not checked."""
+        with its surjection tau composed after the rest shifted down
+        past j, gathered by compose_values from tau padded at j, a slot
+        the rest never reads.  The index is not checked."""
         n = len(values) - 1
         if values[-1] == n:
             entry = self.faces[gen][i]
@@ -225,7 +229,7 @@ class SimplicialSet:
             return gen, rest
         entry = self.faces[gen][j]
         tau = entry.values
-        return entry.gen, tuple([tau[v if v < j else v - 1] for v in rest])
+        return entry.gen, compose_values(tau[:j] + (0,) + tau[j:], rest)
 
     def degeneracy_values(self, gen: str, values: tuple[int, ...],
                           i: int) -> tuple[str, tuple[int, ...]]:

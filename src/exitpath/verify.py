@@ -17,10 +17,13 @@ Tables numbers a simplex of X_n by its position in SimplicialSet.blocks
 face and degeneracy of a degree as one column of numbers over all of
 X_n, so the checks compare ints.  A column is filled from
 SimplicialSet.face_values and degeneracy_values on (generator, values)
-pairs, one rank lookup per entry, and builds no FormalSimplex; a word
-of faces and degeneracies is one column, the columns of its letters
-composed by operators.compose_values.  The image of a map is one more
-such column, filled from SimplicialMap.image_values, so the lift check
+pairs and builds no FormalSimplex.  It looks up the target block of
+each block's own generator once, so a result that stays in that
+generator (every s_i, and d_i of a degenerate simplex that repeats at
+i) takes one rank lookup, and any other result two.  A word of faces
+and degeneracies is one column, the columns of its letters composed
+by operators.compose_values.  The image of a map is one more such
+column, filled from SimplicialMap.image_values, so the lift check
 numbers both sides without a map call.  No check lists a degree: a
 witness unranks each simplex it names through Tables.simplex.
 
@@ -155,14 +158,25 @@ def _column(source: dict, target: dict, action: Callable, i: int | None, letter:
             n: int) -> tuple[int, ...]:
     """The numbers in X_n (of blocks target) of action(gen, values, i)
     over every simplex (gen, values) of the degree of blocks source, in
-    order.  A result that is not an n-simplex of X raises NotASimplex."""
+    order.  Each source block looks up its own generator's target block
+    once: a result in that generator takes one rank lookup there, any
+    other result the block of its generator first.  The action runs
+    once per entry either way, and a result that is not an n-simplex
+    of X raises NotASimplex."""
     out = []
     for label, (_, _, ranks) in source.items():
+        home, _, home_ranks = target.get(label, _NO_BLOCK)
         # ranks lists its block's values in rank order
         for values in ranks:
             gen, image = action(label, values, i)
-            offset, _, target_ranks = target.get(gen, _NO_BLOCK)
-            rank = target_ranks.get(image)
+            # the action hands back the label it was given when the
+            # result stays in its generator; an equal label in another
+            # object takes the general lookup, to the same number
+            if gen is label:
+                offset, rank = home, home_ranks.get(image)
+            else:
+                offset, _, target_ranks = target.get(gen, _NO_BLOCK)
+                rank = target_ranks.get(image)
             if rank is None:
                 raise NotASimplex(f"{letter} {simplex_repr(label, values)} = "
                                   f"{simplex_repr(gen, image)} is not a simplex of degree {n}")
@@ -179,10 +193,11 @@ class Tables:
     of d_a x over all x in X_n, in order, and degens[n][i] that of
     s_i x.  A column walks blocks(n) and numbers X.face_values,
     X.degeneracy_values or, for image(), a map's image_values of each
-    (generator, values) by one rank lookup.  simplex() and number()
-    convert one simplex each way, so no Tables lists a degree.
-    column() composes the columns of a word's letters by
-    compose_values.  face_keys() is the one lookup of the searches: per
+    (generator, values) in the block of the result's generator, the
+    block of its own generator looked up once per block (_column).
+    simplex() and number() convert one simplex each way, so no Tables
+    lists a degree.  column() composes the columns of a word's letters
+    by compose_values.  face_keys() is the one lookup of the searches: per
     degree and tuple of slots, a dict from the face numbers at those
     slots to the simplices that have them, built by zipping those
     columns on each call.  One check call holds one Tables per

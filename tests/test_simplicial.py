@@ -340,6 +340,9 @@ def test_face_and_degeneracy_are_the_action(name):
     # (generator, values) form they wrap, against the Operator-algebra
     # oracle on every simplex and index through degree 6
     X = exit_complex(name, 5)
+    # the padded gather's edges: (j == 0, j == d, stored d_j degenerate)
+    # for each face d_i s whose surjection hits j = sigma(i) once
+    padded = set()
     for n in range(7):
         for s in X.simplices_at(n):
             values = s.values
@@ -349,10 +352,49 @@ def test_face_and_degeneracy_are_the_action(name):
                     assert X.face(s, i) == face, (s, i)
                     assert X.face_values(s.gen, values, i) == \
                         (face.gen, face.values), (s, i)
+                    j = values[i]
+                    if not s.is_nondegenerate() and values.count(j) == 1:
+                        padded.add((j == 0, j == s.gen_dim,
+                                    not X.faces[s.gen][j].is_nondegenerate()))
                 degeneracy = operator_act(X, s, degeneracy_op(n, i))
                 assert X.degeneracy(s, i) == degeneracy, (s, i)
                 assert X.degeneracy_values(s.gen, values, i) == \
                     (degeneracy.gen, degeneracy.values), (s, i)
+    if name.startswith("cone-simplex"):
+        # only the cones store degenerate faces, each at j == d
+        assert (True, False, False) in padded
+        assert (False, True, True) in padded
+
+
+def test_face_values_gathers_a_degenerate_stored_face_by_hand():
+    # d_i of sigma^*g for sigma hitting j = sigma(i) once, at j = 0 and
+    # j = d, where the stored d_j g is degenerate; pairs worked by hand
+    # from the vertices of sigma^*g with the i-th dropped.  X's triangle
+    # T stores degenerate d_0 and d_2; Y's tetrahedron G, on the vertices
+    # x, x, y, y, stores the degenerate triangles d_0 = e+s1, d_3 = e+s0
+    X = SimplicialSet("thin-triangle")
+    X.add_generator(0, "a")
+    X.add_generator(1, "l", [nondeg("a", 0), nondeg("a", 0)])
+    X.add_generator(2, "T", [FormalSimplex("a", (0, 0)), nondeg("l", 1),
+                             FormalSimplex("a", (0, 0))])
+    Y = SimplicialSet("thin-tetrahedron")
+    Y.add_generator(0, "x")
+    Y.add_generator(0, "y")
+    Y.add_generator(1, "e", [nondeg("y", 0), nondeg("x", 0)])
+    e = nondeg("e", 1)
+    Y.add_generator(2, "A", [FormalSimplex("y", (0, 0)), e, e])
+    Y.add_generator(2, "B", [e, e, FormalSimplex("x", (0, 0))])
+    Y.add_generator(3, "G", [FormalSimplex("e", (0, 1, 1)), nondeg("A", 2), nondeg("B", 2),
+                             FormalSimplex("e", (0, 0, 1))])
+    for Z in (X, Y):
+        Z.assert_coherent()
+    for sigma, i in [((0, 1, 1, 2), 0), ((0, 1, 2, 2), 0), ((0, 0, 1, 2), 3),
+                     ((0, 1, 1, 2), 3)]:
+        assert X.face_values("T", sigma, i) == ("a", (0, 0, 0)), (sigma, i)
+    assert Y.face_values("G", (0, 1, 1, 2, 3), 0) == ("e", (0, 0, 1, 1))
+    assert Y.face_values("G", (0, 1, 2, 3, 3), 0) == ("e", (0, 1, 1, 1))
+    assert Y.face_values("G", (0, 0, 1, 2, 3), 4) == ("e", (0, 0, 0, 1))
+    assert Y.face_values("G", (0, 1, 2, 2, 3), 4) == ("e", (0, 0, 1, 1))
 
 
 @pytest.mark.parametrize("name", sorted(GALLERY))

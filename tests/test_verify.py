@@ -186,6 +186,34 @@ def test_identity_check_fails_loudly_off_its_degree():
         verify_simplicial_identities(Y, 2)
 
 
+def test_a_result_outside_its_generator_is_numbered_in_its_own_block():
+    # s_2 of P.0,1@1+s0 answers its own values (0, 0, 1, 1) under another
+    # edge: the column numbers it in that edge's block, not in its own
+    X = build_exit(cone_span(standard_simplex(2)), 3)
+    x, wrong = FormalSimplex("P.0,1@1", (0, 0, 1)), FormalSimplex("P.0,2@1", (0, 0, 1, 1))
+    degeneracy_values = X.degeneracy_values
+    X.degeneracy_values = lambda g, v, i: (
+        (wrong.gen, wrong.values) if (g, v, i) == (x.gen, x.values, 2)
+        else degeneracy_values(g, v, i))
+    tables = Tables(X)
+    assert tables.degens[2][2][tables.number(2, x)] == tables.number(3, wrong)
+    assert machine_json(verify_simplicial_identities(X, 3).payload()) == \
+        machine_json(oracle_identity_report(X, 3).payload())
+
+
+def test_a_result_in_its_own_generator_off_its_degree_fails_loudly():
+    # d_1 of a degenerate 3-simplex answers its own generator with the
+    # values of a 3-simplex: its own block of degree 2 has no such rank
+    X = build_exit(cone_span(standard_simplex(2)), 3)
+    face_values = X.face_values
+    X.face_values = lambda g, v, i: (
+        (g, v) if (g, v, i) == ("P.0,1+s1@2", (0, 0, 1, 2), 1) else face_values(g, v, i))
+    with pytest.raises(NotASimplex) as caught:
+        verify_simplicial_identities(X, 3)
+    assert str(caught.value) == ("Ex(cone-simplex2)<=3: d_1 P.0,1+s1@2+s0 = P.0,1+s1@2+s0 "
+                                 "is not a simplex of degree 2")
+
+
 @pytest.mark.parametrize("depth", range(5))
 def test_identity_check_lists_no_degree_above_depth_plus_one(depth):
     # blocks, which lists no simplex, is read one degree higher: s_i s_j
