@@ -1,8 +1,12 @@
 """Worked spans with known exit complexes.
 
-Each entry builds a small linked span.  Where its exit complex is
-known by hand or as a nerve, the entry's oracle maps the built complex
-onto it, and the test suite checks that map with
+Each entry builds a small linked span.  Every entry but point-cone is
+a span of posets: M, L and N are nerves of posets (nerve_of_poset,
+which point and discrete call with no relation, or the empty
+empty_sset), and pi and iota are the maps of nerves of monotone maps,
+each built by nerve_of_map from its values on elements.  Where its
+exit complex is known by hand or as a nerve, the entry's oracle maps
+the built complex onto it, and the test suite checks that map with
 verify.comparison_report; `exitpath examples` only lists the entries
 and writes their documents.  The broken entry violates the
 right-fibration hypothesis on purpose and is the negative control for
@@ -20,6 +24,7 @@ from .simplicial import (
     SimplicialMap,
     SimplicialSet,
     empty_sset,
+    nerve_of_map,
     nerve_of_poset,
     nondeg,
     standard_simplex,
@@ -31,19 +36,7 @@ def point(name: str = "point", vertex: str = "pt") -> SimplicialSet:
 
 
 def discrete(name: str, vertices: list[str]) -> SimplicialSet:
-    X = SimplicialSet(name)
-    for v in vertices:
-        X.add_generator(0, v)
-    return X
-
-
-def trivial_inclusion_span(X: SimplicialSet) -> LinkedSpan:
-    """empty <- empty -> X: no exit paths at all, Ex is X again."""
-    M = empty_sset("emptyM")
-    L = empty_sset("emptyL")
-    pi = SimplicialMap("pi", L, M, {})
-    iota = SimplicialMap("iota", L, X, {})
-    return LinkedSpan("trivial", M, L, N=X, pi=pi, iota=iota)
+    return nerve_of_poset(vertices, [], name)
 
 
 def cone_span(X: SimplicialSet, name: str | None = None) -> LinkedSpan:
@@ -54,53 +47,10 @@ def cone_span(X: SimplicialSet, name: str | None = None) -> LinkedSpan:
     The span is named cone-<name of X> unless name is given.
     """
     M = point("conetip", "c")
-    pi = SimplicialMap("pi", X, M, _constant_assignment(X, "c"))
+    pi = SimplicialMap("pi", X, M, {g: FormalSimplex("c", (0,) * (d + 1))
+                                    for g, d in X.gen_dims.items()})
     iota = SimplicialMap("iota", X, X, {g: nondeg(g, d) for g, d in X.gen_dims.items()})
     return LinkedSpan(name or f"cone-{X.name}", M, L=X, N=X, pi=pi, iota=iota)
-
-
-def _constant_assignment(X: SimplicialSet, vertex: str):
-    """Send every generator to the appropriate degeneracy of one vertex."""
-    return {g: FormalSimplex(vertex, (0,) * (d + 1)) for g, d in X.gen_dims.items()}
-
-
-def s0_defect_span() -> LinkedSpan:
-    """point <- two points = two points: a codimension-everything defect
-    with two exit directions; Ex is the nerve of m < n-, m < n+."""
-    M = point("stratum", "m")
-    L = discrete("link", ["l-", "l+"])
-    N = discrete("sphere0", ["n-", "n+"])
-    pi = SimplicialMap("pi", L, M, _constant_assignment(L, "m"))
-    iota = SimplicialMap("iota", L, N, {"l-": nondeg("n-", 0), "l+": nondeg("n+", 0)})
-    return LinkedSpan("s0-defect", M, L, N, pi, iota)
-
-
-def boundary_collar_span() -> LinkedSpan:
-    """point <- point -> edge, the link sitting at vertex 0 of the edge.
-
-    Models a manifold boundary with its collar: exit paths may stop at
-    the collar vertex or run along the edge, so Ex has two
-    nondegenerate exit edges and the triangle composing them."""
-    M = point("boundary", "m")
-    L = point("collarlink", "l")
-    N = standard_simplex(1, "collar")
-    pi = SimplicialMap("pi", L, M, {"l": nondeg("m", 0)})
-    iota = SimplicialMap("iota", L, N, {"l": nondeg("0", 0)})
-    return LinkedSpan("boundary-collar", M, L, N, pi, iota)
-
-
-def broken_span() -> LinkedSpan:
-    """An edge <- point -> edge with pi landing at the closed end.
-
-    pi is not a right fibration (the edge of M ending at pi(l) has no
-    lift through the one-point link), and the exit complex has an inner
-    2-horn with no filler: the negative control."""
-    M = standard_simplex(1, "strata")
-    L = point("link1", "l")
-    N = standard_simplex(1, "normal")
-    pi = SimplicialMap("pi", L, M, {"l": nondeg("1", 0)})
-    iota = SimplicialMap("iota", L, N, {"l": nondeg("0", 0)})
-    return LinkedSpan("broken", M, L, N, pi, iota)
 
 
 @dataclass(frozen=True)
@@ -126,8 +76,12 @@ def _relabelling(ex: SimplicialSet, oracle: SimplicialSet,
 
 
 GALLERY: dict[str, GalleryEntry] = {
+    # no exit paths at all, so Ex is N again
     "trivial": GalleryEntry(
-        "trivial", lambda: trivial_inclusion_span(_chain3()),
+        "trivial",
+        lambda: LinkedSpan("trivial", M := empty_sset("emptyM"), L := empty_sset("emptyL"),
+                           N := _chain3(), nerve_of_map("pi", L, M, {}),
+                           nerve_of_map("iota", L, N, {})),
         "empty <- empty -> nerve(a<b<c); Ex is N again", True,
         lambda ex: _relabelling(ex, _chain3(),
                                 {g: g.removeprefix("N.") for g in ex.gen_dims})),
@@ -136,20 +90,40 @@ GALLERY: dict[str, GalleryEntry] = {
         "point <- point = point; Ex is the 1-simplex", True,
         lambda ex: _relabelling(ex, standard_simplex(1, "interval"),
                                 {"M.c": "0", "N.x": "1", "P.x+s0@1": "0,1"})),
+    # a codimension-everything defect with two exit directions
     "s0-defect": GalleryEntry(
-        "s0-defect", s0_defect_span,
+        "s0-defect",
+        lambda: LinkedSpan("s0-defect", M := point("stratum", "m"),
+                           L := discrete("link", ["l-", "l+"]),
+                           N := discrete("sphere0", ["n-", "n+"]),
+                           nerve_of_map("pi", L, M, {"l-": "m", "l+": "m"}),
+                           nerve_of_map("iota", L, N, {"l-": "n-", "l+": "n+"})),
         "point <- S^0 = S^0; Ex is the nerve of m<n-, m<n+", True,
         lambda ex: _relabelling(
             ex, nerve_of_poset(["m", "n-", "n+"], [("m", "n-"), ("m", "n+")],
                                "defect-nerve"),
             {"M.m": "m", "N.n-": "n-", "N.n+": "n+",
              "P.n-+s0@1": "m,n-", "P.n++s0@1": "m,n+"})),
+    # a manifold boundary with its collar: exit paths may stop at the
+    # collar vertex or run along the edge, so Ex has two nondegenerate
+    # exit edges and the triangle composing them
     "boundary-collar": GalleryEntry(
-        "boundary-collar", boundary_collar_span,
+        "boundary-collar",
+        lambda: LinkedSpan("boundary-collar", M := point("boundary", "m"),
+                           L := point("collarlink", "l"), N := standard_simplex(1, "collar"),
+                           nerve_of_map("pi", L, M, {"l": "m"}),
+                           nerve_of_map("iota", L, N, {"l": "0"})),
         "point <- point -> edge at vertex 0; boundary with collar", True,
         None),
+    # pi is not a right fibration: the edge of M ending at pi(l) has no
+    # lift through the one-point link, and Ex has an inner 2-horn with
+    # no filler; the negative control
     "broken": GalleryEntry(
-        "broken", broken_span,
+        "broken",
+        lambda: LinkedSpan("broken", M := standard_simplex(1, "strata"),
+                           L := point("link1", "l"), N := standard_simplex(1, "normal"),
+                           nerve_of_map("pi", L, M, {"l": "1"}),
+                           nerve_of_map("iota", L, N, {"l": "0"})),
         "edge <- point -> edge, pi at the closed end; not a right fibration", False,
         None),
 }

@@ -62,10 +62,6 @@ class Operator:
     def __call__(self, i: int) -> int:
         return self.values[i]
 
-    def is_identity(self) -> bool:
-        # the only monotone map of [n] onto itself
-        return self.onto and self.src_dim == self.dst_dim
-
     def __repr__(self):
         word = ",".join(str(v) for v in self.values)
         return f"[{self.src_dim}]->[{self.dst_dim}]:({word})"

@@ -462,8 +462,12 @@ def nerve_of_poset(elements: list[str], relations: list[tuple[str, str]],
     a < b.  The transitive closure is taken, then antisymmetry and
     irreflexivity are checked.  Generators in dimension n are the
     strict chains of length n+1, labelled by joining the member labels
-    with commas; their faces delete one member.
+    with commas, so no element label may contain one; their faces
+    delete one member.
     """
+    for e in elements:
+        if "," in e:
+            raise ValueError(f"poset element {e!r} contains ','")
     if len(set(elements)) != len(elements):
         raise ValueError("duplicate poset elements")
     below: dict[str, set[str]] = {e: set() for e in elements}
@@ -503,3 +507,26 @@ def nerve_of_poset(elements: list[str], relations: list[tuple[str, str]],
         dim += 1
     X.assert_coherent()
     return X
+
+
+def nerve_of_map(name: str, X: SimplicialSet, Y: SimplicialSet,
+                 f: dict[str, str]) -> SimplicialMap:
+    """The map of nerves of a monotone map f of posets, given on the
+    elements of X; X and Y are labelled as nerve_of_poset labels them.
+    A chain x_0 <= ... <= x_d goes to the strict chain of its distinct
+    consecutive images, over the surjection that counts the changes so
+    far.  A non-monotone f sends some chain to a label Y lacks, and
+    SimplicialMap refuses it."""
+    missing = [x for x in X.generators(0) if x not in f]
+    if missing:
+        raise ValueError(f"{name}: no image for elements {missing}")
+    assignment = {}
+    for g in X.gen_dims:
+        chain, values = [], []
+        for x in g.split(","):
+            y = f[x]
+            if not chain or chain[-1] != y:
+                chain.append(y)
+            values.append(len(chain) - 1)
+        assignment[g] = FormalSimplex(",".join(chain), tuple(values))
+    return SimplicialMap(name, X, Y, assignment)

@@ -23,8 +23,8 @@ from exitpath.operators import Operator, degeneracy_op, face_op, identity
 from exitpath.shuffles import exit_shuffle
 from exitpath.simplicial import (
     FormalSimplex,
-    SimplicialMap,
     SimplicialSet,
+    nerve_of_map,
     nerve_of_poset,
     nondeg,
 )
@@ -46,6 +46,11 @@ def injections(src_dim, dst_dim):
 
 def is_injective(op):
     return all(a < b for a, b in zip(op.values, op.values[1:]))
+
+
+def is_identity(op):
+    # the only monotone map of [n] onto itself
+    return op.onto and op.src_dim == op.dst_dim
 
 
 # -- shuffles ------------------------------------------------------------------
@@ -101,6 +106,15 @@ def chain3():
     return nerve_of_poset(["a", "b", "c"], [("a", "b"), ("b", "c"), ("a", "c")], "chain3")
 
 
+def prefix_span(name, elements, relations, prefix, M, f):
+    """M <- nerve(P') -> nerve(P) for a poset P, a down-closed subset P'
+    of it and a monotone map f from P' to the poset of M, on elements."""
+    N = nerve_of_poset(elements, relations, f"{name}-N")
+    L = nerve_of_poset(prefix, [(a, b) for a, b in relations if b in prefix], f"{name}-L")
+    return LinkedSpan(name, M, L, N, nerve_of_map("pi", L, M, f),
+                      nerve_of_map("iota", L, N, {x: x for x in prefix}))
+
+
 def seeded_poset_span(rng, i):
     """chain <- nerve(P') -> nerve(P): a random poset P on 3 to 5
     elements, a down-closed prefix P' of it and a monotone map from P'
@@ -111,23 +125,13 @@ def seeded_poset_span(rng, i):
     rng.shuffle(labels)
     rel = [(labels[a], labels[b]) for a in range(n) for b in range(a + 1, n)
            if rng.random() < 0.5]
-    N = nerve_of_poset(labels, rel, f"seeded{i}-N")
-    prefix = labels[:r]
-    L = nerve_of_poset(prefix, [(a, b) for a, b in rel if b in prefix], f"seeded{i}-L")
     chain = [f"c{v}" for v in range(m)]
     M = nerve_of_poset(chain, [(chain[a], chain[b]) for a in range(m)
                                for b in range(a + 1, m)], f"seeded{i}-M")
-    level = dict(zip(prefix, sorted(rng.randrange(m) for _ in prefix)))
-
-    def image(label, d):
-        xs = [level[x] for x in label.split(",")]
-        hit = sorted(set(xs))
-        return FormalSimplex(",".join(chain[v] for v in hit),
-                             Operator(d, len(hit) - 1, tuple(hit.index(v) for v in xs)))
-
-    pi = SimplicialMap("pi", L, M, {g: image(g, d) for g, d in L.gen_dims.items()})
-    iota = SimplicialMap("iota", L, N, {g: nondeg(g, d) for g, d in L.gen_dims.items()})
-    return LinkedSpan(f"seeded{i}", M, L, N, pi, iota)
+    prefix = labels[:r]
+    levels = sorted(rng.randrange(m) for _ in prefix)
+    return prefix_span(f"seeded{i}", labels, rel, prefix, M,
+                       {x: chain[v] for x, v in zip(prefix, levels)})
 
 
 def seeded_poset_spans(rng, count):

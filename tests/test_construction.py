@@ -21,8 +21,6 @@ from exitpath.construction import (
 from exitpath.documents import print_sset
 from exitpath.gallery import (
     GALLERY,
-    boundary_collar_span,
-    broken_span,
     cone_span,
     discrete,
     load_span,
@@ -34,7 +32,7 @@ from exitpath.simplicial import (
     FormalSimplex,
     SimplicialMap,
     SimplicialSet,
-    nerve_of_poset,
+    nerve_of_map,
     nondeg,
     standard_simplex,
 )
@@ -45,6 +43,7 @@ from oracles import (
     all_exit_simplices,
     front_face_lifts,
     pair,
+    prefix_span,
     seeded_poset_spans,
     tagged_degeneracy,
     tagged_detect,
@@ -65,7 +64,7 @@ def degenerate_edge(vertex: str) -> FormalSimplex:
 
 
 def test_membership_on_the_collar():
-    span = boundary_collar_span()
+    span = load_span("boundary-collar")
     assert is_exit_path(span, "0,1", (0, 1), 1)
     assert is_exit_path(span, *pair(degenerate_edge("0")), 1)
     assert not is_exit_path(span, *pair(degenerate_edge("1")), 1)
@@ -74,7 +73,7 @@ def test_membership_on_the_collar():
 def test_membership_input_checks():
     """is_exit_path, exit_normal_form and detect_degenerate_exit refuse a
     0-simplex and an exit index outside 1..k, each with its message."""
-    span = boundary_collar_span()
+    span = load_span("boundary-collar")
     checks = {"is_exit_path": lambda gen, values, j: is_exit_path(span, gen, values, j),
               "exit_normal_form": lambda gen, values, j: exit_normal_form(values, j),
               "detect_degenerate_exit":
@@ -91,7 +90,7 @@ def test_membership_input_checks():
 
 
 def test_linked_span_and_build_exit_refusals():
-    span = boundary_collar_span()
+    span = load_span("boundary-collar")
     M, L, N, pi, iota = span.M, span.L, span.N, span.pi, span.iota
     with pytest.raises(ValueError, match=r"^s: pi must map L to M$"):
         LinkedSpan("s", N, L, N, pi, iota)
@@ -121,8 +120,8 @@ def collapsed_span():
     L = discrete("twolink", ["l1", "l2"])
     N = point("onept", "n")
     M = point("onebase", "m")
-    pi = SimplicialMap("pi", L, M, {"l1": nondeg("m", 0), "l2": nondeg("m", 0)})
-    iota = SimplicialMap("iota", L, N, {"l1": nondeg("n", 0), "l2": nondeg("n", 0)})
+    pi = nerve_of_map("pi", L, M, {"l1": "m", "l2": "m"})
+    iota = nerve_of_map("iota", L, N, {"l1": "n", "l2": "n"})
     return LinkedSpan("collapsed", M, L, N, pi, iota)
 
 
@@ -152,24 +151,13 @@ def restriction_lookup(span, gamma, j):
     return span.iota.preimage(source) is not None
 
 
-def prefix_span(name, elements, relations, prefix):
-    """pt <- nerve(P') -> nerve(P) for a poset P and a down-closed
-    subset P' of it."""
-    N = nerve_of_poset(elements, relations, f"{name}-N")
-    L = nerve_of_poset(prefix, [(a, b) for a, b in relations if b in prefix], f"{name}-L")
-    M = point("base", "m")
-    pi = SimplicialMap("pi", L, M, {g: FormalSimplex("m", Operator(d, 0, (0,) * (d + 1)))
-                                    for g, d in L.gen_dims.items()})
-    iota = SimplicialMap("iota", L, N, {g: nondeg(g, d) for g, d in L.gen_dims.items()})
-    return LinkedSpan(name, M, L, N, pi, iota)
-
-
 def diamond_prefix_span():
     """pt <- nerve(a < b) -> nerve(a < b < d, a < c < d): L is the
     nerve of a proper down-closed subset, so whether a front face lifts
     depends on how far along the chain it reaches."""
     rel = [("a", "b"), ("a", "c"), ("b", "d"), ("c", "d")]
-    return prefix_span("diamond-prefix", ["a", "b", "c", "d"], rel, ["a", "b"])
+    return prefix_span("diamond-prefix", ["a", "b", "c", "d"], rel, ["a", "b"],
+                       point("base", "m"), {"a": "m", "b": "m"})
 
 
 MEMBERSHIP_SPANS = {
@@ -200,7 +188,7 @@ def test_membership_agrees_with_restriction_lookup(name):
 
 
 def test_exit_simplices_order_and_counts():
-    span = boundary_collar_span()
+    span = load_span("boundary-collar")
     paths = exit_simplices(span, 1)
     assert paths == [("0", (0, 0), 1), ("0,1", (0, 1), 1)]
     assert [repr(tagged_exit(*p)) for p in paths] == ["exit(0+s0@1)", "exit(0,1@1)"]
@@ -226,7 +214,7 @@ def test_cardinality_sum():
 
 
 def test_edge_faces_low_and_upper():
-    span = boundary_collar_span()
+    span = load_span("boundary-collar")
     e = Exit(nondeg("0,1", 1), 1)
     assert tagged_face(span, e, 1) == Low(nondeg("m", 0))
     assert tagged_face(span, e, 0) == Upper(nondeg("1", 0))
@@ -235,7 +223,7 @@ def test_edge_faces_low_and_upper():
 
 
 def test_triangle_face_dispatch():
-    span = boundary_collar_span()
+    span = load_span("boundary-collar")
     b = nondeg("0,1", 1)
     t = Exit(span.N.degeneracy(b, 0), 1)
     assert tagged_face(span, t, 0) == Upper(b)
@@ -244,14 +232,14 @@ def test_triangle_face_dispatch():
 
 
 def test_low_face_lands_through_pi():
-    span = broken_span()
+    span = load_span("broken")
     e = Exit(nondeg("0,1", 1), 1)
     # the link sits at vertex 0 of N and pi sends it to vertex 1 of M
     assert tagged_face(span, e, 1) == Low(nondeg("1", 0))
 
 
 def test_low_and_upper_parts_are_closed():
-    span = boundary_collar_span()
+    span = load_span("boundary-collar")
     m = Low(span.M.degeneracy(nondeg("m", 0), 0))
     assert isinstance(tagged_face(span, m, 0), Low)
     assert isinstance(tagged_degeneracy(span, m, 0), Low)
@@ -261,7 +249,7 @@ def test_low_and_upper_parts_are_closed():
 
 
 def test_degeneracies_of_an_exit_edge():
-    span = boundary_collar_span()
+    span = load_span("boundary-collar")
     p = Exit(nondeg("0,1", 1), 1)
     up0 = tagged_degeneracy(span, p, 0)
     up1 = tagged_degeneracy(span, p, 1)
@@ -274,7 +262,7 @@ def test_degeneracies_of_an_exit_edge():
 
 
 def test_face_index_bounds():
-    span = boundary_collar_span()
+    span = load_span("boundary-collar")
     e = Exit(nondeg("0,1", 1), 1)
     with pytest.raises(ValueError):
         tagged_face(span, e, 2)
@@ -308,7 +296,7 @@ def test_membership_is_closed_under_faces_and_degeneracies():
 
 
 def test_dimension_one_paths_never_degenerate():
-    span = boundary_collar_span()
+    span = load_span("boundary-collar")
     assert detect_degenerate_exit(span, "0", (0, 0), 1) is None
     assert tagged_detect(span, Exit(degenerate_edge("0"), 1)) is None
 
@@ -447,8 +435,8 @@ def test_prism_decomposition_matches_peeling(name):
 
 
 def small_prefix_spans():
-    """prefix_span for every poset P on at most three labelled elements
-    and every down-closed P' of P."""
+    """pt <- nerve(P') -> nerve(P) for every poset P on at most three
+    labelled elements and every down-closed P' of P."""
     for n in range(4):
         elements = list("abc"[:n])
         pairs = [(x, y) for x in elements for y in elements if x != y]
@@ -460,7 +448,8 @@ def small_prefix_spans():
             for down in range(1 << n):
                 prefix = [e for b, e in enumerate(elements) if down >> b & 1]
                 if all(x in prefix for x, y in rel if y in prefix):
-                    yield prefix_span(f"P{rel}>{prefix}", elements, rel, prefix)
+                    yield prefix_span(f"P{rel}>{prefix}", elements, rel, prefix,
+                                      point("base", "m"), dict.fromkeys(prefix, "m"))
 
 
 def test_prism_decomposition_on_small_posets():
@@ -529,7 +518,7 @@ def test_tagged_identity_ss(name):
 def test_low_lift_failure_is_span_integrity_error():
     # corrupt iota's generator table behind its back: the low face of
     # a legitimate exit path then has no lift
-    span = boundary_collar_span()
+    span = load_span("boundary-collar")
     span.iota._preimage_gens.clear()
     with pytest.raises(SpanIntegrityError):
         exit_face(span, "0,1", (0, 1), 1, 1)
@@ -538,7 +527,7 @@ def test_low_lift_failure_is_span_integrity_error():
 def test_low_lift_failure_in_build_exit_names_the_face():
     # front_lifts answers from its cache once a first build has filled
     # it, so only the low face finds the generator table empty
-    span = boundary_collar_span()
+    span = load_span("boundary-collar")
     build_exit(span, 1)
     span.iota._preimage_gens.clear()
     with pytest.raises(SpanIntegrityError) as e:

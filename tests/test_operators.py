@@ -18,7 +18,7 @@ from exitpath.operators import (
     surjection_from_word,
     surjection_values,
 )
-from oracles import injections, is_injective, monotone_maps
+from oracles import injections, is_identity, is_injective, monotone_maps
 
 
 def test_validation():
@@ -41,7 +41,7 @@ def test_validation():
 def test_elementary_shapes():
     assert face_op(3, 1).values == (0, 2, 3)
     assert degeneracy_op(2, 1).values == (0, 1, 1, 2)
-    assert identity(2).is_identity()
+    assert is_identity(identity(2))
     assert is_injective(face_op(3, 1))
     assert degeneracy_op(3, 1).onto
 
@@ -100,7 +100,7 @@ def test_cosimplicial_identities():
                 if i < j:
                     assert got == compose(face_op(n - 1, i), degeneracy_op(n - 2, j - 1))
                 elif i in (j, j + 1):
-                    assert got.is_identity()
+                    assert is_identity(got)
                 else:
                     assert got == compose(face_op(n - 1, i - 1), degeneracy_op(n - 2, j))
 
@@ -122,7 +122,7 @@ def test_onto_is_read_off_the_values():
         for n in range(5):
             for op in monotone_maps(m, n):
                 assert op.onto == (len(set(op.values)) == n + 1), op
-                assert op.is_identity() == (op.values == tuple(range(n + 1))), op
+                assert is_identity(op) == (op.values == tuple(range(n + 1))), op
                 # values onto [d] for the last value d, which may fall short of n
                 assert op.onto == (is_surjection_values(op.values) and op.values[-1] == n), op
 

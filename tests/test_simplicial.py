@@ -10,6 +10,7 @@ from exitpath.gallery import GALLERY, cone_span, load_span
 from exitpath.operators import (
     Operator,
     compose,
+    compose_values,
     degeneracy_op,
     epi_mono_factor,
     face_op,
@@ -20,12 +21,13 @@ from exitpath.simplicial import (
     SimplicialMap,
     SimplicialSet,
     empty_sset,
+    nerve_of_map,
     nerve_of_poset,
     nondeg,
     standard_simplex,
 )
 from exitpath.verify import Tables
-from oracles import chain3, corrupted_triangle, monotone_maps
+from oracles import chain3, corrupted_triangle, is_identity, monotone_maps
 
 
 def test_formal_simplex_normal_form_only():
@@ -97,7 +99,7 @@ def operator_act(X, s, op):
         raise ValueError(f"operator {op!r} does not match simplex of dimension {s.dim}")
     epi, mono = epi_mono_factor(compose(Operator(s.dim, s.gen_dim, s.values), op))
     gen = s.gen
-    while not mono.is_identity():
+    while not is_identity(mono):
         j = max(set(range(mono.dst_dim + 1)) - set(mono.values))
         entry = X.faces[gen][j]
         lowered = Operator(mono.src_dim, mono.dst_dim - 1,
@@ -153,6 +155,12 @@ def test_nerve_rejects_cycles():
         nerve_of_poset(["a", "a"], [])
     with pytest.raises(ValueError):
         nerve_of_poset(["a"], [("a", "b")])
+    # a chain is labelled by its members joined with commas, so the edge
+    # a,b < c would read as the chain a < b < c; the second poset used to
+    # fail only at its build, as a duplicate generator 'a,b'
+    for elements, relations in ((["a,b", "c"], [("a,b", "c")]), (["a", "b", "a,b"], [("a", "b")])):
+        with pytest.raises(ValueError, match=r"^poset element 'a,b' contains ','$"):
+            nerve_of_poset(elements, relations, "x")
 
 
 def test_simplices_at_order_is_canonical():
@@ -437,13 +445,45 @@ def test_map_naturality_enforced():
     with pytest.raises(ValueError, match=r"^f: image of '0' not in Y$"):
         SimplicialMap("f", X, Y, {"0": nondeg("x", 0), "1": nondeg("y", 0),
                                   "0,1": FormalSimplex("y", Operator(1, 0, (0, 0)))})
+    # nerve_of_map refuses a flip, which is not monotone, and an element it has no image for
+    with pytest.raises(ValueError, match=r"^flip: image of '0,1' not in simplex1$"):
+        nerve_of_map("flip", X, X, {"0": "1", "1": "0"})
+    with pytest.raises(ValueError, match=r"^f: no image for elements \['1'\]$"):
+        nerve_of_map("f", X, X, {"0": "0"})
+
+
+def test_nerve_of_the_identity_is_the_identity():
+    for X in [chain3(), standard_simplex(3)] + [nerve_of_poset(e, r) for e, r in SMALL_POSETS]:
+        f = nerve_of_map("id", X, X, {x: x for x in X.generators(0)})
+        assert f.assignment == {g: nondeg(g, d) for g, d in X.gen_dims.items()}
+
+
+def test_nerve_of_map_on_operators():
+    # for every operator f: [m] -> [n], m, n <= 3, Delta^m's top generator
+    # goes to the chain of f's image under the epi part of f, and the map
+    # of g . f is the composite of the maps of f and g
+    simplices, nerves = [standard_simplex(n) for n in range(4)], {}
+    for m, n in product(range(4), repeat=2):
+        for f in monotone_maps(m, n):
+            X, Y = simplices[m], simplices[n]
+            nf = nerves[m, n, f.values] = nerve_of_map(
+                repr(f), X, Y, {str(i): str(v) for i, v in enumerate(f.values)})
+            epi, mono = epi_mono_factor(f)
+            top = ",".join(X.generators(0))
+            assert nf.assignment[top] == FormalSimplex(",".join(map(str, mono.values)), epi), f
+    for (m, n, f), nf in nerves.items():
+        for k in range(4):
+            for g in monotone_maps(n, k):
+                ng, ngf = nerves[n, k, g.values], nerves[m, k, compose_values(g.values, f)]
+                for label, d in nf.domain.gen_dims.items():
+                    s = nondeg(label, d)
+                    assert ngf(s) == ng(nf(s)), (nf.name, ng.name, label)
 
 
 def test_map_action_by_naturality():
     X = standard_simplex(1)
     Y = chain3()
-    f = SimplicialMap("f", X, Y, {"0": nondeg("a", 0), "1": nondeg("c", 0),
-                                  "0,1": nondeg("a,c", 1)})
+    f = nerve_of_map("f", X, Y, {"0": "a", "1": "c"})
     assert f.audit() == []
     s = X.degeneracy(nondeg("0,1", 1), 0)
     assert f(s) == Y.degeneracy(nondeg("a,c", 1), 0)
@@ -477,9 +517,7 @@ def test_is_mono_and_preimage():
     assert inc.preimage(FormalSimplex("1", Operator(1, 0, (0, 0)))) is not None
     assert inc.preimage(nondeg("0,1", 1)) is None
 
-    crush = SimplicialMap("crush", X, P,
-                          {"0": nondeg("0", 0), "1": nondeg("0", 0),
-                           "0,1": FormalSimplex("0", Operator(1, 0, (0, 0)))})
+    crush = nerve_of_map("crush", X, P, {"0": "0", "1": "0"})
     ok, witness = crush.is_mono(2)
     assert not ok and "degree 0" in witness
 
@@ -580,14 +618,7 @@ def nerve_maps():
                 if any(v[x] != v[y] and f"{v[x]},{v[y]}" not in Q.gen_dims
                        for x, y in (e.split(",") for e in P.generators(1))):
                     continue
-                assignment = {}
-                for label in P.generators():
-                    image = [v[x] for x in label.split(",")]
-                    chain = list(dict.fromkeys(image))
-                    sigma = Operator(len(image) - 1, len(chain) - 1,
-                                     tuple(chain.index(x) for x in image))
-                    assignment[label] = FormalSimplex(",".join(chain), sigma)
-                yield SimplicialMap(f"{P.name}->{Q.name}", P, Q, assignment)
+                yield nerve_of_map(f"{P.name}->{Q.name}", P, Q, v)
 
 
 def circle_to_point():
