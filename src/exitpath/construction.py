@@ -49,7 +49,7 @@ P.<core>@<index> and N.<g>, are the only tags it keeps.
 from __future__ import annotations
 
 from .operators import Operator
-from .shuffles import FaceClass, classify_face, flat, sharp
+from .shuffles import FaceClass, check_exit_index, classify_face, flat, sharp
 from .simplicial import FormalSimplex, SimplicialMap, SimplicialSet, nondeg, simplex_repr
 
 
@@ -115,16 +115,6 @@ class LinkedSpan:
 # -- membership --------------------------------------------------------------
 
 
-def _exit_dimension(values: tuple[int, ...], j: int) -> int:
-    """k = len(values) - 1, refusing k < 1 and an exit index j outside 1..k."""
-    k = len(values) - 1
-    if k < 1:
-        raise ValueError("exit paths start in dimension 1")
-    if not 1 <= j <= k:
-        raise ValueError(f"exit index {j} outside 1..{k}")
-    return k
-
-
 def is_exit_path(span: LinkedSpan, gen: str, values: tuple[int, ...], j: int) -> bool:
     """Whether (sigma^*gen, j), sigma given by its values, is an exit
     path: the level-0 restriction of (sigma^*gen) . C_j lifts
@@ -135,7 +125,8 @@ def is_exit_path(span: LinkedSpan, gen: str, values: tuple[int, ...], j: int) ->
     im(iota) exactly when its nondegenerate core does; so the answer is
     span.front_lifts(gen, r), with r <= k - 1 inside iota's mono bound.
     """
-    k = _exit_dimension(values, j)
+    k = len(values) - 1
+    check_exit_index(k, j)
     span.require_iota(k - 1)
     return span.front_lifts(gen, values[j - 1])
 
@@ -204,7 +195,8 @@ def detect_degenerate_exit(span: LinkedSpan, gen: str, values: tuple[int, ...],
     None for nondegenerate exit paths (every path of dimension 1) and
     for pairs that are not exit paths; a bad j raises as in is_exit_path.
     """
-    k = _exit_dimension(values, j)
+    k = len(values) - 1
+    check_exit_index(k, j)
     i = next((i for i in range(k)
               if i != j - 1 and values[i] == values[i + 1]), None)
     if i is None or not is_exit_path(span, gen, values, j):
@@ -218,7 +210,7 @@ def exit_normal_form(values: tuple[int, ...], j: int) -> tuple[int, int, tuple[i
     [sigma(j) = r], the core is (s_r^* gen, r + 1) if c and (gen, r + 1)
     otherwise, and the surjection is m -> sigma(m) + (c if m >= j).  A
     bad j raises ValueError as in is_exit_path."""
-    _exit_dimension(values, j)
+    check_exit_index(len(values) - 1, j)
     r = values[j - 1]
     if values[j] != r:
         return r, 0, values

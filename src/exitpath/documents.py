@@ -436,9 +436,12 @@ def write_span_documents(span: LinkedSpan, directory: str) -> str:
     """Write the documents for a span; returns the span file path.
 
     Slots referring to the same object (a span with L = N, say) share
-    one file so the reader reconstructs the sharing."""
-    os.makedirs(directory, exist_ok=True)
+    one file so the reader reconstructs the sharing.  The file names
+    start with the span's name, which must be a plain file name."""
     prefix = span.name
+    if prefix in (".", "..") or any(sep and sep in prefix for sep in (os.sep, os.altsep)):
+        raise ValueError(f"span name {prefix!r} is not a plain file name")
+    os.makedirs(directory, exist_ok=True)
     paths: dict[str, str] = {}
     seen: dict[int, str] = {}
     for slot, obj, content in (("M", span.M, None), ("L", span.L, None),

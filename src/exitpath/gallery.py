@@ -1,14 +1,14 @@
 """Worked spans with known exit complexes.
 
-Each entry builds a small linked span.  Every entry but point-cone is
-a span of posets: M, L and N are nerves of posets (nerve_of_poset,
-which point and discrete call with no relation, or the empty
-empty_sset), and pi and iota are the maps of nerves of monotone maps,
-each built by nerve_of_map from its values on elements.  Where its
-exit complex is known by hand or as a nerve, the entry's oracle maps
-the built complex onto it, and the test suite checks that map with
-verify.comparison_report; `exitpath examples` only lists the entries
-and writes their documents.  The broken entry violates the
+Each entry builds a small linked span, named by its key.  Every entry
+but point-cone is a span of posets: M, L and N are nerves of posets
+(nerve_of_poset, which point and discrete call with no relation, or
+the empty SimplicialSet), and pi and iota are the maps of nerves of
+monotone maps, each built by nerve_of_map from its values on elements.
+Where its exit complex is known by hand or as a nerve, the entry's
+oracle maps the built complex onto it, and the test suite checks that
+map with verify.comparison_report; `exitpath examples` only lists the
+entries and writes their documents.  The broken entry violates the
 right-fibration hypothesis on purpose and is the negative control for
 the horn-filling checks.
 """
@@ -23,7 +23,6 @@ from .simplicial import (
     FormalSimplex,
     SimplicialMap,
     SimplicialSet,
-    empty_sset,
     nerve_of_map,
     nerve_of_poset,
     nondeg,
@@ -55,8 +54,7 @@ def cone_span(X: SimplicialSet, name: str | None = None) -> LinkedSpan:
 
 @dataclass(frozen=True)
 class GalleryEntry:
-    name: str
-    build: Callable[[], LinkedSpan]
+    build: Callable[[str], LinkedSpan]  # the span's name -> the span
     summary: str
     hypotheses_hold: bool  # M, N quasicategories; iota mono; pi a right fibration
     # the built Ex -> the comparison map from it onto its known complex
@@ -78,26 +76,24 @@ def _relabelling(ex: SimplicialSet, oracle: SimplicialSet,
 GALLERY: dict[str, GalleryEntry] = {
     # no exit paths at all, so Ex is N again
     "trivial": GalleryEntry(
-        "trivial",
-        lambda: LinkedSpan("trivial", M := empty_sset("emptyM"), L := empty_sset("emptyL"),
-                           N := _chain3(), nerve_of_map("pi", L, M, {}),
-                           nerve_of_map("iota", L, N, {})),
+        lambda name: LinkedSpan(name, M := SimplicialSet("emptyM"), L := SimplicialSet("emptyL"),
+                                N := _chain3(), nerve_of_map("pi", L, M, {}),
+                                nerve_of_map("iota", L, N, {})),
         "empty <- empty -> nerve(a<b<c); Ex is N again", True,
         lambda ex: _relabelling(ex, _chain3(),
                                 {g: g.removeprefix("N.") for g in ex.gen_dims})),
     "point-cone": GalleryEntry(
-        "point-cone", lambda: cone_span(point("apexlink", "x"), "point-cone"),
+        lambda name: cone_span(point("apexlink", "x"), name),
         "point <- point = point; Ex is the 1-simplex", True,
         lambda ex: _relabelling(ex, standard_simplex(1, "interval"),
                                 {"M.c": "0", "N.x": "1", "P.x+s0@1": "0,1"})),
     # a codimension-everything defect with two exit directions
     "s0-defect": GalleryEntry(
-        "s0-defect",
-        lambda: LinkedSpan("s0-defect", M := point("stratum", "m"),
-                           L := discrete("link", ["l-", "l+"]),
-                           N := discrete("sphere0", ["n-", "n+"]),
-                           nerve_of_map("pi", L, M, {"l-": "m", "l+": "m"}),
-                           nerve_of_map("iota", L, N, {"l-": "n-", "l+": "n+"})),
+        lambda name: LinkedSpan(name, M := point("stratum", "m"),
+                                L := discrete("link", ["l-", "l+"]),
+                                N := discrete("sphere0", ["n-", "n+"]),
+                                nerve_of_map("pi", L, M, {"l-": "m", "l+": "m"}),
+                                nerve_of_map("iota", L, N, {"l-": "n-", "l+": "n+"})),
         "point <- S^0 = S^0; Ex is the nerve of m<n-, m<n+", True,
         lambda ex: _relabelling(
             ex, nerve_of_poset(["m", "n-", "n+"], [("m", "n-"), ("m", "n+")],
@@ -108,22 +104,20 @@ GALLERY: dict[str, GalleryEntry] = {
     # collar vertex or run along the edge, so Ex has two nondegenerate
     # exit edges and the triangle composing them
     "boundary-collar": GalleryEntry(
-        "boundary-collar",
-        lambda: LinkedSpan("boundary-collar", M := point("boundary", "m"),
-                           L := point("collarlink", "l"), N := standard_simplex(1, "collar"),
-                           nerve_of_map("pi", L, M, {"l": "m"}),
-                           nerve_of_map("iota", L, N, {"l": "0"})),
+        lambda name: LinkedSpan(name, M := point("boundary", "m"),
+                                L := point("collarlink", "l"), N := standard_simplex(1, "collar"),
+                                nerve_of_map("pi", L, M, {"l": "m"}),
+                                nerve_of_map("iota", L, N, {"l": "0"})),
         "point <- point -> edge at vertex 0; boundary with collar", True,
         None),
     # pi is not a right fibration: the edge of M ending at pi(l) has no
     # lift through the one-point link, and Ex has an inner 2-horn with
     # no filler; the negative control
     "broken": GalleryEntry(
-        "broken",
-        lambda: LinkedSpan("broken", M := standard_simplex(1, "strata"),
-                           L := point("link1", "l"), N := standard_simplex(1, "normal"),
-                           nerve_of_map("pi", L, M, {"l": "1"}),
-                           nerve_of_map("iota", L, N, {"l": "0"})),
+        lambda name: LinkedSpan(name, M := standard_simplex(1, "strata"),
+                                L := point("link1", "l"), N := standard_simplex(1, "normal"),
+                                nerve_of_map("pi", L, M, {"l": "1"}),
+                                nerve_of_map("iota", L, N, {"l": "0"})),
         "edge <- point -> edge, pi at the closed end; not a right fibration", False,
         None),
 }
@@ -132,4 +126,4 @@ GALLERY: dict[str, GalleryEntry] = {
 def load_span(name: str) -> LinkedSpan:
     if name not in GALLERY:
         raise KeyError(f"unknown gallery span {name!r}; have {sorted(GALLERY)}")
-    return GALLERY[name].build()
+    return GALLERY[name].build(name)

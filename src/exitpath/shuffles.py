@@ -80,15 +80,16 @@ class ExitCollapse:
         raise ValueError(f"level {level} not in {{0, 1}}")
 
 
-def _check_exit_index(k: int, j: int):
+def check_exit_index(k: int, j: int):
+    # the index 1 <= j <= k that S_j, C_j and the exit path (gamma, j) share
     if k < 1:
-        raise ValueError(f"no exit shuffles on a {k}-simplex")
+        raise ValueError("exit paths start in dimension 1")
     if not 1 <= j <= k:
         raise ValueError(f"exit index {j} outside 1..{k}")
 
 
 def exit_shuffle(k: int, j: int) -> ExitShuffle:
-    _check_exit_index(k, j)
+    check_exit_index(k, j)
     points = tuple((0, i) if i < j else (1, i - 1) for i in range(k + 1))
     if k == 1:
         # identified prism Delta[1] x Delta[0]; positions collapse to 0
@@ -97,7 +98,7 @@ def exit_shuffle(k: int, j: int) -> ExitShuffle:
 
 
 def collapse(k: int, j: int) -> ExitCollapse:
-    _check_exit_index(k, j)
+    check_exit_index(k, j)
     pos = max(k - 1, 0)
     low = tuple(i if i < j else j - 1 for i in range(pos + 1))
     high = tuple(j if i < j else i + 1 for i in range(pos + 1))
@@ -114,7 +115,7 @@ def flat(k: int, j: int, i: int) -> int:
     """
     if k < 2:
         raise ValueError(f"flat needs k >= 2, got {k}")
-    _check_exit_index(k, j)
+    check_exit_index(k, j)
     if not 0 <= i <= k:
         raise ValueError(f"face index {i} outside 0..{k}")
     if j == k and i == k:
@@ -127,7 +128,7 @@ def sharp(k: int, j: int, i: int) -> int:
 
     Defined for k >= 1, 1 <= j <= k, 0 <= i <= k; always in 1..k+1.
     """
-    _check_exit_index(k, j)
+    check_exit_index(k, j)
     if not 0 <= i <= k:
         raise ValueError(f"degeneracy index {i} outside 0..{k}")
     return j if i >= j else j + 1
@@ -141,7 +142,7 @@ def classify_face(k: int, j: int, i: int) -> FaceClass:
     otherwise.  The corner characterization is proved against the
     pointwise search in the tests.
     """
-    _check_exit_index(k, j)
+    check_exit_index(k, j)
     if not 0 <= i <= k:
         raise ValueError(f"face index {i} outside 0..{k}")
     if i == k and j == k:

@@ -443,10 +443,6 @@ class SimplicialMap:
 # -- stock constructions ---------------------------------------------------
 
 
-def empty_sset(name: str = "empty") -> SimplicialSet:
-    return SimplicialSet(name)
-
-
 def standard_simplex(n: int, name: str | None = None) -> SimplicialSet:
     """The n-simplex as the nerve of the linear order 0 < 1 < ... < n."""
     return nerve_of_poset([str(v) for v in range(n + 1)],
@@ -463,7 +459,7 @@ def nerve_of_poset(elements: list[str], relations: list[tuple[str, str]],
     irreflexivity are checked.  Generators in dimension n are the
     strict chains of length n+1, labelled by joining the member labels
     with commas, so no element label may contain one; their faces
-    delete one member.
+    delete one member, so the identities hold unaudited.
     """
     for e in elements:
         if "," in e:
@@ -505,7 +501,6 @@ def nerve_of_poset(elements: list[str], relations: list[tuple[str, str]],
             X.add_generator(dim, label, faces)
         chains = longer
         dim += 1
-    X.assert_coherent()
     return X
 
 
@@ -520,6 +515,9 @@ def nerve_of_map(name: str, X: SimplicialSet, Y: SimplicialSet,
     missing = [x for x in X.generators(0) if x not in f]
     if missing:
         raise ValueError(f"{name}: no image for elements {missing}")
+    unknown = [x for x in f if X.gen_dims.get(x) != 0]
+    if unknown:
+        raise ValueError(f"{name}: image given for elements {unknown} not in {X.name}")
     assignment = {}
     for g in X.gen_dims:
         chain, values = [], []

@@ -144,6 +144,25 @@ def seeded_poset_spans(rng, count):
     return spans
 
 
+def small_prefix_spans():
+    """pt <- nerve(P') -> nerve(P) for every poset P on at most three
+    labelled elements and every down-closed P' of P."""
+    for n in range(4):
+        elements = list("abc"[:n])
+        pairs = [(x, y) for x in elements for y in elements if x != y]
+        for mask in range(1 << len(pairs)):
+            rel = [pq for b, pq in enumerate(pairs) if mask >> b & 1]
+            if any((y, x) in rel for x, y in rel) or \
+                    any((x, z) not in rel for x, y in rel for w, z in rel if w == y):
+                continue
+            for down in range(1 << n):
+                prefix = [e for b, e in enumerate(elements) if down >> b & 1]
+                if all(x in prefix for x, y in rel if y in prefix):
+                    base = nerve_of_poset(["m"], [], "base")
+                    yield prefix_span(f"P{rel}>{prefix}", elements, rel, prefix, base,
+                                      dict.fromkeys(prefix, "m"))
+
+
 def corrupted_triangle():
     # T's face table breaks d_0 d_2 = d_1 d_0 on purpose
     X = SimplicialSet("corrupt")

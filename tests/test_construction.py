@@ -27,7 +27,14 @@ from exitpath.gallery import (
     point,
 )
 from exitpath.operators import Operator, compose, degeneracy_op, degeneracy_word, identity
-from exitpath.shuffles import restriction_operator
+from exitpath.shuffles import (
+    classify_face,
+    collapse,
+    exit_shuffle,
+    flat,
+    restriction_operator,
+    sharp,
+)
 from exitpath.simplicial import (
     FormalSimplex,
     SimplicialMap,
@@ -45,6 +52,7 @@ from oracles import (
     pair,
     prefix_span,
     seeded_poset_spans,
+    small_prefix_spans,
     tagged_degeneracy,
     tagged_detect,
     tagged_exit,
@@ -71,22 +79,33 @@ def test_membership_on_the_collar():
 
 
 def test_membership_input_checks():
-    """is_exit_path, exit_normal_form and detect_degenerate_exit refuse a
-    0-simplex and an exit index outside 1..k, each with its message."""
+    """The five shuffle functions and is_exit_path, exit_normal_form and
+    detect_degenerate_exit refuse k < 1 and an exit index outside 1..k
+    with the same two messages; flat, which needs k >= 2, only the
+    second."""
     span = load_span("boundary-collar")
-    checks = {"is_exit_path": lambda gen, values, j: is_exit_path(span, gen, values, j),
-              "exit_normal_form": lambda gen, values, j: exit_normal_form(values, j),
-              "detect_degenerate_exit":
-                  lambda gen, values, j: detect_degenerate_exit(span, gen, values, j)}
+
+    def path(k):
+        # a k-simplex of the collar: a vertex below k = 1, s_0^{k-1} of the edge from it
+        return ("0", (0,) * (k + 1)) if k < 1 else ("0,1", (0,) * k + (1,))
+
+    checks = {"exit_shuffle": exit_shuffle, "collapse": collapse,
+              "flat": lambda k, j: flat(k, j, 0), "sharp": lambda k, j: sharp(k, j, 0),
+              "classify_face": lambda k, j: classify_face(k, j, 0),
+              "is_exit_path": lambda k, j: is_exit_path(span, *path(k), j),
+              "exit_normal_form": lambda k, j: exit_normal_form(path(k)[1], j),
+              "detect_degenerate_exit": lambda k, j: detect_degenerate_exit(span, *path(k), j)}
     for name, check in checks.items():
-        with pytest.raises(ValueError, match=r"^exit paths start in dimension 1$"):
-            check("0", (0,), 1)
-        for values in ((0, 1), (0, 0, 1)):
-            k = len(values) - 1
+        if name != "flat":
+            for k in (0, -1):
+                with pytest.raises(ValueError, match=r"^exit paths start in dimension 1$"):
+                    check(k, 1)
+                    pytest.fail(f"{name} took k = {k}")
+        for k in (2, 3) if name == "flat" else (1, 2):
             for j in (0, -1, k + 1):
                 with pytest.raises(ValueError, match=rf"^exit index {j} outside 1\.\.{k}$"):
-                    check("0,1", values, j)
-                    pytest.fail(f"{name} took the exit index {j} of {values}")
+                    check(k, j)
+                    pytest.fail(f"{name} took the exit index {j} at k = {k}")
 
 
 def test_linked_span_and_build_exit_refusals():
@@ -432,24 +451,6 @@ def assert_matches_peeling(span, depth=5):
 @pytest.mark.parametrize("name", sorted(MEMBERSHIP_SPANS))
 def test_prism_decomposition_matches_peeling(name):
     assert_matches_peeling(MEMBERSHIP_SPANS[name]())
-
-
-def small_prefix_spans():
-    """pt <- nerve(P') -> nerve(P) for every poset P on at most three
-    labelled elements and every down-closed P' of P."""
-    for n in range(4):
-        elements = list("abc"[:n])
-        pairs = [(x, y) for x in elements for y in elements if x != y]
-        for mask in range(1 << len(pairs)):
-            rel = [pq for b, pq in enumerate(pairs) if mask >> b & 1]
-            if any((y, x) in rel for x, y in rel) or \
-                    any((x, z) not in rel for x, y in rel for w, z in rel if w == y):
-                continue
-            for down in range(1 << n):
-                prefix = [e for b, e in enumerate(elements) if down >> b & 1]
-                if all(x in prefix for x, y in rel if y in prefix):
-                    yield prefix_span(f"P{rel}>{prefix}", elements, rel, prefix,
-                                      point("base", "m"), dict.fromkeys(prefix, "m"))
 
 
 def test_prism_decomposition_on_small_posets():

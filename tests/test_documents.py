@@ -1,5 +1,6 @@
 """Document round-trips and parse diagnostics."""
 
+import os
 import random
 import re
 
@@ -78,6 +79,31 @@ def test_span_roundtrip(name, tmp_path):
     # object sharing survives: L = N in the cone gives one shared sset
     if span.L is span.N:
         assert back.L is back.N
+
+
+def test_span_name_must_be_a_plain_file_name(tmp_path):
+    # the files are named after the span, and a .span document gives its
+    # name; a name such as ../escape would write beside the target
+    source = write_span_documents(load_span("s0-defect"), str(tmp_path / "source"))
+    with open(source, encoding="utf-8") as fh:
+        text = fh.read()
+    assert text.startswith("span s0-defect\n")
+    with open(source, "w", encoding="utf-8") as fh:
+        fh.write(text.replace("span s0-defect", "span ../escape", 1))
+    span = parse_span_file(source)
+    before = sorted(tmp_path.rglob("*"))
+    separated = [f"a{sep}b" for sep in (os.sep, os.altsep) if sep]
+    for name in ["../escape", ".", "..", *separated]:
+        span.name = name
+        with pytest.raises(ValueError, match=rf"^span name {re.escape(repr(name))} is not a "
+                                             r"plain file name$"):
+            write_span_documents(span, str(tmp_path / "out" / "docs"))
+    assert sorted(tmp_path.rglob("*")) == before
+    for name in ("cone3", "sweep7", "..name", "a.b"):
+        span.name = name
+        path = write_span_documents(span, str(tmp_path / "out"))
+        assert path == str(tmp_path / "out" / f"{name}.span")
+        assert parse_span_file(path).name == name
 
 
 def test_print_span_lists_slots():

@@ -1,12 +1,13 @@
 """Generator normal form: the operator action, enumeration, audits, maps."""
 
+import random
 from itertools import product
 from math import comb
 
 import pytest
 
 from exitpath.construction import build_exit
-from exitpath.gallery import GALLERY, cone_span, load_span
+from exitpath.gallery import GALLERY, cone_span, load_span, point
 from exitpath.operators import (
     Operator,
     compose,
@@ -20,14 +21,20 @@ from exitpath.simplicial import (
     FormalSimplex,
     SimplicialMap,
     SimplicialSet,
-    empty_sset,
     nerve_of_map,
     nerve_of_poset,
     nondeg,
     standard_simplex,
 )
 from exitpath.verify import Tables
-from oracles import chain3, corrupted_triangle, is_identity, monotone_maps
+from oracles import (
+    chain3,
+    corrupted_triangle,
+    is_identity,
+    monotone_maps,
+    seeded_poset_spans,
+    small_prefix_spans,
+)
 
 
 def test_formal_simplex_normal_form_only():
@@ -163,6 +170,19 @@ def test_nerve_rejects_cycles():
             nerve_of_poset(elements, relations, "x")
 
 
+def test_nerves_hold_the_identities_unaudited():
+    # nerve_of_poset does not audit what it builds: each face deletes one
+    # member of a chain, so the identities hold by construction
+    nerves = [nerve_of_poset(e, r) for e, r in SMALL_POSETS]
+    nerves += [standard_simplex(n) for n in range(6)]
+    spans = [load_span(name) for name in sorted(GALLERY)]
+    spans += seeded_poset_spans(random.Random(20240), 30) + list(small_prefix_spans())
+    for X in nerves + [X for span in spans for X in (span.M, span.L, span.N)]:
+        assert X.audit() == [], X.name
+    for name in GALLERY:
+        assert load_span(name).name == name
+
+
 def test_simplices_at_order_is_canonical():
     X = standard_simplex(1)
     assert [repr(s) for s in X.simplices_at(1)] == ["0+s0", "1+s0", "0,1"]
@@ -175,7 +195,7 @@ def test_blocks_number_simplices_at():
     # its generator's offset plus its surjection's rank
     spans = [load_span(name) for name in sorted(GALLERY)]
     spans += [cone_span(standard_simplex(k)) for k in range(4)]
-    sets = [build_exit(span, 6) for span in spans] + [chain3(), empty_sset()]
+    sets = [build_exit(span, 6) for span in spans] + [chain3(), SimplicialSet("empty")]
     for X in sets:
         for n in range(7):
             blocks = X.blocks(n)
@@ -414,8 +434,8 @@ def test_count_at_closed_form(name):
 
 
 def test_empty_and_point():
-    assert empty_sset().count_at(0) == 0
-    assert empty_sset().simplices_at(3) == []
+    assert SimplicialSet("empty").count_at(0) == 0
+    assert SimplicialSet("empty").simplices_at(3) == []
     P = standard_simplex(0)
     for k in range(5):
         assert P.count_at(k) == 1
@@ -445,11 +465,17 @@ def test_map_naturality_enforced():
     with pytest.raises(ValueError, match=r"^f: image of '0' not in Y$"):
         SimplicialMap("f", X, Y, {"0": nondeg("x", 0), "1": nondeg("y", 0),
                                   "0,1": FormalSimplex("y", Operator(1, 0, (0, 0)))})
-    # nerve_of_map refuses a flip, which is not monotone, and an element it has no image for
+    # nerve_of_map refuses a flip, which is not monotone, an element it
+    # has no image for and an image for what is not an element
     with pytest.raises(ValueError, match=r"^flip: image of '0,1' not in simplex1$"):
         nerve_of_map("flip", X, X, {"0": "1", "1": "0"})
     with pytest.raises(ValueError, match=r"^f: no image for elements \['1'\]$"):
         nerve_of_map("f", X, X, {"0": "0"})
+    with pytest.raises(ValueError, match=r"^f: image given for elements \['zzz'\] not in X$"):
+        nerve_of_map("f", point("X", "x"), point("Y", "y"), {"x": "y", "zzz": "y"})
+    with pytest.raises(ValueError, match=r"^f: image given for elements \['0,1'\] not in "
+                                         r"simplex1$"):
+        nerve_of_map("f", X, X, {"0": "0", "1": "1", "0,1": "1"})
 
 
 def test_nerve_of_the_identity_is_the_identity():
