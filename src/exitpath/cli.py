@@ -31,12 +31,7 @@ import functools
 import os
 import sys
 
-from .construction import (
-    IotaNotMono,
-    LinkedSpan,
-    SpanIntegrityError,
-    build_exit,
-)
+from .construction import LinkedSpan, build_exit
 from .documents import parse_span_file, print_sset, write_span_documents
 from .gallery import GALLERY, load_span
 from .shuffles import (
@@ -48,6 +43,7 @@ from .shuffles import (
 )
 from .simplicial import SimplicialSet
 from .verify import (
+    KIND_RANGES,
     check_fibration,
     machine_json,
     verify_quasicategory,
@@ -75,14 +71,11 @@ def _exit_complex(args) -> tuple[LinkedSpan, SimplicialSet]:
     return span, build_exit(span, args.max_dim)
 
 
+_STATUS = {"pass": PASS, "fail": FAIL, "inconclusive": EXHAUSTED}
+
+
 def _report(report) -> Output:
-    if report.failed:
-        status = FAIL
-    elif report.inconclusive:
-        status = EXHAUSTED
-    else:
-        status = PASS
-    return status, report.payload(), report.to_text()
+    return _STATUS[report.verdict], report.payload(), report.to_text()
 
 
 def cmd_shuffle_table(args) -> Output:
@@ -257,7 +250,7 @@ COMMANDS = {
                     (*_SPAN_ARGS, _BUDGET)),
     "check-fibration": ("horn-lifting checks for pi", cmd_check_fibration,
                         (*_SPAN_ARGS, _BUDGET,
-                         _arg("--kind", choices=["right", "inner", "kan"], default="right"))),
+                         _arg("--kind", choices=list(KIND_RANGES), default="right"))),
     "check-mono": ("levelwise injectivity of iota", cmd_check_mono, _SPAN_ARGS),
     "examples": ("list or emit the gallery spans", cmd_examples,
                  (_arg("action", choices=["list", "emit"]),
@@ -303,7 +296,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         status, payload, text = args.fn(args)
         print(machine_json(payload) if args.format == "machine" else text)
-    except (ValueError, OSError, IotaNotMono, SpanIntegrityError) as e:
+    except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return INPUT_ERROR
     return status

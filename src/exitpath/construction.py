@@ -53,12 +53,12 @@ from .shuffles import FaceClass, check_exit_index, classify_face, flat, sharp
 from .simplicial import FormalSimplex, SimplicialMap, SimplicialSet, nondeg, simplex_repr
 
 
-class SpanIntegrityError(RuntimeError):
+class SpanIntegrityError(ValueError):
     """A low face failed to lift through the link; the span data is
     inconsistent with exit-path membership already established."""
 
 
-class IotaNotMono(RuntimeError):
+class IotaNotMono(ValueError):
     """iota is not levelwise injective through a degree an operation
     needs; the message carries two simplices with one image."""
 

@@ -437,27 +437,26 @@ def write_span_documents(span: LinkedSpan, directory: str) -> str:
 
     Slots referring to the same object (a span with L = N, say) share
     one file so the reader reconstructs the sharing.  The file names
-    start with the span's name, which must be a plain file name."""
+    start with the span's name, which must be a plain file name.  Every
+    document is rendered before the directory is made, so nothing is
+    written when one cannot be rendered."""
     prefix = span.name
     if prefix in (".", "..") or any(sep and sep in prefix for sep in (os.sep, os.altsep)):
         raise ValueError(f"span name {prefix!r} is not a plain file name")
-    os.makedirs(directory, exist_ok=True)
+    docs: dict[str, str] = {}  # file name -> document
     paths: dict[str, str] = {}
-    seen: dict[int, str] = {}
-    for slot, obj, content in (("M", span.M, None), ("L", span.L, None),
-                               ("N", span.N, None),
-                               ("pi", span.pi, print_smap(span.pi)),
-                               ("iota", span.iota, print_smap(span.iota))):
-        if id(obj) in seen:
-            paths[slot] = seen[id(obj)]
-            continue
-        fname = f"{prefix}.{slot}." + ("smap" if content else "sset")
-        body = content if content else print_sset(obj)
+    seen: dict[int, str] = {}  # id(object) -> its file name
+    for slot in _SLOTS:
+        obj = getattr(span, slot)
+        if id(obj) not in seen:
+            smap = isinstance(obj, SimplicialMap)
+            fname = seen[id(obj)] = f"{prefix}.{slot}." + ("smap" if smap else "sset")
+            docs[fname] = print_smap(obj) if smap else print_sset(obj)
+        paths[slot] = seen[id(obj)]
+    span_name = f"{prefix}.span"
+    docs[span_name] = print_span(span, paths)
+    os.makedirs(directory, exist_ok=True)
+    for fname, doc in docs.items():
         with open(os.path.join(directory, fname), "w", encoding="utf-8") as fh:
-            fh.write(body)
-        paths[slot] = fname
-        seen[id(obj)] = fname
-    span_path = os.path.join(directory, f"{prefix}.span")
-    with open(span_path, "w", encoding="utf-8") as fh:
-        fh.write(print_span(span, paths))
-    return span_path
+            fh.write(doc)
+    return os.path.join(directory, span_name)

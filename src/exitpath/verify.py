@@ -100,8 +100,16 @@ class VerificationReport:
         self.entries.append(CheckEntry(name, status, detail, witness))
 
     @property
+    def verdict(self) -> str:
+        """In CheckEntry.status's words: "fail" if any entry failed, else
+        "inconclusive" if any ran out of budget, else "pass"."""
+        if self.failed:
+            return "fail"
+        return "inconclusive" if self.inconclusive else "pass"
+
+    @property
     def ok(self) -> bool:
-        return all(e.status == "pass" for e in self.entries)
+        return self.verdict == "pass"
 
     @property
     def failed(self) -> list[CheckEntry]:
@@ -114,8 +122,7 @@ class VerificationReport:
     def to_text(self) -> str:
         lines = [f"subject: {self.subject}", f"degree bound: {self.bound}"]
         lines += [e.line() for e in self.entries]
-        verdict = "PASS" if self.ok else ("FAIL" if self.failed else "INCONCLUSIVE")
-        lines.append(f"result: {verdict} ({len(self.entries)} checks)")
+        lines.append(f"result: {self.verdict.upper()} ({len(self.entries)} checks)")
         return "\n".join(lines)
 
     def payload(self) -> dict:
@@ -486,7 +493,7 @@ def verify_quasicategory(X: SimplicialSet, depth: int,
     tables = Tables(X)
     report = VerificationReport(X.name, depth)
     report.entries = [_horn_block(X, n, i, budget, tables)
-                      for n in range(2, depth + 1) for i in _KIND_RANGES["inner"](n)]
+                      for n in range(2, depth + 1) for i in KIND_RANGES["inner"](n)]
     return report
 
 
@@ -517,7 +524,7 @@ def _horn_block(X: SimplicialSet, n: int, i: int, budget: int | None,
 # -- fibrations ------------------------------------------------------------------
 
 
-_KIND_RANGES = {
+KIND_RANGES = {
     "right": lambda n: range(1, n + 1),
     "inner": lambda n: range(1, n),
     "kan": lambda n: range(0, n + 1),
@@ -537,13 +544,13 @@ def check_fibration(f: SimplicialMap, depth: int, kind: str = "right",
     of each side and one image of f, so each degree's face rows and
     image are built once per call.
     """
-    if kind not in _KIND_RANGES:
+    if kind not in KIND_RANGES:
         raise ValueError(f"unknown fibration kind {kind!r}")
     report = VerificationReport(f"{f.name}: {f.domain.name} -> {f.codomain.name}", depth)
     x_tables, y_tables = Tables(f.domain), Tables(f.codomain)
     image = x_tables.image(f, y_tables)
     report.entries = [_lift_block(f, n, i, budget, x_tables, y_tables, image)
-                      for n in range(1, depth + 1) for i in _KIND_RANGES[kind](n)]
+                      for n in range(1, depth + 1) for i in KIND_RANGES[kind](n)]
     return report
 
 

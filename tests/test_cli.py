@@ -107,6 +107,16 @@ def test_verify_qcat_budget_exhaustion(capsys):
     assert "INCONCLUSIVE" in out
 
 
+def test_verify_qcat_failure_wins_over_exhaustion(capsys):
+    # the one gallery command line whose report holds both statuses
+    code, out, _ = run(capsys, "verify-qcat", "--span", "broken", "--max-dim", "4",
+                       "--budget", "100")
+    assert code == FAIL
+    lines = out.splitlines()
+    assert [line.split()[0] for line in lines[2:-1]] == ["FAIL"] + ["INCONCLUSIVE"] * 5
+    assert lines[-1] == "result: FAIL (6 checks)"
+
+
 def test_search_commands_deterministic(capsys):
     for command in ("verify-qcat", "check-fibration"):
         argv = (command, "--span", "boundary-collar", "--max-dim", "3",

@@ -7,6 +7,7 @@ import random
 import pytest
 
 from exitpath.construction import (
+    IotaNotMono,
     LinkedSpan,
     SpanIntegrityError,
     build_exit,
@@ -148,9 +149,9 @@ def test_membership_requires_verified_iota():
     span = collapsed_span()
     assert not span.iota.is_mono(0)[0]
     assert span.iota.mono_bound == -1
-    with pytest.raises(RuntimeError):
+    with pytest.raises(IotaNotMono):
         is_exit_path(span, "n", (0, 0), 1)
-    with pytest.raises(RuntimeError):
+    with pytest.raises(IotaNotMono):
         build_exit(span, 1)
 
 

@@ -6,7 +6,7 @@ import re
 
 import pytest
 
-from exitpath.construction import build_exit
+from exitpath.construction import LinkedSpan, build_exit
 from exitpath.documents import (
     ParseError,
     _check_label,
@@ -18,7 +18,7 @@ from exitpath.documents import (
     print_sset,
     write_span_documents,
 )
-from exitpath.gallery import GALLERY, load_span
+from exitpath.gallery import GALLERY, load_span, point
 from exitpath.operators import Operator
 from exitpath.simplicial import (
     FormalSimplex,
@@ -98,6 +98,17 @@ def test_span_name_must_be_a_plain_file_name(tmp_path):
         with pytest.raises(ValueError, match=rf"^span name {re.escape(repr(name))} is not a "
                                              r"plain file name$"):
             write_span_documents(span, str(tmp_path / "out" / "docs"))
+    # a name or a label that documents cannot hold is refused before the
+    # first file is written, even when the other documents render
+    span.name = "a#b"
+    with pytest.raises(ValueError, match=r"^name 'a#b' not representable in documents$"):
+        write_span_documents(span, str(tmp_path / "out"))
+    L = SimplicialSet("L")
+    M, N = point("M", "m"), point("N", "x y")
+    labelled = LinkedSpan("labelled", M, L, N, SimplicialMap("pi", L, M, {}),
+                          SimplicialMap("iota", L, N, {}))
+    with pytest.raises(ValueError, match=r"^label 'x y' not representable in documents$"):
+        write_span_documents(labelled, str(tmp_path / "out"))
     assert sorted(tmp_path.rglob("*")) == before
     for name in ("cone3", "sweep7", "..name", "a.b"):
         span.name = name

@@ -59,10 +59,21 @@ def bouquet(name, vertex, loops):
 
 def test_report_structure():
     r = VerificationReport("subject", 3)
+    assert (r.verdict, r.ok) == ("pass", True)
     r.add("first", "pass", detail="ok")
     r.add("second", "fail", witness="because")
     r.add("third", "inconclusive")
-    assert not r.ok
+    # a failure wins over exhaustion, wherever the entries stand
+    first, second, third = r.entries
+    for entries, verdict in [([first], "pass"),
+                             ([first, third], "inconclusive"),
+                             ([third, first], "inconclusive"),
+                             ([second], "fail"),
+                             ([second, third], "fail"),
+                             ([third, second, first], "fail")]:
+        report = VerificationReport("subject", 3, entries)
+        assert (report.verdict, report.ok) == (verdict, verdict == "pass")
+    assert (r.verdict, r.ok) == ("fail", False)
     assert [e.name for e in r.failed] == ["second"]
     assert [e.name for e in r.inconclusive] == ["third"]
     text = r.to_text()
